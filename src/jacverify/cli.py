@@ -5,17 +5,18 @@ member, verify-theorem.  Output is deterministic for a fixed command line
 (stable orders, canonical polynomial text), so repeated runs are byte
 identical; wall-clock time is tracked on the in-memory report but never
 serialized.  Exit codes: 0 pass/member, 1 verification failure or
-non-member, 2 usage error.
+non-member, 2 usage or input error, including a sweep with no instance.
 
-Sweeps (``--all``) can shard across processes: ``--workers`` or the
-JACVERIFY_WORKERS environment variable set the width, and results are
-merged in instance order so parallel runs print the same bytes.
+Sweeps (``--all``) run the library's instance enumerations
+(``identity1_instances``, ``identity2_instances``) and can shard across
+processes: ``--workers`` or the JACVERIFY_WORKERS environment variable set
+the width, and results are merged in instance order so parallel runs print
+the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -31,7 +32,9 @@ from .identities import (
     cayley_hamilton_numeric,
     check_relation_2_1s,
     generator_set,
+    identity1_instances,
     identity1_lhs,
+    identity2_instances,
     identity2_lhs,
 )
 from .inverse import coefficient_c, inverse_series
@@ -90,11 +93,15 @@ class Report:
         return "\n".join(self.lines)
 
 
-def _parse_comp(text: str, parts: int, what: str) -> tuple:
+def _parse_ints(text: str, what: str) -> tuple:
     try:
-        values = tuple(int(v) for v in text.split(","))
+        return tuple(int(v) for v in text.split(","))
     except ValueError:
         raise DomainError(f"{what} must be comma-separated integers, got {text!r}")
+
+
+def _parse_comp(text: str, parts: int, what: str) -> tuple:
+    values = _parse_ints(text, what)
     if len(values) != parts:
         raise DomainError(f"{what} needs exactly {parts} parts, got {len(values)}")
     if any(v < 0 for v in values):
@@ -103,10 +110,7 @@ def _parse_comp(text: str, parts: int, what: str) -> tuple:
 
 
 def _parse_labels(text: str, width: int, n: int, what: str) -> tuple:
-    if text == "":
-        values: tuple = ()
-    else:
-        values = tuple(int(v) for v in text.split(","))
+    values = () if text == "" else _parse_ints(text, what)
     if len(values) != width:
         raise DomainError(f"{what} needs exactly {width} labels, got {len(values)}")
     if any(not 1 <= v <= n for v in values):
@@ -124,12 +128,10 @@ def _parse_nu(text: str, d: int, n: int) -> tuple:
 # -- sweep workers (module level so process pools can pickle them) -------
 
 
-def _identity_worker(task):
-    which, d, n, alpha, u0, un, beta = task
-    inst = IdentityInstance(which, d, n, alpha, u0, un, beta)
-    lhs = identity1_lhs(inst) if which == "identity1" else identity2_lhs(inst)
-    return {"alpha": list(alpha), "u0": u0, "un": un,
-            **({"beta": list(beta)} if beta is not None else {}),
+def _identity_worker(inst: IdentityInstance) -> dict:
+    lhs = identity1_lhs(inst) if inst.which == "identity1" else identity2_lhs(inst)
+    return {"alpha": list(inst.alpha), "u0": inst.u0, "un": inst.un,
+            **({"beta": list(inst.beta)} if inst.beta is not None else {}),
             "zero": lhs.is_zero(), "lhs": format_poly(lhs)}
 
 
@@ -169,24 +171,15 @@ def _run_z(cfg: RunConfig) -> tuple:
     return report, 0
 
 
-def _identity_tasks(which: str, cfg: RunConfig):
-    d, n = cfg.d, cfg.n
-    if cfg.sweep_all:
-        alphas = enumerate_compositions(n * (d - 1), n)
-        pairs = [(u0, un) for u0 in range(1, n + 1) for un in range(1, n + 1)]
-        if which == "identity2":
-            pairs = [(u0, un) for u0, un in pairs if u0 != un]
-            betas = list(itertools.product(range(1, n + 1), repeat=d - 1))
-            return [(which, d, n, a, u0, un, b)
-                    for a in alphas for b in betas for u0, un in pairs]
-        return [(which, d, n, a, u0, un, None) for a in alphas for u0, un in pairs]
-    return [(which, d, n, cfg.alpha, cfg.u0, cfg.un,
-             cfg.beta if which == "identity2" else None)]
-
-
 def _run_identity(which: str, cfg: RunConfig) -> tuple:
+    if cfg.sweep_all:
+        sweep = identity1_instances if which == "identity1" else identity2_instances
+        instances = sweep(cfg.d, cfg.n)
+    else:
+        instances = [IdentityInstance(which, cfg.d, cfg.n, cfg.alpha, cfg.u0, cfg.un,
+                                      cfg.beta)]
     generator_set(DLinearSpec(cfg.d, cfg.n))  # warm the shared cache once
-    results = _pmap(_identity_worker, _identity_tasks(which, cfg), cfg.workers)
+    results = _pmap(_identity_worker, instances, cfg.workers)
     failures = [r for r in results if not r["zero"]]
     lines = []
     for r in results:
@@ -514,7 +507,10 @@ def _config_from_args(args) -> RunConfig:
     if args.workers is not None:
         cfg.workers = args.workers
     elif env_workers:
-        cfg.workers = int(env_workers)
+        try:
+            cfg.workers = int(env_workers)
+        except ValueError:
+            raise DomainError(f"JACVERIFY_WORKERS must be an integer, got {env_workers!r}")
 
     cfg.d = getattr(args, "d", 0)
     cfg.n = getattr(args, "n", 0)
@@ -545,6 +541,8 @@ def _config_from_args(args) -> RunConfig:
         elif cfg.subcommand == "identity2" and not cfg.sweep_all:
             raise DomainError("identity2 needs --beta (or --all)")
     if cfg.subcommand == "relation":
+        if d < 2:
+            raise DomainError("the two-ones relation needs d >= 2")
         if not cfg.sweep_all:
             if args.alpha1 is None or args.alpha2 is None or args.u is None:
                 raise DomainError("need --alpha1, --alpha2 and --u (or --all)")
@@ -553,16 +551,14 @@ def _config_from_args(args) -> RunConfig:
             cfg.u = args.u
     if cfg.subcommand == "inverse":
         if args.coeff is not None:
-            parts = args.coeff.split(",")
+            parts = _parse_ints(args.coeff, "--coeff")
             if len(parts) != n + 2:
                 raise DomainError(f"--coeff needs i,alpha({n} parts),N")
-            cfg.coeff = (int(parts[0]),
-                         tuple(int(v) for v in parts[1:-1]),
-                         int(parts[-1]))
+            cfg.coeff = (parts[0], parts[1:-1], parts[-1])
         elif args.n_max is None:
             raise DomainError("need --Nmax or --coeff")
     if cfg.subcommand == "verify-theorem":
-        cfg.N_list = tuple(int(v) for v in args.N.split(","))
+        cfg.N_list = _parse_ints(args.N, "--N")
     return cfg
 
 

@@ -8,7 +8,11 @@ labels u0, un, the sum over k of fern weights against generators,
 
 is the zero polynomial.  Identity 2 fixes the first level row to a chosen
 tuple beta, requires u0 != un, and stops the sum at k = n-1; it also
-vanishes.  At d = 1 identity 1 is the Cayley-Hamilton theorem written
+vanishes.  Both are assembled by row content: the inner sum over nu is one
+entry of the cached level-sum matrix ``fern.level_sum`` (for identity 2,
+the row matrix of beta's content times the level sum of the remaining
+rows), so each generator is multiplied once per (k, alpha1), not once per
+labeling.  At d = 1 identity 1 is the Cayley-Hamilton theorem written
 entrywise, which ``cayley_hamilton_numeric`` spot checks on random
 rational matrices.
 
@@ -26,12 +30,8 @@ from fractions import Fraction
 from math import comb
 from random import Random
 
-from .combinatorics import (
-    composition_sub_or_none,
-    enumerate_compositions,
-    enumerate_level_labelings,
-)
-from .fern import _path_sum
+from .combinatorics import composition_sub_or_none, enumerate_compositions
+from .fern import _path_sum, level_sum
 from .generators import DLinearSpec, JKey, extract_generators
 from .poly import DomainError, Poly, VarId, a_, substitute_numeric
 
@@ -103,11 +103,8 @@ def _assemble(inst, k_max, beta) -> Poly:
             gen = gens[JKey(k, alpha1)]
             if gen.is_zero():
                 continue
-            for nu in enumerate_level_labelings(rem, n - k, d):
-                if beta is not None and nu[0] != tuple(beta):
-                    continue
-                z = _path_sum(d, n, inst.u0, inst.un, nu)
-                total = total + z * gen
+            z = level_sum(d, n, n - k, rem, inst.u0, inst.un, first_row=beta)
+            total = total + z * gen
     return total
 
 
@@ -121,6 +118,8 @@ def identity1_instances(d: int, n: int):
 
 def identity2_instances(d: int, n: int):
     """Every admissible (alpha, beta, u0 != un) for identity 2."""
+    if n < 2:
+        raise DomainError("identity 2 needs n >= 2")
     betas = list(itertools.product(range(1, n + 1), repeat=d - 1))
     for alpha in enumerate_compositions(n * (d - 1), n):
         for beta in betas:

@@ -241,18 +241,6 @@ class Poly:
         return [(m, self.terms[m]) for m in sorted(self.terms, key=monomial_key)]
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    return p + q
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    return p * q
-
-
-def poly_pow(p: Poly, e: int) -> Poly:
-    return p ** e
-
-
 def coefficient_of(p: Poly, xt_monomial: Poly) -> Poly:
     """Extract the a-variable polynomial multiplying a monic x,t-monomial.
 
@@ -420,7 +408,10 @@ def parse_poly(text: str, n: int) -> Poly:
         elif tok.group("op") == "*":
             continue
         elif tok.group("num") is not None:
-            coeff *= Fraction(tok.group("num"))
+            try:
+                coeff *= Fraction(tok.group("num"))
+            except ZeroDivisionError:
+                raise StructuralError(f"zero denominator in {tok.group('num')!r}")
             saw_factor = True
         else:
             name = tok.group("var")

@@ -176,3 +176,26 @@ def test_workers_env_override(capsys, monkeypatch):
     monkeypatch.delenv("JACVERIFY_WORKERS")
     _, serial = _run(capsys, ["identity2", "--d", "2", "--n", "2", "--all"])
     assert out == serial
+
+
+def test_empty_sweeps_exit_two(capsys):
+    assert main(["identity2", "--d", "2", "--n", "1", "--all"]) == 2
+    assert "identity 2 needs n >= 2" in capsys.readouterr().err
+    assert main(["relation", "--d", "1", "--all"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_zero_denominator_exits_two(capsys):
+    assert main(["member", "--d", "2", "--n", "2", "--poly", "1/0"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+def test_non_integer_N_exits_two(capsys):
+    assert main(["verify-theorem", "--d", "2", "--N", "a"]) == 2
+    assert "--N" in capsys.readouterr().err
+
+
+def test_non_integer_workers_env_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("JACVERIFY_WORKERS", "abc")
+    assert main(["identity1", "--d", "2", "--n", "2", "--all"]) == 2
+    assert "JACVERIFY_WORKERS" in capsys.readouterr().err
