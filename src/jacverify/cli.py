@@ -5,7 +5,9 @@ member, verify-theorem.  Output is deterministic for a fixed command line
 (stable orders, canonical polynomial text), so repeated runs are byte
 identical; wall-clock time is tracked on the in-memory report but never
 serialized.  Exit codes: 0 pass/member, 1 verification failure or
-non-member, 2 usage or input error, including a sweep with no instance.
+non-member, 2 usage or input error, including a sweep with no instance
+and a count out of range (``--workers`` below 1, ``--numeric-trials``
+below 0).
 
 Sweeps (``--all``) run the library's instance enumerations
 (``identity1_instances``, ``identity2_instances``) and can shard across
@@ -511,6 +513,9 @@ def _config_from_args(args) -> RunConfig:
             cfg.workers = int(env_workers)
         except ValueError:
             raise DomainError(f"JACVERIFY_WORKERS must be an integer, got {env_workers!r}")
+    if cfg.workers < 1:
+        raise DomainError(f"--workers and JACVERIFY_WORKERS must be at least 1, "
+                          f"got {cfg.workers}")
 
     cfg.d = getattr(args, "d", 0)
     cfg.n = getattr(args, "n", 0)
@@ -520,6 +525,8 @@ def _config_from_args(args) -> RunConfig:
 
     cfg.sweep_all = getattr(args, "sweep_all", False)
     cfg.numeric_trials = getattr(args, "numeric_trials", 0)
+    if cfg.numeric_trials < 0:
+        raise DomainError(f"--numeric-trials must be at least 0, got {cfg.numeric_trials}")
     cfg.dump = getattr(args, "dump", None)
     cfg.variant = getattr(args, "variant", None)
     cfg.poly_text = getattr(args, "poly", None)

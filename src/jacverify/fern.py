@@ -39,7 +39,7 @@ from .combinatorics import (
     enumerate_compositions,
     labeling_content,
 )
-from .poly import DomainError, Poly, a_
+from .poly import DomainError, Poly, a_monomial
 
 _ROW_MATRIX_CACHE: dict = {}
 _LEVEL_SUM_CACHE: dict = {}
@@ -79,16 +79,16 @@ def _path_sum(d: int, n: int, u0: int, uk: int, nu) -> Poly:
     k = len(nu)
     if k == 0:
         return Poly.one(n) if u0 == uk else Poly.zero(n)
-    total = Poly.zero(n)
+    total: dict = {}
     for interior in itertools.product(range(1, n + 1), repeat=k - 1):
         lam = (u0,) + interior + (uk,)
-        term = Poly.one(n)
+        entries = []
         for i in range(1, k + 1):
-            term = term * a_(n, lam[i - 1], lam[i])
-            for lab in nu[i - 1]:
-                term = term * a_(n, lam[i - 1], lab)
-        total = total + term
-    return total
+            entries.append((lam[i - 1], lam[i]))
+            entries.extend((lam[i - 1], lab) for lab in nu[i - 1])
+        for mono, coeff in a_monomial(n, entries).terms.items():
+            total[mono] = total.get(mono, 0) + coeff
+    return Poly(n, total)
 
 
 def level_sum(d: int, n: int, m: int, rem: tuple, u0: int, uk: int,
@@ -125,11 +125,8 @@ def _row_matrix(n: int, c: tuple) -> tuple:
     if key not in _ROW_MATRIX_CACHE:
         rows = []
         for r in range(1, n + 1):
-            leaves = Poly.one(n)
-            for lab, e in enumerate(c, start=1):
-                if e:
-                    leaves = leaves * a_(n, r, lab) ** e
-            rows.append(tuple(leaves * a_(n, r, s) for s in range(1, n + 1)))
+            leaves = [(r, lab) for lab, e in enumerate(c, start=1) for _ in range(e)]
+            rows.append(tuple(a_monomial(n, leaves + [(r, s)]) for s in range(1, n + 1)))
         _ROW_MATRIX_CACHE[key] = tuple(rows)
     return _ROW_MATRIX_CACHE[key]
 

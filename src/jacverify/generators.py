@@ -26,7 +26,9 @@ from .combinatorics import (
     enumerate_level_labelings,
     enumerate_subset_permutations,
 )
-from .poly import DomainError, Poly, PolyMatrix, VerificationError, a_, poly_determinant, t_, x_
+from .poly import (
+    DomainError, Poly, PolyMatrix, VerificationError, a_, a_monomial, poly_determinant, t_, x_,
+)
 
 
 @dataclass(frozen=True)
@@ -140,13 +142,11 @@ def weight_w(spec: DLinearSpec, ssig: SubsetPermutation, nu) -> Poly:
         raise DomainError(f"labeling has {len(nu)} levels, S has order {k}")
     if any(len(row) != d - 1 for row in nu):
         raise DomainError("every level must have width d-1")
-    w = Poly.const(n, (-1) ** ssig.cycle_count)
-    for i in range(k):
-        s = ssig.S[i]
-        w = w * a_(n, s, ssig.sigma[i])
-        for lab in nu[i]:
-            w = w * a_(n, s, lab)
-    return w
+    entries = []
+    for s, image, row in zip(ssig.S, ssig.sigma, nu):
+        entries.append((s, image))
+        entries.extend((s, lab) for lab in row)
+    return a_monomial(n, entries, (-1) ** ssig.cycle_count)
 
 
 def generator_direct(spec: DLinearSpec, key: JKey) -> Poly:

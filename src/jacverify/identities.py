@@ -33,7 +33,7 @@ from random import Random
 from .combinatorics import composition_sub_or_none, enumerate_compositions
 from .fern import _path_sum, level_sum
 from .generators import DLinearSpec, JKey, extract_generators
-from .poly import DomainError, Poly, VarId, a_, substitute_numeric
+from .poly import DomainError, Poly, VarId, a_monomial, substitute_numeric
 
 _GENERATOR_CACHE: dict = {}
 
@@ -132,8 +132,9 @@ def identity2_instances(d: int, n: int):
 # -- the two-ones relation ---------------------------------------------
 
 
-def _power_monomial(n, i, alpha2) -> Poly:
-    return a_(n, i, 1) ** alpha2[0] * a_(n, i, 2) ** alpha2[1]
+def _power_monomial(n, i, lead, alpha) -> Poly:
+    """a[i,lead] * a[i,1]^alpha(1) * a[i,2]^alpha(2)."""
+    return a_monomial(n, [(i, lead)] + [(i, 1)] * alpha[0] + [(i, 2)] * alpha[1])
 
 
 def check_relation_2_1s(d: int, alpha1: tuple, alpha2: tuple, u: int, v_candidate: int) -> Poly:
@@ -162,11 +163,11 @@ def check_relation_2_1s(d: int, alpha1: tuple, alpha2: tuple, u: int, v_candidat
     lhs = _path_sum(d, n, u, v_candidate, nu)
 
     rhs = (
-        a_(n, 2, u) * _power_monomial(n, 2, alpha2)
+        _power_monomial(n, 2, u, alpha2)
         * gens[JKey(1, a1pp)] * Fraction(1, comb(d - 1, alpha1[0] - 1))
-        - a_(n, 2, 2) * _power_monomial(n, 2, alpha2)
+        - _power_monomial(n, 2, 2, alpha2)
         * gens[JKey(1, a1p)] * Fraction(1, comb(d - 1, alpha1[1] + du2))
-        + a_(n, 1, u) * _power_monomial(n, 1, alpha1)
+        + _power_monomial(n, 1, u, alpha1)
         * gens[JKey(1, alpha2)] * Fraction(1, comb(d - 1, alpha2[0]))
     )
     return lhs - rhs

@@ -17,10 +17,12 @@ sum(alpha) = 1 + (d-1) N / d.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
+from .combinatorics import enumerate_compositions
 from .generators import DLinearSpec, map_components
-from .poly import DomainError, Poly, a_, t_, x_
+from .poly import DomainError, Poly, a_, a_monomial, t_, x_
 
 
 def truncate_t(p: Poly, n_max: int) -> Poly:
@@ -196,41 +198,25 @@ def enumerate_trees(d: int, n: int, root_label: int, n_edges: int) -> list:
     if n_edges < d:
         return []
     out = []
-    for split in _edge_splits(n_edges - d, d):
+    for split in enumerate_compositions(n_edges - d, d):
         child_lists = [
             [tree for lab in range(1, n + 1) for tree in enumerate_trees(d, n, lab, e)]
             for e in split
         ]
-        out.extend(
-            (root_label, tuple(kids)) for kids in _cartesian(child_lists)
-        )
+        out.extend((root_label, kids) for kids in itertools.product(*child_lists))
     return out
 
 
-def _edge_splits(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _edge_splits(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _cartesian(lists):
-    if not lists:
-        yield ()
-        return
-    for head in lists[0]:
-        for rest in _cartesian(lists[1:]):
-            yield (head,) + rest
-
-
 def _tree_weight(tree, n: int) -> Poly:
-    label, kids = tree
-    w = Poly.one(n)
-    for kid in kids:
-        w = w * a_(n, label, kid[0]) * _tree_weight(kid, n)
-    return w
+    """One a[parent, child] factor per edge."""
+    entries = []
+    stack = [tree]
+    while stack:
+        label, kids = stack.pop()
+        for kid in kids:
+            entries.append((label, kid[0]))
+            stack.append(kid)
+    return a_monomial(n, entries)
 
 
 def _leaf_content(tree, n: int) -> tuple:

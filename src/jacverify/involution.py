@@ -9,7 +9,9 @@ lam[-1] = un), nu its level labeling, S a k-subset of [1,n] with a
 permutation sigma, and rho a k-level labeling feeding the generator
 factor.  The signed weight of a state multiplies (-1)^cycles(sigma) into
 one a-variable factor per fern edge, per extra leaf, per sigma image and
-per rho entry.
+per rho entry; ``state_weight`` writes that product straight into one
+exponent vector with ``poly.a_monomial``, and ``verify_involution`` sums
+the one-term weights in a single term dict.
 
 States split into two sides.  With h the greatest path index whose label
 lies in S and (l1, l2) the last-rep indices of lam:
@@ -41,7 +43,7 @@ from .combinatorics import (
     enumerate_subset_permutations,
     last_rep_indices,
 )
-from .poly import DomainError, Poly, VerificationError, a_
+from .poly import DomainError, Poly, VerificationError, a_monomial
 
 DOMAIN_SIDE = "domain"
 IMAGE_SIDE = "image"
@@ -117,17 +119,14 @@ def enumerate_states(d: int, n: int, alpha: tuple, u0: int, un: int) -> list:
 
 def state_weight(s: TupleState) -> Poly:
     """Signed monomial weight of one state."""
-    n = s.n
-    w = Poly.const(n, (-1) ** cycle_count(s.S, s.sigma))
+    entries = []
     for i in range(1, len(s.lam)):
-        w = w * a_(n, s.lam[i - 1], s.lam[i])
-        for lab in s.nu[i - 1]:
-            w = w * a_(n, s.lam[i - 1], lab)
+        entries.append((s.lam[i - 1], s.lam[i]))
+        entries.extend((s.lam[i - 1], lab) for lab in s.nu[i - 1])
     for i, elem in enumerate(s.S):
-        w = w * a_(n, elem, s.sigma[i])
-        for lab in s.rho[i]:
-            w = w * a_(n, elem, lab)
-    return w
+        entries.append((elem, s.sigma[i]))
+        entries.extend((elem, lab) for lab in s.rho[i])
+    return a_monomial(s.n, entries, (-1) ** cycle_count(s.S, s.sigma))
 
 
 def classify(s: TupleState) -> Classification:
@@ -277,11 +276,12 @@ def verify_involution(d, n, alpha, u0, un, variant, restricted_beta=None) -> Inv
     state_set = set(states)
     report.states = len(states)
 
-    total = Poly.zero(n)
+    signed: dict = {}
     domain_states = []
     image_states = set()
     for s in states:
-        total = total + state_weight(s)
+        for mono, coeff in state_weight(s).terms.items():
+            signed[mono] = signed.get(mono, 0) + coeff
         try:
             side = classify(s).side
         except VerificationError as exc:
@@ -293,7 +293,7 @@ def verify_involution(d, n, alpha, u0, un, variant, restricted_beta=None) -> Inv
             image_states.add(s)
     report.domain_count = len(domain_states)
     report.image_count = len(image_states)
-    report.signed_sum = total
+    report.signed_sum = Poly(n, signed)
 
     seen_images = set()
     for s in domain_states:
@@ -331,6 +331,6 @@ def verify_involution(d, n, alpha, u0, un, variant, restricted_beta=None) -> Inv
         )
         for s in missed:
             report.failures.append({"kind": "unmatched-image", "state": s})
-    if not total.is_zero():
-        report.failures.append({"kind": "signed-sum", "detail": str(total)})
+    if not report.signed_sum.is_zero():
+        report.failures.append({"kind": "signed-sum", "detail": str(report.signed_sum)})
     return report

@@ -15,6 +15,10 @@ The canonical term order is graded lexicographic with t the least
 significant variable and a[n,n] the most significant.  Text output lists
 terms in ascending canonical order, which makes every printed polynomial
 byte-reproducible; ``parse_poly`` reads the same grammar back.
+
+Signed products of a-variables (fern paths, state and generator weights,
+tree weights) are built by ``a_monomial``, which writes the whole product
+into one exponent vector instead of multiplying one-variable polynomials.
 """
 
 from __future__ import annotations
@@ -123,15 +127,6 @@ class Poly:
         e = [0] * n_vars(n)
         e[var_index(n, v)] = 1
         return Poly(n, {tuple(e): Fraction(1)})
-
-    @staticmethod
-    def monomial(n: int, exps: Mapping[VarId, int], coeff=1) -> "Poly":
-        e = [0] * n_vars(n)
-        for v, k in exps.items():
-            if k < 0:
-                raise StructuralError("negative exponent")
-            e[var_index(n, v)] += k
-        return Poly(n, {tuple(e): Fraction(coeff)})
 
     # -- ring operations ----------------------------------------------
 
@@ -365,68 +360,79 @@ def format_poly(p: Poly) -> str:
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<var>a\[\d+,\d+\]|x\[\d+\]|t)(?:\^(?P<exp>\d+))?"
+    r"\s*(?:(?P<var>a\[(?P<i>\d+),(?P<j>\d+)\]|x\[(?P<xi>\d+)\]|t)(?:\^(?P<exp>\d+))?"
     r"|(?P<num>\d+(?:/\d+)?)"
     r"|(?P<op>[*+-]))"
 )
 
 
 def parse_poly(text: str, n: int) -> Poly:
-    """Parse the canonical text grammar back into a polynomial."""
+    """Parse exactly the text grammar above; anything else is a StructuralError.
+
+    Terms may come in any order and repeat; like terms are combined.
+    """
     tokens = []
-    pos = 0
-    while pos < len(text):
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
+        if not m:
             raise StructuralError(f"cannot parse polynomial at {text[pos:]!r}")
         tokens.append(m)
         pos = m.end()
+    if len(tokens) == 1 and tokens[0].group("num") == "0":
+        return Poly.zero(n)
 
-    result = Poly.zero(n)
+    def op_at(k):
+        return tokens[k].group("op") if k < len(tokens) else None
+
+    def fail(k, expected):
+        where = repr(text[tokens[k].start():].strip()) if k < len(tokens) else "the end"
+        raise StructuralError(f"polynomial text: expected {expected} at {where}")
+
+    terms: dict = {}
+    k = 0
     sign = 1
-    coeff = Fraction(1)
-    exps = [0] * n_vars(n)
-    saw_factor = False
-
-    def flush():
-        nonlocal coeff, exps, saw_factor, result, sign
-        if saw_factor:
-            result = result + Poly(n, {tuple(exps): sign * coeff})
+    if op_at(k) == "-":
+        sign, k = -1, 1
+    while True:
         coeff = Fraction(1)
         exps = [0] * n_vars(n)
-        saw_factor = False
-
-    for tok in tokens:
-        if tok.group("op") in ("+", "-"):
-            if saw_factor:
-                flush()
-                sign = 1
-            if tok.group("op") == "-":
-                sign = -sign
-        elif tok.group("op") == "*":
-            continue
-        elif tok.group("num") is not None:
+        if k < len(tokens) and tokens[k].group("num") is not None:
             try:
-                coeff *= Fraction(tok.group("num"))
+                coeff = Fraction(tokens[k].group("num"))
             except ZeroDivisionError:
-                raise StructuralError(f"zero denominator in {tok.group('num')!r}")
-            saw_factor = True
+                raise StructuralError(f"zero denominator in {tokens[k].group('num')!r}")
+            if coeff == 0:
+                fail(k, "a positive coefficient")
+            k += 1
+            has_factors = op_at(k) == "*"
+            if has_factors:
+                k += 1
         else:
-            name = tok.group("var")
-            e = int(tok.group("exp") or 1)
-            if name == "t":
-                v = VarId("t")
-            elif name.startswith("x"):
-                v = VarId("x", int(name[2:-1]))
+            has_factors = True
+        while has_factors:
+            if k == len(tokens) or tokens[k].group("var") is None:
+                fail(k, "a variable")
+            tok = tokens[k]
+            if tok.group("i") is not None:
+                v = VarId("a", int(tok.group("i")), int(tok.group("j")))
+            elif tok.group("xi") is not None:
+                v = VarId("x", int(tok.group("xi")))
             else:
-                i, j = name[2:-1].split(",")
-                v = VarId("a", int(i), int(j))
-            exps[var_index(n, v)] += e
-            saw_factor = True
-    flush()
-    return result
+                v = VarId("t")
+            exps[var_index(n, v)] += int(tok.group("exp") or 1)
+            k += 1
+            if op_at(k) != "*":
+                break
+            k += 1
+        mono = tuple(exps)
+        terms[mono] = terms.get(mono, 0) + sign * coeff
+        if k == len(tokens):
+            return Poly(n, terms)
+        if op_at(k) not in ("+", "-"):
+            fail(k, "'+' or '-'")
+        sign = 1 if op_at(k) == "+" else -1
+        k += 1
 
 
 # convenience builders used throughout the package
@@ -441,3 +447,18 @@ def x_(n: int, i: int) -> Poly:
 
 def a_(n: int, i: int, j: int) -> Poly:
     return Poly.var(n, VarId("a", i, j))
+
+
+def a_monomial(n: int, entries, sign=1) -> Poly:
+    """sign * prod a[i,j] over the (i, j) pairs, built as one exponent vector.
+
+    Equal to multiplying ``a_(n, i, j)`` factors onto ``Poly.const(n, sign)``
+    but with no intermediate polynomial; indices are checked as in
+    ``var_index``.
+    """
+    e = [0] * n_vars(n)
+    for i, j in entries:
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise StructuralError(f"a index ({i},{j}) outside [1,{n}]^2")
+        e[n + (i - 1) * n + j] += 1
+    return Poly(n, {tuple(e): Fraction(sign)})

@@ -199,3 +199,19 @@ def test_non_integer_workers_env_exits_two(capsys, monkeypatch):
     monkeypatch.setenv("JACVERIFY_WORKERS", "abc")
     assert main(["identity1", "--d", "2", "--n", "2", "--all"]) == 2
     assert "JACVERIFY_WORKERS" in capsys.readouterr().err
+
+
+def test_workers_below_one_exit_two(capsys, monkeypatch):
+    assert main(["identity1", "--d", "2", "--n", "2", "--all", "--workers", "-3"]) == 2
+    assert "--workers" in capsys.readouterr().err
+    monkeypatch.setenv("JACVERIFY_WORKERS", "0")
+    assert main(["identity1", "--d", "2", "--n", "2", "--all"]) == 2
+    assert "JACVERIFY_WORKERS" in capsys.readouterr().err
+
+
+def test_negative_numeric_trials_exit_two(capsys):
+    assert main(["identity1", "--d", "1", "--n", "2", "--all",
+                 "--numeric-trials", "-4"]) == 2
+    captured = capsys.readouterr()
+    assert "--numeric-trials" in captured.err
+    assert captured.out == ""

@@ -173,3 +173,21 @@ def test_restricted_preconditions():
         verify_involution(2, 2, (2, 0), 1, 2, 1, restricted_beta=(1,))
     with pytest.raises(DomainError):
         verify_involution(2, 2, (2, 0), 1, 1, 2, restricted_beta=(1,))
+
+
+def test_dropped_sign_is_caught(monkeypatch):
+    """A weight without its cycle sign fails the weight and signed-sum checks,
+    so the one-vector weight is really compared, not assumed."""
+    import jacverify.involution as inv
+
+    honest = inv.state_weight
+
+    def unsigned(s):
+        return Poly(s.n, {m: abs(c) for m, c in honest(s).terms.items()})
+
+    assert verify_involution(2, 2, (1, 1), 1, 2, 1).ok
+    monkeypatch.setattr(inv, "state_weight", unsigned)
+    rep = verify_involution(2, 2, (1, 1), 1, 2, 1)
+    kinds = {f["kind"] for f in rep.failures}
+    assert {"weight", "signed-sum"} <= kinds
+    assert not rep.signed_sum.is_zero()

@@ -4,6 +4,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacverify.poly import (
     DomainError,
@@ -12,8 +14,10 @@ from jacverify.poly import (
     StructuralError,
     VarId,
     a_,
+    a_monomial,
     coefficient_of,
     format_poly,
+    n_vars,
     parse_poly,
     poly_determinant,
     substitute_numeric,
@@ -218,5 +222,72 @@ def test_parse_reference_inputs():
     assert parse_poly("-1 * a[1,1]^2 - 1 * a[2,1]*a[2,2]", 2) == (
         -(a_(2, 1, 1) ** 2) - a_(2, 2, 1) * a_(2, 2, 2)
     )
+    assert parse_poly("- 1 * a[1,1] + 1 * a[1,2]", 2) == a_(2, 1, 2) - a_(2, 1, 1)
+    assert parse_poly("a[1,2]*a[1,1] + a[1,1]*a[1,2]", 2) == 2 * a_(2, 1, 1) * a_(2, 1, 2)
     with pytest.raises(StructuralError):
         parse_poly("a[1,1] $ junk", 2)
+
+
+@pytest.mark.parametrize("text", [
+    "a[1,1]a[1,2]",
+    "a[1,1]^2**a[1,2]",
+    "2 3 a[1,1]",
+    "+a[1,1]",
+    "--a[1,1]",
+    "a[1,1] -",
+    "a[1,1] *",
+    "* a[1,1]",
+    "",
+    "0 + a[1,1]",
+    "0 * a[1,1]",
+    "-0",
+])
+def test_parse_rejects_text_outside_the_grammar(text):
+    with pytest.raises(StructuralError):
+        parse_poly(text, 2)
+
+
+_COEFFS = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+
+
+@st.composite
+def _polys(draw):
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * n_vars(n))
+    return Poly(n, draw(st.dictionaries(exps, _COEFFS, max_size=6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys())
+def test_parse_format_round_trip(p):
+    assert parse_poly(format_poly(p), p.n) == p
+
+
+@st.composite
+def _a_products(draw):
+    n = draw(st.integers(1, 4))
+    entry = st.tuples(st.integers(1, n), st.integers(1, n))
+    entries = draw(st.lists(entry, max_size=12))
+    sign = draw(st.sampled_from([1, -1]))
+    return n, entries, sign
+
+
+@settings(max_examples=150, deadline=None)
+@given(_a_products())
+def test_a_monomial_matches_product_of_factors(case):
+    """The exponent-vector builder equals sign * prod a_(n, i, j)."""
+    n, entries, sign = case
+    expected = Poly.const(n, sign)
+    for i, j in entries:
+        expected = expected * a_(n, i, j)
+    got = a_monomial(n, entries, sign)
+    assert got == expected
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_a_monomial_empty_product_and_bounds():
+    assert a_monomial(3, []) == Poly.one(3)
+    assert a_monomial(3, [], -1) == Poly.const(3, -1)
+    for bad in [(0, 1), (1, 0), (4, 1), (1, 4), (-1, 2)]:
+        with pytest.raises(StructuralError, match=r"outside \[1,3\]\^2"):
+            a_monomial(3, [(1, 1), bad])
