@@ -1,9 +1,12 @@
 """Command-line surface: golden output, JSON schemas, exit codes, determinism."""
 
+import hashlib
 import json
+import shlex
 from importlib.resources import files
 
 import jsonschema
+import pytest
 
 from jacverify.cli import main
 
@@ -19,6 +22,85 @@ def _run(capsys, argv):
 def _validate(payload: str, schema_name: str):
     schema = json.loads((SCHEMAS / schema_name).read_text())
     jsonschema.validate(json.loads(payload), schema)
+
+
+# stdout SHA-256 of small commands of every subcommand, in text and JSON.
+# Each row is (command line, text exit code, text digest, json exit code,
+# json digest); a refactor that changes one output byte fails here.
+GOLDEN = [
+    ('gens --d 2 --n 2',
+     0, "be5a2094178c86e67e225769e46f07428f37de0f1c9c5e1a703ea1fcf1c604e4",
+     0, "266805fcec142c16fb979936795375455e823183fbf7f09bb35e5fcc2051e84c"),
+    ('gens --d 1 --n 3',
+     0, "0245cd7fd856a9c10bd9eceacdd5a7852bd2c780b034d227641926df8e6b0239",
+     0, "9f2d0eac68677870a18a7d6bdc2012966b47b13b9e1d850dac3a5a852ea19969"),
+    ("z --d 2 --n 2 --u0 1 --uk 2 --nu '1;1'",
+     0, "05f07753ced092dee15c9887b1d3ff20885c99203068cebac1bd81004110ec87",
+     0, "fb90bfa2606f327387b7e8fa9bf0db7a4568e2d94597ae51077c6fb28a808b1e"),
+    ("z --d 1 --n 2 --u0 1 --uk 2 --nu ';'",
+     0, "7945cc9457142c817ee9260c8b1a0d49f0134aa94d2b1038b3c471e04eb29792",
+     0, "03c502afb9c91c8f620b692e30d1b3e5234800d872362a5b650ba81a9cf9d521"),
+    ('identity1 --d 2 --n 2 --all',
+     0, "2ed57bd4517f19c0d7d6fbfa8a59defc24206fe3c3b8089a1ddf6b0899b8c696",
+     0, "25ff933724eccf83ce4beae545f4a40c489ae95972d6eb857862c205acc8a474"),
+    ('identity1 --d 2 --n 2 --alpha 2,0 --u0 1 --un 1',
+     0, "4b9c252460b0da057b5737430448d6deeada16d308286ba3edc5cef8cee100fb",
+     0, "88d7b076f81410d951c9d99331ff8c15f41e4a33d5931a6fd39034a1a9de0b3c"),
+    ('identity1 --d 1 --n 2 --all --numeric-trials 5 --seed 7',
+     0, "78670a93697d061dd093fb707c92d27d3d80a3b3ccdae1305701bb2d783fe4fb",
+     0, "3f2ac7e8df7b331840662eb2add2e89f35eb412269a25ca8d55afeef7e4ee146"),
+    ('identity2 --d 2 --n 2 --all',
+     0, "c97733c828ade5721aaa4d6b959ff10cc757798898009a63320b89b1288cd7a8",
+     0, "f2a6e1bdc3f61d3be18ed105bd81674251f79ae972b3145c9e2a66cee049809b"),
+    ('identity2 --d 3 --n 2 --alpha 2,2 --u0 1 --un 2 --beta 1,2',
+     0, "45296fabbcc288a0ae8654949bf841100267fbcc8d48951d52b8daffbe244228",
+     0, "1749d1007c72d171405414dd119e2cf0d2fbd48c218224e8c5d62efb78356410"),
+    ('relation --d 2 --all',
+     1, "2a3b7d315519d8340abc5c911810102b83c6cb90b73b1ff7cc712ef30e93fca6",
+     1, "159bf7bc028848aea8398b83f312a6a21f56965117b7ce6cd055e4e3ff54884d"),
+    ('relation --d 3 --all',
+     1, "94ec55af876a51e7cf39d40737dcd8face2da803009c03292b98516ae9b869a5",
+     1, "cb63045883cefc3a18176194ac02a5c34c4862cb992e56858102ec15a669b85d"),
+    ('relation --d 3 --alpha1 1,1 --alpha2 2,0 --u 2',
+     1, "aadd3878fbf0f9e1b61bbe6023be22eed57c5403214cc9d57ebab783ef9e40c8",
+     1, "275a2daccf64b6412bd2ca3201cc138852f2ef065d37dcace01c1e429a0de8aa"),
+    ('involution --d 2 --n 2 --alpha 1,1 --u0 1 --un 2 --variant 1',
+     0, "63b69e96cf14af189d52b6b59f47f48e3ae7f6ac743407d33d6d4818bba5f606",
+     0, "8c3a347bf7bd9cdf46a602c27d71dee15f7b6f5dcb367fcbce2b455a95f4fc3b"),
+    ('involution --d 2 --n 2 --alpha 2,0 --u0 1 --un 2 --variant 2 --beta 1',
+     0, "51eb897c343bea97bfef91887d614713db198163e3cfe22222daeb99304d365d",
+     0, "7e684df77348bcc7d8c747fc6af42148e82961cf3538c3bb8b4d710d98a40cf8"),
+    ('inverse --d 2 --n 2 --Nmax 4',
+     0, "fcf397d2d2d22dc3f7ecc45e54afff21a5399d09d992b7f3c28e348b7fa099d8",
+     0, "05ddb3b6f6e15a7ea07f001c8661509dffead40f6ece8c7cb7a73e0f45f5fa57"),
+    ('inverse --d 2 --n 2 --coeff 1,1,1,2',
+     0, "5cbedc371d71813ab2fc573507548cb465533467c7792ff6a373b1ee8b5daf09",
+     0, "6605f445c49591295aa0a89f67e585b38d751c09daa64bc653ad3868f2adba43"),
+    ("member --d 1 --n 2 --poly 'a[1,1]^2 + a[1,2]*a[2,1]'",
+     0, "4f89b767ab1251f622ed3ed575af27f3eefffca0c61f64478b18f21f80d69aea",
+     0, "9005c0eedd90b3347837ccf6ab1d9cca71a40c2a7faa13f02d7de4094b611cac"),
+    ("member --d 2 --n 2 --poly '1 * a[1,1]'",
+     1, "9e0cbcd984bf0ad5f11759e8d13539628e88c2a14c7d05b370439e3553ba1202",
+     1, "3a16b475f53f216c89deedc4039e39b300082accc278cab0921d195d9d91b08d"),
+    ("member --d 2 --n 2 --poly 'a[1,1]^3*a[1,2] + a[1,1]*a[1,2]*a[2,1]*a[2,2]'",
+     0, "59fe2c0db3b92d72663695424b8cd32b1b9032dcca2ed558c34bad3734576ac3",
+     0, "2f4c314135fc3a4f05fa35c4831e20c40c3c14d49b51f49591d9e9e93902bce1"),
+    ('verify-theorem --d 2 --N 4',
+     0, "cfb1e0c47d3370cde5a062378aa54a943b42542da6932e476ab5bb68dafca299",
+     0, "d42c81b72cb38990d6beebc75866ab28a9d4fdb936d837513dc8f1dbdbc40f1f"),
+    ('verify-theorem --d 2 --N 2,4',
+     0, "cdd65fa55c3cfeb705496d8e77d583aaaf93589e84a6cd4c91e82ac1a5cb5870",
+     0, "dd81aebff3e59d7cf68da618e67f25a9c6cfc9693ab30c79aeb1b93c49700bb7"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("cmd,text_code,text_sha,json_code,json_sha", GOLDEN,
+                         ids=[row[0] for row in GOLDEN])
+def test_golden_stdout_digest(capsys, cmd, text_code, text_sha, json_code, json_sha, fmt):
+    code, out = _run(capsys, shlex.split(cmd) + ["--format", fmt])
+    expected = (text_code, text_sha) if fmt == "text" else (json_code, json_sha)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == expected
 
 
 def test_gens_text_golden(capsys):
