@@ -32,6 +32,7 @@ from .identities import (
     generator_set,
     identity1_lhs,
     identity2_lhs,
+    relation_instances,
     relation_report,
 )
 from .inverse import (
@@ -66,9 +67,11 @@ from .poly import (
     VarId,
     VerificationError,
     coefficient_of,
+    determinant,
     format_poly,
     parse_poly,
     poly_determinant,
+    split_xt,
     substitute_numeric,
 )
 

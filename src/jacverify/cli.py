@@ -1,16 +1,18 @@
 """Command-line entry point: every computation behind one reproducible tool.
 
 Subcommands: gens, z, identity1, identity2, relation, involution, inverse,
-member, verify-theorem.  Output is deterministic for a fixed command line
-(stable orders, canonical polynomial text), so repeated runs are byte
-identical; wall-clock time is tracked on the in-memory report but never
-serialized.  Exit codes: 0 pass/member, 1 verification failure or
-non-member, 2 usage or input error, including a sweep with no instance
-and a count out of range (``--workers`` below 1, ``--numeric-trials``
-below 0).
+member, verify-theorem.  This module only parses arguments and formats
+what the library computes into a ``Report`` (a JSON body and text lines);
+the checking subcommands share one {status, counts, payload} envelope.
+Output is deterministic for a fixed command line (stable orders, canonical
+polynomial text), so repeated runs are byte identical.  Exit codes: 0
+pass/member, 1 verification failure or non-member, 2 usage or input error,
+including a sweep with no instance and a count out of range (``--workers``
+below 1, ``--numeric-trials`` below 0).
 
 Sweeps (``--all``) run the library's instance enumerations
-(``identity1_instances``, ``identity2_instances``) and can shard across
+(``identity1_instances``, ``identity2_instances``, ``relation_instances``
+through ``relation_report``); the identity sweeps can shard across
 processes: ``--workers`` or the JACVERIFY_WORKERS environment variable set
 the width, and results are merged in instance order so parallel runs print
 the same bytes.
@@ -22,27 +24,25 @@ import argparse
 import json
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .combinatorics import enumerate_compositions
 from .fern import FernLabeling, z_fern
 from .generators import DLinearSpec
 from .identities import (
     IdentityInstance,
     cayley_hamilton_numeric,
-    check_relation_2_1s,
     generator_set,
     identity1_instances,
     identity1_lhs,
     identity2_instances,
     identity2_lhs,
+    relation_report,
 )
 from .inverse import coefficient_c, inverse_series
 from .involution import state_weight, verify_involution
 from .membership import membership, verify_main_theorem
-from .poly import DomainError, Poly, StructuralError, format_poly, parse_poly
+from .poly import DomainError, Poly, StructuralError, format_poly, parse_poly, split_xt
 
 
 @dataclass
@@ -76,23 +76,34 @@ class RunConfig:
 
 @dataclass
 class Report:
-    """Outcome of one dispatch; fail implies a structured counterexample."""
+    """What one dispatch prints: a JSON body and the text lines."""
 
-    status: str  # pass | fail | info
-    counts: dict = field(default_factory=dict)
-    payload: dict = field(default_factory=dict)
-    lines: list = field(default_factory=list)
-    wall_time: float = 0.0
-    json_body: dict | None = None  # overrides the envelope when set
+    body: dict
+    lines: list
 
     def to_json(self) -> str:
-        if self.json_body is not None:
-            return json.dumps(self.json_body, indent=2)
-        body = {"status": self.status, "counts": self.counts, "payload": self.payload}
-        return json.dumps(body, indent=2)
+        return json.dumps(self.body, indent=2)
 
     def to_text(self) -> str:
         return "\n".join(self.lines)
+
+
+def _verdict(status: str, counts: dict, payload: dict, lines: list) -> Report:
+    """The {status, counts, payload} envelope of the checking subcommands."""
+    return Report({"status": status, "counts": counts, "payload": payload}, lines)
+
+
+def _tuple_text(values) -> str:
+    return ",".join(map(str, values))
+
+
+def _certificate_json(cert) -> dict:
+    return {
+        "member": cert.member,
+        "combination": [{"k": key.k, "alpha": list(key.alpha), "coeff": format_poly(c)}
+                        for key, c in cert.combination],
+        "residual": format_poly(cert.residual),
+    }
 
 
 def _parse_ints(text: str, what: str) -> tuple:
@@ -149,28 +160,22 @@ def _pmap(fn, tasks, workers: int):
 
 
 def _run_gens(cfg: RunConfig) -> tuple:
-    spec = DLinearSpec(cfg.d, cfg.n)
-    gens = generator_set(spec)
+    gens = generator_set(DLinearSpec(cfg.d, cfg.n))
     entries = []
     lines = []
     for key in gens.keys_sorted():
         text = format_poly(gens[key])
         entries.append({"k": key.k, "alpha": list(key.alpha), "poly": text})
-        lines.append(f"k={key.k} alpha=({','.join(map(str, key.alpha))}): {text}")
-    report = Report("info", {"generators": len(entries)}, {"generators": entries}, lines)
-    report.json_body = {"d": cfg.d, "n": cfg.n, "generators": entries}
-    return report, 0
+        lines.append(f"k={key.k} alpha=({_tuple_text(key.alpha)}): {text}")
+    return Report({"d": cfg.d, "n": cfg.n, "generators": entries}, lines), 0
 
 
 def _run_z(cfg: RunConfig) -> tuple:
     fl = FernLabeling(cfg.d, cfg.n, len(cfg.nu), cfg.u0, cfg.un, cfg.nu)
     text = format_poly(z_fern(fl))
-    report = Report("info", {}, {"poly": text}, [text])
-    report.json_body = {
-        "d": cfg.d, "n": cfg.n, "u0": cfg.u0, "uk": cfg.un,
-        "nu": [list(r) for r in cfg.nu], "poly": text,
-    }
-    return report, 0
+    body = {"d": cfg.d, "n": cfg.n, "u0": cfg.u0, "uk": cfg.un,
+            "nu": [list(r) for r in cfg.nu], "poly": text}
+    return Report(body, [text]), 0
 
 
 def _run_identity(which: str, cfg: RunConfig) -> tuple:
@@ -185,9 +190,9 @@ def _run_identity(which: str, cfg: RunConfig) -> tuple:
     failures = [r for r in results if not r["zero"]]
     lines = []
     for r in results:
-        desc = f"alpha=({','.join(map(str, r['alpha']))}) u0={r['u0']} un={r['un']}"
+        desc = f"alpha=({_tuple_text(r['alpha'])}) u0={r['u0']} un={r['un']}"
         if "beta" in r:
-            desc += f" beta=({','.join(map(str, r['beta']))})"
+            desc += f" beta=({_tuple_text(r['beta'])})"
         lines.append(f"{which} d={cfg.d} n={cfg.n} {desc}: "
                      + ("zero" if r["zero"] else f"NONZERO {r['lhs']}"))
     payload = {"d": cfg.d, "n": cfg.n, "instances": results}
@@ -212,50 +217,38 @@ def _run_identity(which: str, cfg: RunConfig) -> tuple:
             code = 1
     status = "pass" if code == 0 else "fail"
     lines.append(f"{status}: {counts['checked']} checked, {counts['failures']} failures")
-    return Report(status, counts, payload, lines), code
+    return _verdict(status, counts, payload, lines), code
 
 
 def _run_relation(cfg: RunConfig) -> tuple:
     d = cfg.d
-    if cfg.sweep_all:
-        triples = [(a1, a2, u)
-                   for a1 in enumerate_compositions(d - 1, 2) if a1[0] >= 1
-                   for a2 in enumerate_compositions(d - 1, 2)
-                   for u in (1, 2)]
-    else:
-        triples = [(cfg.alpha1, cfg.alpha2, cfg.u)]
+    instances = None if cfg.sweep_all else [(cfg.alpha1, cfg.alpha2, cfg.u)]
+    rep = relation_report(d, instances)
     entries = []
     lines = []
-    unsatisfied = 0
-    for a1, a2, u in triples:
-        zero_vs = []
-        for v in (1, 2):
-            diff = check_relation_2_1s(d, a1, a2, u, v)
-            degs = {sum(m) for m in diff.terms}
-            homog = diff.is_homogeneous_in_a() and degs <= {2 * d}
+    groups = rep.by_instance()
+    for (a1, a2, u), group in groups:
+        for e in group:
             entries.append({
-                "alpha1": list(a1), "alpha2": list(a2), "u": u, "v": v,
-                "zero": diff.is_zero(), "homogeneous_2d": homog,
-                "difference": format_poly(diff),
+                "alpha1": list(a1), "alpha2": list(a2), "u": u, "v": e.v,
+                "zero": e.is_zero, "homogeneous_2d": e.homogeneous_2d,
+                "difference": format_poly(e.difference),
             })
-            if diff.is_zero():
-                zero_vs.append(v)
             lines.append(
-                f"relation d={d} alpha1=({','.join(map(str, a1))}) "
-                f"alpha2=({','.join(map(str, a2))}) u={u} v={v}: "
-                + ("zero" if diff.is_zero() else
-                   "nonzero" + (" homogeneous-2d" if homog else " INHOMOGENEOUS"))
+                f"relation d={d} alpha1=({_tuple_text(a1)}) alpha2=({_tuple_text(a2)}) "
+                f"u={u} v={e.v}: "
+                + ("zero" if e.is_zero else
+                   "nonzero" + (" homogeneous-2d" if e.homogeneous_2d else " INHOMOGENEOUS"))
             )
+        zero_vs = [e.v for e in group if e.is_zero]
         if zero_vs:
             lines.append(f"  satisfied by v={zero_vs}")
-        else:
-            unsatisfied += 1
-    counts = {"checked": len(entries), "failures": unsatisfied}
-    status = "pass" if unsatisfied == 0 else "info"
+    counts = {"checked": len(entries), "failures": rep.unsatisfied}
+    status = "pass" if rep.unsatisfied == 0 else "info"
     lines.append(f"{status}: zero for some v on "
-                 f"{len(triples) - unsatisfied} of {len(triples)} instances")
-    report = Report(status, counts, {"d": d, "entries": entries}, lines)
-    return report, 0 if unsatisfied == 0 else 1
+                 f"{len(groups) - rep.unsatisfied} of {len(groups)} instances")
+    report = _verdict(status, counts, {"d": d, "entries": entries}, lines)
+    return report, 0 if rep.unsatisfied == 0 else 1
 
 
 def _state_json(s) -> dict:
@@ -271,10 +264,10 @@ def _state_json(s) -> dict:
 def _run_involution(cfg: RunConfig) -> tuple:
     rep = verify_involution(cfg.d, cfg.n, cfg.alpha, cfg.u0, cfg.un,
                             cfg.variant, cfg.beta)
-    desc = (f"involution d={cfg.d} n={cfg.n} alpha=({','.join(map(str, cfg.alpha))}) "
+    desc = (f"involution d={cfg.d} n={cfg.n} alpha=({_tuple_text(cfg.alpha)}) "
             f"u0={cfg.u0} un={cfg.un} variant={cfg.variant}")
     if cfg.beta is not None:
-        desc += f" beta=({','.join(map(str, cfg.beta))})"
+        desc += f" beta=({_tuple_text(cfg.beta)})"
     status = "pass" if rep.ok else "fail"
     lines = [f"{desc}: {status} (states={rep.states}, domain={rep.domain_count}, "
              f"image={rep.image_count}, pairs={len(rep.pairs)})"]
@@ -303,59 +296,42 @@ def _run_involution(cfg: RunConfig) -> tuple:
             json.dump(pairs_json, fh, indent=2)
         lines.append(f"pairs written to {cfg.dump}")
     counts = {"checked": rep.states, "failures": len(rep.failures)}
-    return Report(status, counts, payload, lines), 0 if rep.ok else 1
+    return _verdict(status, counts, payload, lines), 0 if rep.ok else 1
 
 
 def _run_inverse(cfg: RunConfig) -> tuple:
     spec = DLinearSpec(cfg.d, cfg.n)
     if cfg.coeff is not None:
         i, alpha, N = cfg.coeff
-        poly = coefficient_c(spec, i, alpha, N)
-        text = format_poly(poly)
-        report = Report("info", {}, {}, [text])
-        report.json_body = {"d": cfg.d, "n": cfg.n, "i": i, "alpha": list(alpha),
-                            "N": N, "poly": text}
-        return report, 0
+        text = format_poly(coefficient_c(spec, i, alpha, N))
+        body = {"d": cfg.d, "n": cfg.n, "i": i, "alpha": list(alpha), "N": N, "poly": text}
+        return Report(body, [text]), 0
     series = inverse_series(spec, cfg.n_max)
     components = []
     lines = []
     for i in range(1, cfg.n + 1):
-        g = series.component(i)
-        by_key: dict = {}
-        for m, c in g.terms.items():
-            key = (m[0], m[1:1 + cfg.n])
-            by_key.setdefault(key, {})[(0,) * (1 + cfg.n) + m[1 + cfg.n:]] = c
+        heads = split_xt(series.component(i))
         coeffs = []
-        for (N, alpha) in sorted(by_key):
-            text = format_poly(type(g)(cfg.n, by_key[(N, alpha)]))
+        for head in sorted(heads):
+            N, alpha = head[0], head[1:]
+            text = format_poly(Poly(cfg.n, heads[head]))
             coeffs.append({"N": N, "alpha": list(alpha), "poly": text})
-            lines.append(f"g[{i}] N={N} alpha=({','.join(map(str, alpha))}): {text}")
+            lines.append(f"g[{i}] N={N} alpha=({_tuple_text(alpha)}): {text}")
         components.append({"i": i, "coefficients": coeffs})
-    report = Report("info", {"components": cfg.n}, {}, lines)
-    report.json_body = {"d": cfg.d, "n": cfg.n, "N_max": cfg.n_max,
-                        "components": components}
-    return report, 0
+    body = {"d": cfg.d, "n": cfg.n, "N_max": cfg.n_max, "components": components}
+    return Report(body, lines), 0
 
 
 def _run_member(cfg: RunConfig) -> tuple:
-    spec = DLinearSpec(cfg.d, cfg.n)
     target = parse_poly(cfg.poly_text, cfg.n)
-    cert = membership(spec, target)
-    combination = [{"k": key.k, "alpha": list(key.alpha), "coeff": format_poly(c)}
-                   for key, c in cert.combination]
-    body = {"member": cert.member, "combination": combination,
-            "residual": format_poly(cert.residual)}
-    lines = ["member" if cert.member else "non-member"]
-    for item in combination:
-        lines.append(f"  k={item['k']} alpha=({','.join(map(str, item['alpha']))}) "
+    body = _certificate_json(membership(DLinearSpec(cfg.d, cfg.n), target))
+    lines = ["member" if body["member"] else "non-member"]
+    for item in body["combination"]:
+        lines.append(f"  k={item['k']} alpha=({_tuple_text(item['alpha'])}) "
                      f"coeff: {item['coeff']}")
-    if not cert.member:
+    if not body["member"]:
         lines.append(f"  residual: {body['residual']}")
-    report = Report("pass" if cert.member else "fail",
-                    {"checked": 1, "failures": 0 if cert.member else 1},
-                    body, lines)
-    report.json_body = body
-    return report, 0 if cert.member else 1
+    return Report(body, lines), 0 if body["member"] else 1
 
 
 def _run_verify_theorem(cfg: RunConfig) -> tuple:
@@ -363,33 +339,22 @@ def _run_verify_theorem(cfg: RunConfig) -> tuple:
     entries = []
     lines = []
     for e in rep.entries:
-        cert_json = None
-        if e.certificate is not None:
-            cert_json = {
-                "member": e.certificate.member,
-                "combination": [
-                    {"k": key.k, "alpha": list(key.alpha), "coeff": format_poly(c)}
-                    for key, c in e.certificate.combination
-                ],
-                "residual": format_poly(e.certificate.residual),
-            }
+        cert_json = None if e.certificate is None else _certificate_json(e.certificate)
         entries.append({"i": e.i, "alpha": list(e.alpha), "N": e.N,
                         "exceptional": e.exceptional, "member": e.member,
                         "certificate": cert_json})
         tag = "member" if e.member else "non-member"
         if e.exceptional:
             tag += " (exceptional, not asserted)"
-        lines.append(f"N={e.N} i={e.i} alpha=({','.join(map(str, e.alpha))}): {tag}")
+        lines.append(f"N={e.N} i={e.i} alpha=({_tuple_text(e.alpha)}): {tag}")
     status = "pass" if rep.ok else "fail"
     counts = {"checked": len(rep.entries), "failures": len(rep.failures)}
     lines.append(f"{status}: {counts['checked']} coefficients, "
                  f"{counts['failures']} failures, "
                  f"{len(rep.exceptional_entries())} exceptional")
-    report = Report(status, counts,
-                    {"d": cfg.d, "N": list(cfg.N_list), "entries": entries,
-                     "failures": [str(f) for f in rep.failures]},
-                    lines)
-    return report, 0 if rep.ok else 1
+    payload = {"d": cfg.d, "N": list(cfg.N_list), "entries": entries,
+               "failures": [str(f) for f in rep.failures]}
+    return _verdict(status, counts, payload, lines), 0 if rep.ok else 1
 
 
 _RUNNERS = {
@@ -407,10 +372,7 @@ _RUNNERS = {
 
 def dispatch(cfg: RunConfig) -> tuple:
     """Route one validated config; returns (Report, exit code)."""
-    start = time.monotonic()
-    report, code = _RUNNERS[cfg.subcommand](cfg)
-    report.wall_time = time.monotonic() - start
-    return report, code
+    return _RUNNERS[cfg.subcommand](cfg)
 
 
 # -- argument parsing -----------------------------------------------------
@@ -548,8 +510,6 @@ def _config_from_args(args) -> RunConfig:
         elif cfg.subcommand == "identity2" and not cfg.sweep_all:
             raise DomainError("identity2 needs --beta (or --all)")
     if cfg.subcommand == "relation":
-        if d < 2:
-            raise DomainError("the two-ones relation needs d >= 2")
         if not cfg.sweep_all:
             if args.alpha1 is None or args.alpha2 is None or args.u is None:
                 raise DomainError("need --alpha1, --alpha2 and --u (or --all)")

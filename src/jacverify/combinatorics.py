@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial
 
 from .poly import DomainError
 
@@ -122,12 +122,6 @@ class SubsetPermutation:
             raise DomainError("sigma must permute S")
         return SubsetPermutation(S, sigma, cycle_count(S, sigma))
 
-    def as_mapping(self) -> dict:
-        return dict(zip(self.S, self.sigma))
-
-    def image_of(self, s: int) -> int:
-        return self.sigma[self.S.index(s)]
-
 
 def cycle_count(S, sigma):
     """Number of orbits of the permutation given as parallel (S, images)."""
@@ -173,10 +167,6 @@ def enumerate_subset_permutations(n: int, k: int) -> list:
         for images in itertools.permutations(S):
             out.append(SubsetPermutation.make(S, images))
     return out
-
-
-def count_subset_permutations(n: int, k: int) -> int:
-    return comb(n, k) * factorial(k)
 
 
 @dataclass(frozen=True)

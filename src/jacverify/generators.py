@@ -27,7 +27,8 @@ from .combinatorics import (
     enumerate_subset_permutations,
 )
 from .poly import (
-    DomainError, Poly, PolyMatrix, VerificationError, a_, a_monomial, poly_determinant, t_, x_,
+    DomainError, Poly, PolyMatrix, VerificationError, a_, a_monomial, poly_determinant, split_xt,
+    t_, x_,
 )
 
 
@@ -114,23 +115,16 @@ def extract_generators(spec: DLinearSpec) -> GeneratorSet:
     """Expand det(differential) and match off the d^k t^(dk) x^alpha terms."""
     d, n = spec.d, spec.n
     det = poly_determinant(differential_matrix(spec))
-    buckets: dict = {}
-    for m, c in det.terms.items():
-        t_deg = m[0]
-        alpha = m[1: 1 + n]
+    entries = {key: Poly.zero(n) for key in all_keys(spec)}
+    for head, coeff in split_xt(det).items():
+        t_deg, alpha = head[0], head[1:]
         if t_deg % d != 0:
             raise VerificationError(f"stray t-degree {t_deg} in determinant")
         k = t_deg // d
         if sum(alpha) != k * (d - 1) or k > n:
-            raise VerificationError(f"monomial {m} violates the t,x pattern")
-        key = JKey(k, alpha)
-        a_mono = (0,) * (1 + n) + m[1 + n:]
-        buckets.setdefault(key, {})[a_mono] = c / Fraction(d) ** k
-    entries = {}
-    for key in all_keys(spec):
-        entries[key] = Poly(n, buckets.pop(key, {}))
-    if buckets:
-        raise VerificationError(f"unexpected generator keys {sorted(buckets)}")
+            raise VerificationError(f"head t^{t_deg} x^{alpha} violates the t,x pattern")
+        scale = Fraction(d) ** k
+        entries[JKey(k, alpha)] = Poly(n, {m: c / scale for m, c in coeff.items()})
     return GeneratorSet(spec, entries)
 
 

@@ -20,6 +20,9 @@ The two-ones relation expresses one fern weight through three generators
 with binomial denominators.  Its printed source leaves one label unbound,
 so ``check_relation_2_1s`` takes the candidate label as an input and
 returns the exact difference polynomial instead of asserting anything.
+``relation_report`` runs it on both labels of every instance that
+``relation_instances`` enumerates (or of the instances given) and judges
+each difference: zero, or homogeneous of degree 2d.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from random import Random
 from .combinatorics import composition_sub_or_none, enumerate_compositions
 from .fern import _path_sum, level_sum
 from .generators import DLinearSpec, JKey, extract_generators
-from .poly import DomainError, Poly, VarId, a_monomial, substitute_numeric
+from .poly import DomainError, Poly, VarId, a_monomial, determinant, substitute_numeric
 
 _GENERATOR_CACHE: dict = {}
 
@@ -173,6 +176,18 @@ def check_relation_2_1s(d: int, alpha1: tuple, alpha2: tuple, u: int, v_candidat
     return lhs - rhs
 
 
+def relation_instances(d: int):
+    """Every admissible (alpha1, alpha2, u) of the two-ones relation."""
+    if d < 2:
+        raise DomainError("the two-ones relation needs d >= 2")
+    for alpha1 in enumerate_compositions(d - 1, 2):
+        if alpha1[0] < 1:
+            continue
+        for alpha2 in enumerate_compositions(d - 1, 2):
+            for u in (1, 2):
+                yield alpha1, alpha2, u
+
+
 @dataclass
 class RelationEntry:
     alpha1: tuple
@@ -197,22 +212,31 @@ class RelationReport:
     def zero_vs(self) -> list:
         return sorted({e.v for e in self.entries if e.is_zero})
 
+    def by_instance(self) -> list:
+        """(alpha1, alpha2, u) paired with its entries, in sweep order."""
+        groups: dict = {}
+        for e in self.entries:
+            groups.setdefault((e.alpha1, e.alpha2, e.u), []).append(e)
+        return list(groups.items())
 
-def relation_report(d: int) -> RelationReport:
-    """Sweep every admissible (alpha1, alpha2, u) and both leaf labels."""
+    @property
+    def unsatisfied(self) -> int:
+        """Instances that no leaf label makes zero."""
+        return sum(not any(e.is_zero for e in group) for _, group in self.by_instance())
+
+
+def relation_report(d: int, instances=None) -> RelationReport:
+    """Both leaf labels on each (alpha1, alpha2, u); every instance by default."""
+    if instances is None:
+        instances = relation_instances(d)
     report = RelationReport(d)
-    for alpha1 in enumerate_compositions(d - 1, 2):
-        if alpha1[0] < 1:
-            continue
-        for alpha2 in enumerate_compositions(d - 1, 2):
-            for u in (1, 2):
-                for v in (1, 2):
-                    diff = check_relation_2_1s(d, alpha1, alpha2, u, v)
-                    degs = {sum(m) for m in diff.terms}
-                    homog = diff.is_homogeneous_in_a() and degs <= {2 * d}
-                    report.entries.append(
-                        RelationEntry(alpha1, alpha2, u, v, diff, diff.is_zero(), homog)
-                    )
+    for alpha1, alpha2, u in instances:
+        for v in (1, 2):
+            diff = check_relation_2_1s(d, alpha1, alpha2, u, v)
+            homog = diff.is_homogeneous_in_a() and {sum(m) for m in diff.terms} <= {2 * d}
+            report.entries.append(
+                RelationEntry(alpha1, alpha2, u, v, diff, diff.is_zero(), homog)
+            )
     return report
 
 
@@ -234,22 +258,7 @@ def _principal_minor_sum(A, k: int) -> Fraction:
     n = len(A)
     total = Fraction(0)
     for rows in itertools.combinations(range(n), k):
-        total += _num_det([[A[i][j] for j in rows] for i in rows])
-    return total
-
-
-def _num_det(M) -> Fraction:
-    k = len(M)
-    if k == 0:
-        return Fraction(1)
-    if k == 1:
-        return M[0][0]
-    total = Fraction(0)
-    for i in range(k):
-        if M[i][0] == 0:
-            continue
-        minor = [row[1:] for j, row in enumerate(M) if j != i]
-        total += (-1) ** i * M[i][0] * _num_det(minor)
+        total += determinant([[A[i][j] for j in rows] for i in rows], Fraction(1))
     return total
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .combinatorics import enumerate_compositions
 from .generators import DLinearSpec, map_components
-from .poly import DomainError, Poly, a_, a_monomial, t_, x_
+from .poly import DomainError, Poly, a_, a_monomial, monomial_key, split_xt, t_, x_
 
 
 def truncate_t(p: Poly, n_max: int) -> Poly:
@@ -135,7 +135,7 @@ def verify_inverse(spec: DLinearSpec, n_max: int) -> InverseReport:
 
 
 def _first_monomial(p: Poly) -> str:
-    m = min(p.terms, key=lambda mm: (sum(mm), tuple(reversed(mm))))
+    m = min(p.terms, key=monomial_key)
     return str(Poly(p.n, {m: p.terms[m]}))
 
 
@@ -173,15 +173,7 @@ def coefficient_c(spec: DLinearSpec, i: int, alpha: tuple, N: int,
         raise DomainError("N must be nonnegative")
     if series is None or series.n_max < N:
         series = inverse_series(spec, N)
-    n = spec.n
-    g = series.component(i)
-    head = (N,) + tuple(alpha)
-    tail0 = (0,) * (1 + n)
-    out = {}
-    for m, c in g.terms.items():
-        if m[: 1 + n] == head:
-            out[tail0 + m[1 + n:]] = c
-    return Poly(n, out)
+    return Poly(spec.n, split_xt(series.component(i)).get((N,) + tuple(alpha), {}))
 
 
 # -- labeled tree oracle -------------------------------------------------

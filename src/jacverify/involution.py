@@ -10,8 +10,9 @@ permutation sigma, and rho a k-level labeling feeding the generator
 factor.  The signed weight of a state multiplies (-1)^cycles(sigma) into
 one a-variable factor per fern edge, per extra leaf, per sigma image and
 per rho entry; ``state_weight`` writes that product straight into one
-exponent vector with ``poly.a_monomial``, and ``verify_involution`` sums
-the one-term weights in a single term dict.
+exponent vector with ``poly.a_monomial``.  ``verify_involution`` builds
+each weight once, sums them in a single term dict and compares every pair
+by the stored weights.
 
 States split into two sides.  With h the greatest path index whose label
 lies in S and (l1, l2) the last-rep indices of lam:
@@ -273,14 +274,15 @@ def verify_involution(d, n, alpha, u0, un, variant, restricted_beta=None) -> Inv
             s for s in states
             if len(s.S) != n and len(s.nu) >= 1 and s.nu[0] == restricted_beta
         ]
-    state_set = set(states)
     report.states = len(states)
 
     signed: dict = {}
+    weights = {}
     domain_states = []
     image_states = set()
     for s in states:
-        for mono, coeff in state_weight(s).terms.items():
+        weights[s] = w = state_weight(s)
+        for mono, coeff in w.terms.items():
             signed[mono] = signed.get(mono, 0) + coeff
         try:
             side = classify(s).side
@@ -302,8 +304,7 @@ def verify_involution(d, n, alpha, u0, un, variant, restricted_beta=None) -> Inv
         except DomainError as exc:
             report.failures.append({"kind": "transfer", "state": s, "detail": str(exc)})
             continue
-        w, wi = state_weight(s), state_weight(img)
-        if img not in state_set:
+        if img not in weights:
             report.failures.append({"kind": "closure", "state": s, "partner": img})
             continue
         if img not in image_states:
@@ -313,6 +314,7 @@ def verify_involution(d, n, alpha, u0, un, variant, restricted_beta=None) -> Inv
             report.failures.append({"kind": "collision", "state": s, "partner": img})
             continue
         seen_images.add(img)
+        w, wi = weights[s], weights[img]
         if w + wi != Poly.zero(n):
             report.failures.append(
                 {"kind": "weight", "state": s, "partner": img,

@@ -19,6 +19,9 @@ byte-reproducible; ``parse_poly`` reads the same grammar back.
 Signed products of a-variables (fern paths, state and generator weights,
 tree weights) are built by ``a_monomial``, which writes the whole product
 into one exponent vector instead of multiplying one-variable polynomials.
+``split_xt`` is the one place that reads off the a-coefficient of each
+(t, x) monomial, and ``determinant`` the one cofactor expansion, used over
+both ``Poly`` and ``Fraction`` entries.
 """
 
 from __future__ import annotations
@@ -236,6 +239,21 @@ class Poly:
         return [(m, self.terms[m]) for m in sorted(self.terms, key=monomial_key)]
 
 
+def split_xt(p: Poly) -> dict:
+    """Group p's terms by their (t, x) exponent head.
+
+    Maps each head (the first 1 + n exponents) to the term dict of its
+    a-variable coefficient, with the head zeroed.  The values are plain
+    dicts; wrap the one you need in ``Poly(p.n, ...)``.
+    """
+    cut = 1 + p.n
+    zero_head = (0,) * cut
+    out: dict = {}
+    for m, c in p.terms.items():
+        out.setdefault(m[:cut], {})[zero_head + m[cut:]] = c
+    return out
+
+
 def coefficient_of(p: Poly, xt_monomial: Poly) -> Poly:
     """Extract the a-variable polynomial multiplying a monic x,t-monomial.
 
@@ -250,13 +268,7 @@ def coefficient_of(p: Poly, xt_monomial: Poly) -> Poly:
     n = p.n
     if any(sel[1 + n:]):
         raise StructuralError("selector may involve only x and t")
-    head = sel[: 1 + n]
-    tail0 = (0,) * (1 + n)
-    out = {}
-    for m, coeff in p.terms.items():
-        if m[: 1 + n] == head:
-            out[tail0 + m[1 + n:]] = coeff
-    return Poly(n, out)
+    return Poly(n, split_xt(p).get(sel[: 1 + n], {}))
 
 
 def substitute_numeric(p: Poly, assignment: Mapping[VarId, Fraction]) -> Fraction:
@@ -305,21 +317,26 @@ class PolyMatrix:
 
 def poly_determinant(mat: PolyMatrix) -> Poly:
     """Exact determinant by first-column cofactor expansion."""
-    return _det(mat.entries, mat.ambient_n)
+    return determinant(mat.entries, Poly.one(mat.ambient_n))
 
 
-def _det(rows, n):
+def determinant(rows, one):
+    """First-column cofactor expansion over any commutative ring.
+
+    Entries need +, -, * and a falsy zero (``Poly``, ``Fraction``, int);
+    ``one`` is the ring's unit, the determinant of the empty matrix.
+    """
     k = len(rows)
     if k == 0:
-        return Poly.one(n)
+        return one
     if k == 1:
         return rows[0][0]
-    total = Poly.zero(n)
+    total = one * 0
     for i in range(k):
-        if rows[i][0].is_zero():
+        if not rows[i][0]:
             continue
         minor = [r[1:] for j, r in enumerate(rows) if j != i]
-        cof = rows[i][0] * _det(minor, n)
+        cof = rows[i][0] * determinant(minor, one)
         total = total + cof if i % 2 == 0 else total - cof
     return total
 

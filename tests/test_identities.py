@@ -18,6 +18,7 @@ from jacverify.identities import (
     generator_set,
     identity1_lhs,
     identity2_lhs,
+    relation_instances,
     relation_report,
 )
 from jacverify.poly import DomainError, Poly, a_
@@ -128,6 +129,22 @@ def test_relation_grid_structure(d):
         * len(enumerate_compositions(d - 1, 2)) * 2 * 2
     assert len(report.entries) == expected
     assert report.structurally_ok
+
+
+def test_relation_sweep_needs_d_at_least_two():
+    """At d = 1 no instance exists, so the sweep is refused, not passed."""
+    with pytest.raises(DomainError, match="d >= 2"):
+        relation_report(1)
+    with pytest.raises(DomainError, match="d >= 2"):
+        list(relation_instances(1))
+
+
+def test_relation_report_of_one_instance():
+    report = relation_report(3, [((1, 1), (2, 0), 2)])
+    assert [(e.alpha1, e.alpha2, e.u, e.v) for e in report.entries] == [
+        ((1, 1), (2, 0), 2, 1), ((1, 1), (2, 0), 2, 2)]
+    assert report.by_instance() == [(((1, 1), (2, 0), 2), report.entries)]
+    assert report.unsatisfied == (0 if report.zero_vs() else 1)
 
 
 def test_relation_rejects_bad_inputs():

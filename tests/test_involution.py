@@ -191,3 +191,20 @@ def test_dropped_sign_is_caught(monkeypatch):
     kinds = {f["kind"] for f in rep.failures}
     assert {"weight", "signed-sum"} <= kinds
     assert not rep.signed_sum.is_zero()
+
+
+def test_each_state_weight_built_once(monkeypatch):
+    """The pairing check compares stored weights instead of rebuilding them."""
+    import jacverify.involution as inv
+
+    calls = []
+    honest = inv.state_weight
+
+    def counted(s):
+        calls.append(s)
+        return honest(s)
+
+    monkeypatch.setattr(inv, "state_weight", counted)
+    rep = verify_involution(2, 2, (1, 1), 1, 2, 1)
+    assert rep.ok and rep.pairs
+    assert len(calls) == rep.states == len(set(calls))

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic: examples, ring axioms, text grammar."""
 
+import itertools
 from fractions import Fraction
 from random import Random
 
@@ -16,10 +17,12 @@ from jacverify.poly import (
     a_,
     a_monomial,
     coefficient_of,
+    determinant,
     format_poly,
     n_vars,
     parse_poly,
     poly_determinant,
+    split_xt,
     substitute_numeric,
     t_,
     x_,
@@ -291,3 +294,38 @@ def test_a_monomial_empty_product_and_bounds():
     for bad in [(0, 1), (1, 0), (4, 1), (1, 4), (-1, 2)]:
         with pytest.raises(StructuralError, match=r"outside \[1,3\]\^2"):
             a_monomial(3, [(1, 1), bad])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys())
+def test_split_xt_partitions_terms_by_head(p):
+    """Each term lands under its (t, x) head with the head zeroed, once."""
+    cut = 1 + p.n
+    rebuilt = {}
+    for head, coeffs in split_xt(p).items():
+        assert len(head) == cut and coeffs
+        for m, c in coeffs.items():
+            assert not any(m[:cut])
+            rebuilt[head + m[cut:]] = c
+    assert rebuilt == p.terms
+
+
+def _leibniz(M):
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(M))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(M)), 2))
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= M[i][j]
+        total += term
+    return total
+
+
+def test_determinant_over_fractions_matches_leibniz():
+    rng = Random(11)
+    assert determinant([], Fraction(1)) == 1
+    for size in range(1, 5):
+        for _ in range(10):
+            M = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(size)]
+                 for _ in range(size)]
+            assert determinant(M, Fraction(1)) == _leibniz(M)
