@@ -1,8 +1,9 @@
 """Exact verification toolkit for the trace identities of d-linear maps.
 
 Everything is computed in exact rational arithmetic: sparse polynomials
-over Fraction coefficients, explicit combinatorial enumerations, checked
-sign-reversing pairings and linear-algebra membership certificates.
+with int coefficients (a Fraction only where a value is not integral),
+explicit combinatorial enumerations, checked sign-reversing pairings and
+linear-algebra membership certificates.
 """
 
 from .combinatorics import (

@@ -42,7 +42,7 @@ from .identities import (
 from .inverse import coefficient_c, inverse_series
 from .involution import state_weight, verify_involution
 from .membership import membership, verify_main_theorem
-from .poly import DomainError, Poly, StructuralError, format_poly, parse_poly, split_xt
+from .poly import DomainError, Poly, StructuralError, format_poly, parse_poly
 
 
 @dataclass
@@ -310,7 +310,7 @@ def _run_inverse(cfg: RunConfig) -> tuple:
     components = []
     lines = []
     for i in range(1, cfg.n + 1):
-        heads = split_xt(series.component(i))
+        heads = series.heads(i)
         coeffs = []
         for head in sorted(heads):
             N, alpha = head[0], head[1:]

@@ -18,7 +18,6 @@ formula.  ``cross_check_generators`` confirms the two agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .combinatorics import (
     SubsetPermutation,
@@ -112,7 +111,11 @@ def all_keys(spec: DLinearSpec) -> list:
 
 
 def extract_generators(spec: DLinearSpec) -> GeneratorSet:
-    """Expand det(differential) and match off the d^k t^(dk) x^alpha terms."""
+    """Expand det(differential) and match off the d^k t^(dk) x^alpha terms.
+
+    Every coefficient of the t^(dk) x^alpha terms must be a multiple of
+    d^k; one that is not raises VerificationError.
+    """
     d, n = spec.d, spec.n
     det = poly_determinant(differential_matrix(spec))
     entries = {key: Poly.zero(n) for key in all_keys(spec)}
@@ -123,8 +126,15 @@ def extract_generators(spec: DLinearSpec) -> GeneratorSet:
         k = t_deg // d
         if sum(alpha) != k * (d - 1) or k > n:
             raise VerificationError(f"head t^{t_deg} x^{alpha} violates the t,x pattern")
-        scale = Fraction(d) ** k
-        entries[JKey(k, alpha)] = Poly(n, {m: c / scale for m, c in coeff.items()})
+        scale = d ** k
+        scaled = {}
+        for m, c in coeff.items():
+            q, r = divmod(c, scale)
+            if r:
+                raise VerificationError(
+                    f"coefficient {c} at t^{t_deg} x^{alpha} is not divisible by d^k = {scale}")
+            scaled[m] = q
+        entries[JKey(k, alpha)] = Poly(n, scaled)
     return GeneratorSet(spec, entries)
 
 

@@ -18,22 +18,26 @@ sum(alpha) = 1 + (d-1) N / d.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import add
 
 from .combinatorics import enumerate_compositions
 from .generators import DLinearSpec, map_components
-from .poly import DomainError, Poly, a_, a_monomial, monomial_key, split_xt, t_, x_
+from .poly import (
+    DomainError, Poly, _canonical_terms, a_, a_monomial, monomial_key, split_xt, t_, x_,
+)
 
 
 def truncate_t(p: Poly, n_max: int) -> Poly:
     """Drop all terms of t-degree above n_max."""
-    return Poly(p.n, {m: c for m, c in p.terms.items() if m[0] <= n_max})
+    return Poly._of(p.n, {m: c for m, c in p.terms.items() if m[0] <= n_max})
 
 
 def mul_trunc(p: Poly, q: Poly, n_max: int) -> Poly:
     """Product with every term above the t-degree cutoff discarded early."""
     p._check(q)
     out: dict = {}
+    get = out.get
     q_terms = list(q.terms.items())
     for m1, c1 in p.terms.items():
         room = n_max - m1[0]
@@ -42,13 +46,9 @@ def mul_trunc(p: Poly, q: Poly, n_max: int) -> Poly:
         for m2, c2 in q_terms:
             if m2[0] > room:
                 continue
-            m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-            s = out.get(m, 0) + c1 * c2
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-    return Poly(p.n, out)
+            m = tuple(map(add, m1, m2))
+            out[m] = get(m, 0) + c1 * c2
+    return Poly._of(p.n, _canonical_terms(out))
 
 
 def pow_trunc(p: Poly, e: int, n_max: int) -> Poly:
@@ -65,11 +65,18 @@ class TruncatedSeries:
     spec: DLinearSpec
     n_max: int
     components: list
+    _heads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def component(self, i: int) -> Poly:
         if not 1 <= i <= self.spec.n:
             raise DomainError(f"component {i} outside [1,{self.spec.n}]")
         return self.components[i - 1]
+
+    def heads(self, i: int) -> dict:
+        """``split_xt`` of component i, computed once per series."""
+        if i not in self._heads:
+            self._heads[i] = split_xt(self.component(i))
+        return self._heads[i]
 
 
 def inverse_series(spec: DLinearSpec, n_max: int, extra_rounds: int = 0) -> TruncatedSeries:
@@ -173,7 +180,7 @@ def coefficient_c(spec: DLinearSpec, i: int, alpha: tuple, N: int,
         raise DomainError("N must be nonnegative")
     if series is None or series.n_max < N:
         series = inverse_series(spec, N)
-    return Poly(spec.n, split_xt(series.component(i)).get((N,) + tuple(alpha), {}))
+    return Poly(spec.n, series.heads(i).get((N,) + tuple(alpha), {}))
 
 
 # -- labeled tree oracle -------------------------------------------------

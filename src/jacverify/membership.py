@@ -9,22 +9,22 @@ pivots and reads off an exact certificate
 
     target = sum_k coeff_poly[k] * generator[k] + residual
 
-where residual = 0 exactly when the target is a member.  Everything is
-Fraction arithmetic on sparse monomial-indexed rows; nothing is ever
-rounded.
+where residual = 0 exactly when the target is a member.  The rows are
+sparse and monomial-indexed, with exact coefficients: integers until a
+pivot row is normalized by its leading coefficient, which gives a Fraction
+only where the quotient is not integral.  Nothing is ever rounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .combinatorics import enumerate_compositions
 from .fern import FernLabeling, z_fern
 from .generators import DLinearSpec, JKey
 from .identities import generator_set
 from .inverse import coefficient_c, inverse_series
-from .poly import DomainError, Poly, monomial_key
+from .poly import DomainError, Poly, exact_quotient, monomial_key
 
 
 @dataclass
@@ -49,7 +49,7 @@ class HomogeneousBasis:
         for pivot in sorted(self._pivots, key=monomial_key, reverse=True):
             rowvec, _ = self._pivots[pivot]
             out.append({
-                "pivot": str(Poly(self.spec.n, {pivot: Fraction(1)})),
+                "pivot": str(Poly(self.spec.n, {pivot: 1})),
                 "row": str(Poly(self.spec.n, rowvec)),
             })
         return out
@@ -81,7 +81,7 @@ def build_basis(spec: DLinearSpec, degree: int) -> HomogeneousBasis:
         if gen.is_zero():
             continue
         for mult in a_monomials_of_degree(n, degree - gen_deg):
-            product = Poly(n, {mult: Fraction(1)}) * gen
+            product = Poly(n, {mult: 1}) * gen
             basis.rows.append(BasisRow(key, mult, product))
 
     order = sorted(range(len(basis.rows)),
@@ -91,14 +91,10 @@ def build_basis(spec: DLinearSpec, degree: int) -> HomogeneousBasis:
         if residual:
             lead = max(residual, key=monomial_key)
             lc = residual[lead]
-            vec = {m: c / lc for m, c in residual.items()}
-            combo = {idx: 1 / lc}
-            for i, c in acc.items():
-                s = combo.get(i, 0) - c / lc
-                if s:
-                    combo[i] = s
-                elif i in combo:
-                    del combo[i]
+            vec = {m: exact_quotient(c, lc) for m, c in residual.items()}
+            # acc only names rows reduced before this one, never idx itself.
+            combo = {idx: exact_quotient(1, lc)}
+            combo.update((i, exact_quotient(-c, lc)) for i, c in acc.items())
             basis._pivots[lead] = (vec, combo)
     return basis
 

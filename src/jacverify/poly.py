@@ -6,10 +6,13 @@ The ambient ring for a fixed dimension ``n`` has variables
 
 in that order.  A monomial is stored as a dense exponent tuple over this
 variable list (length ``1 + n + n*n``), and a polynomial is a dict mapping
-exponent tuples to nonzero ``Fraction`` coefficients.  The zero polynomial
-has an empty term dict.  All values are immutable by convention: no
-operation mutates its inputs, so polynomials are safe to share across
-threads or processes.
+exponent tuples to nonzero exact coefficients.  A coefficient is an ``int``
+whenever its value is integral and a ``Fraction`` (denominator > 1) only
+otherwise, so the integer polynomials that make up nearly all of the
+toolkit's work never build a ``Fraction``; floats are refused.  The zero
+polynomial has an empty term dict.  All values are immutable by
+convention: no operation mutates its inputs, so polynomials are safe to
+share across threads or processes.
 
 The canonical term order is graded lexicographic with t the least
 significant variable and a[n,n] the most significant.  Text output lists
@@ -29,6 +32,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 from typing import Mapping
 
 
@@ -95,41 +100,77 @@ def monomial_key(exps: tuple) -> tuple:
     return (sum(exps), tuple(reversed(exps)))
 
 
+def _exact(c):
+    """c as a stored coefficient: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise StructuralError(f"coefficient {c!r} is neither an int nor a Fraction")
+
+
+def exact_quotient(a, b):
+    """a / b for exact a and nonzero b: an int when integral, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _exact(Fraction(a, b))
+
+
+def _canonical_terms(terms: dict) -> dict:
+    """A kernel result with its zeros dropped and integral Fractions as int."""
+    return {m: c if type(c) is int else _exact(c) for m, c in terms.items() if c}
+
+
 class Poly:
     """A canonical sparse polynomial tied to a fixed ambient dimension n.
 
-    ``terms`` maps exponent tuples to nonzero Fraction coefficients; the
-    constructor drops zeros so equality of polynomials is dict equality.
+    ``terms`` maps exponent tuples to nonzero coefficients, each an int or
+    a non-integral Fraction; the constructor checks and normalizes its
+    input (dropping zeros) so equality of polynomials is dict equality.
     """
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Mapping[tuple, Fraction] | None = None):
+    def __init__(self, n: int, terms: Mapping[tuple, int | Fraction] | None = None):
         self.n = n
-        self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
+        out = {}
+        for m, c in (terms or {}).items():
+            c = _exact(c)
+            if c:
+                out[m] = c
+        self.terms = out
+
+    @classmethod
+    def _of(cls, n: int, terms: dict) -> "Poly":
+        """Wrap a term dict that is already canonical, without checking it."""
+        p = object.__new__(cls)
+        p.n = n
+        p.terms = terms
+        return p
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(n: int) -> "Poly":
-        return Poly(n)
+        return Poly._of(n, {})
 
     @staticmethod
     def const(n: int, c) -> "Poly":
-        c = Fraction(c)
-        if c == 0:
-            return Poly(n)
         return Poly(n, {(0,) * n_vars(n): c})
 
     @staticmethod
     def one(n: int) -> "Poly":
-        return Poly.const(n, 1)
+        return Poly._of(n, {(0,) * n_vars(n): 1})
 
     @staticmethod
     def var(n: int, v: VarId) -> "Poly":
         e = [0] * n_vars(n)
         e[var_index(n, v)] = 1
-        return Poly(n, {tuple(e): Fraction(1)})
+        return Poly._of(n, {tuple(e): 1})
 
     # -- ring operations ----------------------------------------------
 
@@ -144,18 +185,19 @@ class Poly:
             other = Poly.const(self.n, other)
         self._check(other)
         out = dict(self.terms)
+        get = out.get
         for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            elif m in out:
+            s = get(m, 0) + c
+            if not s:
                 del out[m]
-        return Poly(self.n, out)
+            else:
+                out[m] = s if type(s) is int else _exact(s)
+        return Poly._of(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.n, {m: -c for m, c in self.terms.items()})
+        return Poly._of(self.n, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -167,21 +209,17 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                return Poly(self.n)
-            return Poly(self.n, {m: k * c for m, k in self.terms.items()})
+            c = _exact(other)
+            return Poly._of(self.n, _canonical_terms({m: k * c for m, k in self.terms.items()}))
         self._check(other)
         out: dict = {}
+        get = out.get
+        q_terms = list(other.terms.items())
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
-        return Poly(self.n, out)
+            for m2, c2 in q_terms:
+                m = tuple(map(add, m1, m2))
+                out[m] = get(m, 0) + c1 * c2
+        return Poly._of(self.n, _canonical_terms(out))
 
     __rmul__ = __mul__
 
@@ -352,16 +390,20 @@ def determinant(rows, one):
 # ascending canonical order and factors in ascending variable order.
 
 
+@lru_cache(maxsize=None)
+def _var_names(n: int) -> tuple:
+    """The printed name of each exponent position for dimension n."""
+    return tuple(str(var_of_index(n, pos)) for pos in range(n_vars(n)))
+
+
 def format_poly(p: Poly) -> str:
     if not p.terms:
         return "0"
+    names = _var_names(p.n)
     parts = []
     for m, c in p.sorted_terms():
-        factors = []
-        for pos, e in enumerate(m):
-            if e:
-                v = str(var_of_index(p.n, pos))
-                factors.append(v if e == 1 else f"{v}^{e}")
+        factors = [names[pos] if e == 1 else f"{names[pos]}^{e}"
+                   for pos, e in enumerate(m) if e]
         mag = abs(c)
         if not factors:
             body = str(mag)
@@ -412,7 +454,7 @@ def parse_poly(text: str, n: int) -> Poly:
     if op_at(k) == "-":
         sign, k = -1, 1
     while True:
-        coeff = Fraction(1)
+        coeff = 1
         exps = [0] * n_vars(n)
         if k < len(tokens) and tokens[k].group("num") is not None:
             try:
@@ -478,4 +520,4 @@ def a_monomial(n: int, entries, sign=1) -> Poly:
         if not (1 <= i <= n and 1 <= j <= n):
             raise StructuralError(f"a index ({i},{j}) outside [1,{n}]^2")
         e[n + (i - 1) * n + j] += 1
-    return Poly(n, {tuple(e): Fraction(sign)})
+    return Poly(n, {tuple(e): sign})

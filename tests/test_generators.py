@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from jacverify import generators
 from jacverify.combinatorics import SubsetPermutation, enumerate_compositions
 from jacverify.generators import (
     DLinearSpec,
@@ -20,6 +21,7 @@ from jacverify.poly import (
     DomainError,
     Poly,
     VarId,
+    VerificationError,
     a_,
     n_vars,
     poly_determinant,
@@ -155,3 +157,13 @@ def test_zero_generators_materialized():
     for k in range(3):
         for alpha in enumerate_compositions(k, 2):
             assert JKey(k, alpha) in gens.entries
+
+
+def test_extract_rejects_coefficient_not_divisible_by_d_power(monkeypatch):
+    """A t^(dk) x^alpha coefficient that d^k does not divide is an error."""
+    n = 2
+    stray = t_(n) ** 2 * x_(n, 1) * a_(n, 1, 1) ** 2
+    real = generators.poly_determinant
+    monkeypatch.setattr(generators, "poly_determinant", lambda mat: real(mat) + stray)
+    with pytest.raises(VerificationError, match="not divisible by d\\^k = 2"):
+        extract_generators(DLinearSpec(2, n))

@@ -5,9 +5,11 @@ from random import Random
 
 import pytest
 
+from jacverify import inverse
 from jacverify.fern import FernLabeling, z_fern
 from jacverify.generators import DLinearSpec, JKey
 from jacverify.identities import generator_set
+from jacverify.inverse import inverse_series
 from jacverify.membership import (
     a_monomials_of_degree,
     build_basis,
@@ -136,3 +138,41 @@ def test_reduced_matrix_is_exposed():
     rows = basis.reduced_matrix()
     assert len(rows) == 2
     assert all(set(r) == {"pivot", "row"} for r in rows)
+
+
+def test_main_theorem_splits_each_series_component_once(monkeypatch):
+    calls = []
+    real = inverse.split_xt
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(inverse, "split_xt", counting)
+    report = verify_main_theorem(2, [4, 6, 8])
+    assert report.ok and report.entries
+    assert 1 <= len(calls) <= 2
+    assert len({id(p) for p in calls}) == len(calls)
+
+
+def _stored_coefficients_are_exact(p):
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in p.terms.values())
+
+
+def test_computed_coefficients_are_int_or_proper_fraction():
+    """Generators, series and certificates keep every coefficient exact and canonical."""
+    polys = []
+    for d, n in ((2, 3), (3, 3)):
+        polys.extend(generator_set(DLinearSpec(d, n)).entries.values())
+    polys.extend(inverse_series(DLinearSpec(2, 2), 8).components)
+    spec = DLinearSpec(2, 2)
+    gens = generator_set(spec)
+    target = (Fraction(3, 2) * a_(2, 1, 2) ** 2 * gens[JKey(1, (1, 0))]
+              + a_(2, 2, 1) * a_(2, 1, 1) * gens[JKey(1, (0, 1))] + a_(2, 1, 1) ** 4)
+    cert = membership(spec, target)
+    assert not cert.member and cert.residual.terms and cert.combination
+    assert certificate_residual(spec, cert).is_zero()
+    polys += [cert.target, cert.residual] + [poly for _, poly in cert.combination]
+    assert any(type(c) is Fraction for p in polys for c in p.terms.values())
+    assert all(_stored_coefficients_are_exact(p) for p in polys)

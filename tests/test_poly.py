@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jacverify.inverse import mul_trunc
 from jacverify.poly import (
     DomainError,
     Poly,
@@ -285,7 +286,7 @@ def test_a_monomial_matches_product_of_factors(case):
         expected = expected * a_(n, i, j)
     got = a_monomial(n, entries, sign)
     assert got == expected
-    assert all(type(c) is Fraction for c in got.terms.values())
+    assert all(type(c) is int for c in got.terms.values())
 
 
 def test_a_monomial_empty_product_and_bounds():
@@ -329,3 +330,77 @@ def test_determinant_over_fractions_matches_leibniz():
             M = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(size)]
                  for _ in range(size)]
             assert determinant(M, Fraction(1)) == _leibniz(M)
+
+
+def _is_stored_coefficient(c):
+    """An int, or a Fraction that is not integral; never a float."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+# Fraction-only reference arithmetic on raw term dicts: the kernel must agree
+# with it term for term whatever mix of int and Fraction it is given.
+
+def _ref(terms):
+    return {m: Fraction(c) for m, c in terms.items() if c != 0}
+
+
+def _ref_add(p, q, sign=1):
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, Fraction(0)) + sign * c
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def _ref_mul(p, q, n_max=None):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            if n_max is None or m[0] <= n_max:
+                out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c != 0}
+
+
+_MIXED = st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value=6,
+                                                    max_denominator=4))
+
+
+@st.composite
+def _mixed_pairs(draw):
+    n = draw(st.integers(1, 2))
+    exps = st.tuples(*[st.integers(0, 2)] * n_vars(n))
+    raw = st.dictionaries(exps, _MIXED, max_size=5)
+    return n, draw(raw), draw(raw), draw(_MIXED), draw(st.integers(0, 3)), draw(st.integers(0, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mixed_pairs())
+def test_integer_kernel_matches_fraction_reference(case):
+    n, raw_p, raw_q, scalar, e, n_max = case
+    p, q = Poly(n, raw_p), Poly(n, raw_q)
+    rp, rq = _ref(raw_p), _ref(raw_q)
+    power = {(0,) * n_vars(n): Fraction(1)}
+    for _ in range(e):
+        power = _ref_mul(power, rp)
+    results = [
+        (p + q, _ref_add(rp, rq)),
+        (p - q, _ref_add(rp, rq, -1)),
+        (p * q, _ref_mul(rp, rq)),
+        (p * scalar, _ref_mul(rp, _ref({(0,) * n_vars(n): scalar}))),
+        (p ** e, power),
+        (mul_trunc(p, q, n_max), _ref_mul(rp, rq, n_max)),
+        (p, rp),
+    ]
+    for got, expected in results:
+        assert got.terms == expected
+        assert all(_is_stored_coefficient(c) for c in got.terms.values())
+
+
+def test_constructor_rejects_float_coefficients():
+    with pytest.raises(StructuralError, match="neither an int nor a Fraction"):
+        Poly(2, {(0,) * n_vars(2): 0.5})
+
+
+def test_const_rejects_float():
+    with pytest.raises(StructuralError, match="neither an int nor a Fraction"):
+        Poly.const(2, 0.1)
