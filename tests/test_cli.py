@@ -91,6 +91,16 @@ GOLDEN = [
     ('verify-theorem --d 2 --N 2,4',
      0, "cdd65fa55c3cfeb705496d8e77d583aaaf93589e84a6cd4c91e82ac1a5cb5870",
      0, "dd81aebff3e59d7cf68da618e67f25a9c6cfc9693ab30c79aeb1b93c49700bb7"),
+    # Sizes above the benchmark's, on the inverse-series and membership path.
+    ('inverse --d 2 --n 3 --Nmax 8',
+     0, "1f4141a1339278d8364e6628a893f2d803bf6cb18a0fbe383d64d58e455c63c0",
+     0, "1ad03d47ae9eaf60f6175ff9b07eac88e1ddeeabb3a126d1accc554fe66576f4"),
+    ('inverse --d 3 --n 2 --Nmax 12',
+     0, "5287ad5f95256be5abd4eef4474d7e83101ba924b8de938dc26a3ebb9a9342f0",
+     0, "9fafbd8322ad62e0a64a96ea90f8ae0c6d622f65ee39b02968ea4b9858d929ee"),
+    ('verify-theorem --d 2 --N 14,16',
+     0, "8759f3c125d96b65991262ead98a2cc09756841cb7cb0983b9babac9c1ba1de7",
+     0, "7ef0dcc0206f8fc759c0cd24757c11209b4fc9c3317eeeb6dd394d936d7dcb48"),
 ]
 
 
