@@ -252,13 +252,9 @@ def _run_relation(cfg: RunConfig) -> tuple:
 
 
 def _state_json(s) -> dict:
-    return {
-        "lambda": list(s.lam),
-        "nu": [list(r) for r in s.nu],
-        "S": list(s.S),
-        "sigma": [list(p) for p in zip(s.S, s.sigma)],
-        "rho": [list(r) for r in s.rho],
-    }
+    # json writes tuples as arrays, so the state's own tuples serve as is.
+    return {"lambda": s.lam, "nu": s.nu, "S": s.S,
+            "sigma": tuple(zip(s.S, s.sigma)), "rho": s.rho}
 
 
 def _run_involution(cfg: RunConfig) -> tuple:

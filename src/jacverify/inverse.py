@@ -5,14 +5,18 @@ series satisfies the fixed point equation
 
     g_i = x_i + (t * sum_j a[i,j] g_j)^d.
 
-``inverse_series`` iterates that equation from g_i = x_i, truncating at a
-chosen t-degree; each round is exact and the iteration reaches a fixed
-point after at most N_max/d + 1 rounds.  ``tree_oracle_coefficient``
-recomputes any single coefficient by brute enumeration of labeled plane
-trees in which every vertex has d children or none, one tree at a time,
-with one a[parent, child] factor per edge.  The two must agree, and every
-nonzero coefficient of t^N x^alpha obeys N = 0 mod d and
-sum(alpha) = 1 + (d-1) N / d.
+``inverse_series`` solves that equation one t-layer at a time.  With
+L_i = sum_j a[i,j] g_j, layer m of g_i is layer m of (t L_i)^d, and layer
+m of every power (t L_i)^k is built from strictly lower layers only, so
+each layer is exact as soon as it exists and no truncated iterate is ever
+recomputed (the tree recursion of Bass, Connell & Wright, run as dynamic
+programming).  ``tree_oracle_coefficient`` recomputes any single
+coefficient by brute enumeration of labeled plane trees in which every
+vertex has d children or none, one tree at a time, with one
+a[parent, child] factor per edge; ``verify_inverse`` substitutes the
+finished series back into the map and the map into the series.  These
+checks must agree, and every nonzero coefficient of t^N x^alpha obeys
+N = 0 mod d and sum(alpha) = 1 + (d-1) N / d.
 """
 
 from __future__ import annotations
@@ -26,11 +30,6 @@ from .generators import DLinearSpec, map_components
 from .poly import (
     DomainError, Poly, _canonical_terms, a_, a_monomial, monomial_key, split_xt, t_, x_,
 )
-
-
-def truncate_t(p: Poly, n_max: int) -> Poly:
-    """Drop all terms of t-degree above n_max."""
-    return Poly._of(p.n, {m: c for m, c in p.terms.items() if m[0] <= n_max})
 
 
 def mul_trunc(p: Poly, q: Poly, n_max: int) -> Poly:
@@ -49,13 +48,6 @@ def mul_trunc(p: Poly, q: Poly, n_max: int) -> Poly:
             m = tuple(map(add, m1, m2))
             out[m] = get(m, 0) + c1 * c2
     return Poly._of(p.n, _canonical_terms(out))
-
-
-def pow_trunc(p: Poly, e: int, n_max: int) -> Poly:
-    result = Poly.one(p.n)
-    for _ in range(e):
-        result = mul_trunc(result, p, n_max)
-    return result
 
 
 @dataclass
@@ -79,30 +71,71 @@ class TruncatedSeries:
         return self._heads[i]
 
 
-def inverse_series(spec: DLinearSpec, n_max: int, extra_rounds: int = 0) -> TruncatedSeries:
-    """Fixed-point iteration for the truncated inverse series.
+def inverse_series(spec: DLinearSpec, n_max: int) -> TruncatedSeries:
+    """The inverse series up to t-degree n_max, one exact layer at a time.
 
-    ``extra_rounds`` forces additional iterations past the fixed point;
-    the result must not change, which the uniqueness tests exploit.
+    Write [m] for the t^m layer and P_i^k for (t L_i)^k.  Then
+
+        g_i[0] = x_i,   g_i[m] = P_i^d[m]                  (m >= 1),
+        P_i^1[m] = t * sum_j a[i,j] * g_j[m-1],
+        P_i^k[m] = sum_s P_i^1[s] * P_i^(k-1)[m-s]          (k >= 2).
+
+    P_i^k[m] vanishes for m < k, so the last sum reads P_i^1 and P_i^(k-1)
+    below layer m only.  Layers are term dicts, and empty ones are absent.
     """
     if n_max < 0:
         raise DomainError("truncation degree must be nonnegative")
     d, n = spec.d, spec.n
-    t = t_(n)
-    g = [x_(n, i) for i in range(1, n + 1)]
-    rounds = n_max // d + 1 + extra_rounds
-    for _ in range(rounds):
-        new_g = []
-        for i in range(1, n + 1):
-            form = Poly.zero(n)
-            for j in range(1, n + 1):
-                form = form + a_(n, i, j) * g[j - 1]
-            body = pow_trunc(truncate_t(t * form, n_max), d, n_max)
-            new_g.append(x_(n, i) + body)
-        if new_g == g:
-            break
-        g = new_g
-    return TruncatedSeries(spec, n_max, g)
+    g = [{0: dict(x_(n, i).terms)} for i in range(1, n + 1)]
+    # t * a[i,j] as an exponent vector, added to each term of g_j.
+    shift = [[next(iter((t_(n) * a_(n, i, j)).terms)) for j in range(1, n + 1)]
+             for i in range(1, n + 1)]
+    powers = [[{} for _ in range(d)] for _ in range(n)]  # powers[i][k-1][m]
+    for m in range(1, n_max + 1):
+        for i in range(n):
+            layer: dict = {}
+            get = layer.get
+            for j in range(n):
+                for e, c in g[j].get(m - 1, {}).items():
+                    e = tuple(map(add, e, shift[i][j]))
+                    layer[e] = get(e, 0) + c
+            _store(powers[i][0], m, layer)
+            first = powers[i][0]
+            for k in range(1, d):
+                layer = {}
+                lower = powers[i][k - 1]
+                for s, p_s in first.items():
+                    q = lower.get(m - s)
+                    if q is not None:
+                        _mul_into(layer, p_s, q)
+                _store(powers[i][k], m, layer)
+            # g_i[m] is read from layer m + 1 on, so it may be set now.
+            if m in powers[i][d - 1]:
+                g[i][m] = powers[i][d - 1][m]
+    components = []
+    for layers in g:
+        terms: dict = {}
+        for m in sorted(layers):
+            terms.update(layers[m])
+        components.append(Poly._of(n, terms))
+    return TruncatedSeries(spec, n_max, components)
+
+
+def _mul_into(out: dict, p: dict, q: dict) -> None:
+    """Accumulate the product of two term dicts into out."""
+    get = out.get
+    q_terms = list(q.items())
+    for m1, c1 in p.items():
+        for m2, c2 in q_terms:
+            m = tuple(map(add, m1, m2))
+            out[m] = get(m, 0) + c1 * c2
+
+
+def _store(layers: dict, m: int, terms: dict) -> None:
+    """Keep layer m of a power in canonical form, if it is not zero."""
+    terms = _canonical_terms(terms)
+    if terms:
+        layers[m] = terms
 
 
 @dataclass
@@ -122,12 +155,18 @@ def verify_inverse(spec: DLinearSpec, n_max: int) -> InverseReport:
     series = inverse_series(spec, n_max)
     failures = []
 
+    # f(g) is recomputed from the finished components, independently of
+    # the layer recursion that built them.
     t = t_(n)
     for i in range(1, n + 1):
         form = Poly.zero(n)
         for j in range(1, n + 1):
             form = form + a_(n, i, j) * series.components[j - 1]
-        fi_of_g = series.components[i - 1] - pow_trunc(truncate_t(t * form, n_max), d, n_max)
+        form = t * form
+        power = Poly.one(n)
+        for _ in range(d):
+            power = mul_trunc(power, form, n_max)
+        fi_of_g = series.components[i - 1] - power
         residual = fi_of_g - x_(n, i)
         if not residual.is_zero():
             failures.append(("f(g)", i, _first_monomial(residual)))

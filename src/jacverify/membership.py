@@ -9,15 +9,19 @@ pivots and reads off an exact certificate
 
     target = sum_k coeff_poly[k] * generator[k] + residual
 
-where residual = 0 exactly when the target is a member.  The rows are
-sparse and monomial-indexed, with exact coefficients: integers until a
-pivot row is normalized by its leading coefficient, which gives a Fraction
-only where the quotient is not integral.  Nothing is ever rounded.
+where residual = 0 exactly when the target is a member.  Reduction takes
+lead terms from a heap in the graded order (as in the sparse elimination
+of Monagan & Pearce), so no step rescans the vector.  The rows are sparse
+and monomial-indexed, with exact coefficients: integers until a pivot row
+is normalized by its leading coefficient, which gives a Fraction only
+where the quotient is not integral.  Nothing is ever rounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from operator import neg
 
 from .combinatorics import enumerate_compositions
 from .fern import FernLabeling, z_fern
@@ -89,7 +93,7 @@ def build_basis(spec: DLinearSpec, degree: int) -> HomogeneousBasis:
     for idx in order:
         residual, acc = _reduce(dict(basis.rows[idx].product.terms), basis._pivots)
         if residual:
-            lead = max(residual, key=monomial_key)
+            lead = next(iter(residual))  # residual terms come in descending order
             lc = residual[lead]
             vec = {m: exact_quotient(c, lc) for m, c in residual.items()}
             # acc only names rows reduced before this one, never idx itself.
@@ -104,13 +108,22 @@ def _reduce(vec: dict, pivots: dict):
 
     Pivot rows are normalized to leading coefficient 1 and each remembers
     its own expression in original rows, so the returned decomposition is
-    exact.
+    exact.  Lead terms come off a heap in descending ``monomial_key``
+    order; a monomial that cancels stays on the heap and is skipped when
+    it surfaces.  Residual terms are emitted in descending order.
     """
     acc: dict = {}
     residual: dict = {}
-    while vec:
-        lead = max(vec, key=monomial_key)
-        coeff = vec.pop(lead)
+    # vec and the pivot rows lie in one degree-D slice, so no exponent
+    # exceeds D: below 256 each fits a byte of the packed key.
+    key = _packed_key if all(sum(m) < 256 for m in vec) else _tuple_key
+    heap = [(key(m), m) for m in vec]
+    heapify(heap)
+    while heap:
+        lead = heappop(heap)[1]
+        coeff = vec.pop(lead, 0)
+        if not coeff:
+            continue
         hit = pivots.get(lead)
         if hit is None:
             residual[lead] = coeff
@@ -119,10 +132,13 @@ def _reduce(vec: dict, pivots: dict):
         for m, c in rowvec.items():
             if m == lead:
                 continue
-            s = vec.get(m, 0) - coeff * c
+            old = vec.get(m, 0)
+            s = old - coeff * c
             if s:
                 vec[m] = s
-            elif m in vec:
+                if not old:
+                    heappush(heap, (key(m), m))
+            elif old:
                 del vec[m]
         for i, c in rowcombo.items():
             s = acc.get(i, 0) + coeff * c
@@ -131,6 +147,20 @@ def _reduce(vec: dict, pivots: dict):
             elif i in acc:
                 del acc[i]
     return residual, acc
+
+
+# Min-heap keys that surface the largest ``monomial_key`` first.  The packed
+# key is one int: a key tuple per push left ~0.3 MB of freed tuples in the
+# interpreter's free lists.  ``bytes`` raises ValueError for an exponent
+# above 255 rather than misorder it.
+
+
+def _packed_key(m: tuple) -> int:
+    return -(sum(m) << 8 * len(m) | int.from_bytes(bytes(m), "little"))
+
+
+def _tuple_key(m: tuple) -> tuple:
+    return (-sum(m), tuple(map(neg, reversed(m))))
 
 
 @dataclass

@@ -101,6 +101,10 @@ GOLDEN = [
     ('verify-theorem --d 2 --N 14,16',
      0, "8759f3c125d96b65991262ead98a2cc09756841cb7cb0983b9babac9c1ba1de7",
      0, "7ef0dcc0206f8fc759c0cd24757c11209b4fc9c3317eeeb6dd394d936d7dcb48"),
+    # Pairs whose sigma is not the identity, so the JSON pins its orientation.
+    ('involution --d 2 --n 4 --alpha 1,1,2,0 --u0 3 --un 2 --variant 1',
+     0, "8a06d032914c54eefed781a369c2545276c53b5e51a716a94147436340190563",
+     0, "7d5e4308e8f112d1be0abfb71328ddcc4ade40c495f43e2569fc9c568f2e68d8"),
 ]
 
 

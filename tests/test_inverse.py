@@ -1,19 +1,57 @@
 """Inverse series against composition, matrix powers and the tree oracle."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jacverify import inverse
 from jacverify.combinatorics import enumerate_compositions
 from jacverify.generators import DLinearSpec
 from jacverify.inverse import (
+    TruncatedSeries,
     coefficient_c,
     degree_law_holds,
     enumerate_trees,
     inverse_series,
+    mul_trunc,
     tree_oracle_coefficient,
-    truncate_t,
     verify_inverse,
 )
 from jacverify.poly import Poly, a_, t_, x_
+
+
+def _truncate(p, n_max):
+    """p without its terms of t-degree above n_max."""
+    return Poly(p.n, {m: c for m, c in p.terms.items() if m[0] <= n_max})
+
+
+def _linear_form(n, i, g):
+    """t * sum_j a[i,j] g_j."""
+    return t_(n) * sum((a_(n, i, j) * g[j - 1] for j in range(1, n + 1)), Poly.zero(n))
+
+
+def _pow_trunc(p, e, n_max):
+    result = Poly.one(p.n)
+    for _ in range(e):
+        result = mul_trunc(result, p, n_max)
+    return result
+
+
+def _fixed_point_series(spec, n_max):
+    """Reference: iterate g_i = x_i + (t L_i)^d from g_i = x_i until it stops.
+
+    Each round fixes at least d more t-degrees, so N/d + 1 rounds reach the
+    fixed point; one more round must leave it unchanged.
+    """
+    d, n = spec.d, spec.n
+    g = [x_(n, i) for i in range(1, n + 1)]
+    for _ in range(n_max // d + 2):
+        new_g = [x_(n, i) + _pow_trunc(_linear_form(n, i, g), d, n_max)
+                 for i in range(1, n + 1)]
+        if new_g == g:
+            return g
+        g = new_g
+    raise AssertionError("fixed-point iteration did not settle")
 
 
 def _symbolic_matrix_power(n, k):
@@ -113,12 +151,42 @@ def test_degree_law():
         assert degree_law_holds(spec, inverse_series(spec, n_max))
 
 
-def test_iteration_schedule_independence():
-    for d, n, n_max in [(1, 2, 5), (2, 2, 6), (3, 2, 6)]:
-        spec = DLinearSpec(d, n)
-        base = inverse_series(spec, n_max)
-        again = inverse_series(spec, n_max, extra_rounds=3)
-        assert base.components == again.components
+@st.composite
+def _series_sizes(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    return d, n, draw(st.integers(0, 3 * d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_series_sizes())
+def test_layered_series_matches_fixed_point_oracle(size):
+    d, n, n_max = size
+    spec = DLinearSpec(d, n)
+    layered = inverse_series(spec, n_max).components
+    assert layered == _fixed_point_series(spec, n_max)
+    # The layered result solves the fixed-point equation exactly below the cut.
+    for i in range(1, n + 1):
+        rhs = x_(n, i) + _pow_trunc(_linear_form(n, i, layered), d, n_max)
+        assert layered[i - 1] == rhs
+
+
+@pytest.mark.parametrize("d,n,n_max", [(1, 2, 4), (2, 2, 6), (3, 2, 6), (2, 3, 4)])
+def test_verify_inverse_catches_one_perturbed_layer(monkeypatch, d, n, n_max):
+    """Changing a single t-layer of one component fails both compositions."""
+    spec = DLinearSpec(d, n)
+    good = inverse_series(spec, n_max)
+    for m in range(d, n_max + 1, d):
+        for i in range(1, n + 1):
+            terms = dict(good.component(i).terms)
+            mono = next(e for e in sorted(terms) if e[0] == m)
+            terms[mono] += 1
+            bad = list(good.components)
+            bad[i - 1] = Poly(n, terms)
+            monkeypatch.setattr(inverse, "inverse_series",
+                                lambda s, N, bad=bad: TruncatedSeries(s, N, bad))
+            failed = {(kind, comp) for kind, comp, _ in verify_inverse(spec, n_max).failures}
+            assert ("f(g)", i) in failed and ("g(f)", i) in failed, (m, i)
 
 
 def test_truncate_consistency():
@@ -126,4 +194,4 @@ def test_truncate_consistency():
     wide = inverse_series(spec, 8)
     narrow = inverse_series(spec, 4)
     for i in (1, 2):
-        assert truncate_t(wide.component(i), 4) == narrow.component(i)
+        assert _truncate(wide.component(i), 4) == narrow.component(i)

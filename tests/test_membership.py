@@ -1,9 +1,12 @@
 """Membership certificates: construction, soundness, fern and coefficient sweeps."""
 
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacverify import inverse
 from jacverify.fern import FernLabeling, z_fern
@@ -11,6 +14,9 @@ from jacverify.generators import DLinearSpec, JKey
 from jacverify.identities import generator_set
 from jacverify.inverse import inverse_series
 from jacverify.membership import (
+    _packed_key,
+    _reduce,
+    _tuple_key,
     a_monomials_of_degree,
     build_basis,
     certificate_residual,
@@ -18,7 +24,7 @@ from jacverify.membership import (
     verify_fern_lemmas,
     verify_main_theorem,
 )
-from jacverify.poly import DomainError, Poly, a_, x_
+from jacverify.poly import DomainError, Poly, a_, monomial_key, x_
 
 
 def test_build_basis_row_counts():
@@ -176,3 +182,97 @@ def test_computed_coefficients_are_int_or_proper_fraction():
     polys += [cert.target, cert.residual] + [poly for _, poly in cert.combination]
     assert any(type(c) is Fraction for p in polys for c in p.terms.values())
     assert all(_stored_coefficients_are_exact(p) for p in polys)
+
+
+# -- heap-ordered reduction against the rescanning reference ---------------
+
+
+def _reduce_rescan(vec, pivots):
+    """Reference reduction: rescan the whole vector for each lead term."""
+    acc = {}
+    residual = {}
+    while vec:
+        lead = max(vec, key=monomial_key)
+        coeff = vec.pop(lead)
+        hit = pivots.get(lead)
+        if hit is None:
+            residual[lead] = coeff
+            continue
+        rowvec, rowcombo = hit
+        for m, c in rowvec.items():
+            if m == lead:
+                continue
+            s = vec.get(m, 0) - coeff * c
+            if s:
+                vec[m] = s
+            elif m in vec:
+                del vec[m]
+        for i, c in rowcombo.items():
+            s = acc.get(i, 0) + coeff * c
+            if s:
+                acc[i] = s
+            elif i in acc:
+                del acc[i]
+    return residual, acc
+
+
+@lru_cache(maxsize=None)
+def _basis(d, n, degree):
+    return build_basis(DLinearSpec(d, n), degree)
+
+
+@st.composite
+def _reduction_cases(draw):
+    n = draw(st.sampled_from([2, 3]))
+    degree = draw(st.integers(2, 5 if n == 2 else 4))
+    basis = _basis(2, n, degree)
+    monos = a_monomials_of_degree(n, degree)
+    coeff = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=4))
+    vec = {}
+    for mono, c in draw(st.lists(st.tuples(st.sampled_from(monos), coeff), max_size=8)):
+        vec[mono] = vec.get(mono, 0) + c
+    # Add whole basis rows, so that the reduction cancels and members occur.
+    for idx, c in draw(st.lists(st.tuples(st.integers(0, max(len(basis.rows) - 1, 0)),
+                                          coeff), max_size=4 if basis.rows else 0)):
+        for mono, rc in basis.rows[idx].product.terms.items():
+            vec[mono] = vec.get(mono, 0) + c * rc
+    return basis, Poly(n, vec).terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reduction_cases())
+def test_heap_reduce_matches_rescan_reference(case):
+    basis, terms = case
+    got = _reduce(dict(terms), basis._pivots)
+    want = _reduce_rescan(dict(terms), basis._pivots)
+    for g, w in zip(got, want):
+        assert list(g.items()) == list(w.items())
+
+
+def test_reduce_beyond_packed_exponents_matches_rescan():
+    """A slice of degree 256 and above takes the tuple key, in the same order."""
+    spec = DLinearSpec(1, 1)
+    basis = build_basis(spec, 300)
+    target = {(0, 0, 300): 3}
+    got = _reduce(dict(target), basis._pivots)
+    assert got == _reduce_rescan(dict(target), basis._pivots)
+    assert membership(spec, Poly(1, target)).member
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 255), min_size=7, max_size=7),
+                min_size=1, max_size=12))
+def test_heap_keys_order_as_monomial_key(exps):
+    monos = [tuple(e) for e in exps]
+    want = sorted(monos, key=monomial_key, reverse=True)
+    assert sorted(monos, key=_packed_key) == want
+    assert sorted(monos, key=_tuple_key) == want
+
+
+@pytest.mark.parametrize("n,degree", [(2, 6), (3, 5)])
+def test_basis_pivot_is_the_largest_monomial_of_its_row(n, degree):
+    basis = _basis(2, n, degree)
+    assert basis._pivots
+    for lead, (vec, _) in basis._pivots.items():
+        assert lead == max(vec, key=monomial_key)
+        assert vec[lead] == 1
