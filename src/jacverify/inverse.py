@@ -86,28 +86,24 @@ def inverse_series(spec: DLinearSpec, n_max: int) -> TruncatedSeries:
     if n_max < 0:
         raise DomainError("truncation degree must be nonnegative")
     d, n = spec.d, spec.n
-    g = [{0: dict(x_(n, i).terms)} for i in range(1, n + 1)]
-    # t * a[i,j] as an exponent vector, added to each term of g_j.
-    shift = [[next(iter((t_(n) * a_(n, i, j)).terms)) for j in range(1, n + 1)]
-             for i in range(1, n + 1)]
+    g = [{0: x_(n, i).terms} for i in range(1, n + 1)]
+    t_a = [[(t_(n) * a_(n, i, j)).terms for j in range(1, n + 1)]
+           for i in range(1, n + 1)]
     powers = [[{} for _ in range(d)] for _ in range(n)]  # powers[i][k-1][m]
     for m in range(1, n_max + 1):
         for i in range(n):
-            layer: dict = {}
-            get = layer.get
-            for j in range(n):
-                for e, c in g[j].get(m - 1, {}).items():
-                    e = tuple(map(add, e, shift[i][j]))
-                    layer[e] = get(e, 0) + c
-            _store(powers[i][0], m, layer)
             first = powers[i][0]
+            layer: dict = {}
+            for j in range(n):
+                if m - 1 in g[j]:
+                    _mul_into(layer, t_a[i][j], g[j][m - 1])
+            _store(first, m, layer)
             for k in range(1, d):
                 layer = {}
                 lower = powers[i][k - 1]
                 for s, p_s in first.items():
-                    q = lower.get(m - s)
-                    if q is not None:
-                        _mul_into(layer, p_s, q)
+                    if m - s in lower:
+                        _mul_into(layer, p_s, lower[m - s])
                 _store(powers[i][k], m, layer)
             # g_i[m] is read from layer m + 1 on, so it may be set now.
             if m in powers[i][d - 1]:
@@ -115,8 +111,8 @@ def inverse_series(spec: DLinearSpec, n_max: int) -> TruncatedSeries:
     components = []
     for layers in g:
         terms: dict = {}
-        for m in sorted(layers):
-            terms.update(layers[m])
+        for layer in layers.values():
+            terms.update(layer)
         components.append(Poly._of(n, terms))
     return TruncatedSeries(spec, n_max, components)
 
