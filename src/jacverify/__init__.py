@@ -39,6 +39,7 @@ from .identities import (
 from .inverse import (
     TruncatedSeries,
     coefficient_c,
+    degree_law_holds,
     inverse_series,
     tree_oracle_coefficient,
     verify_inverse,

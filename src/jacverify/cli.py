@@ -40,7 +40,7 @@ from .identities import (
     relation_report,
 )
 from .inverse import coefficient_c, inverse_series
-from .involution import state_weight, verify_involution
+from .involution import verify_involution
 from .membership import membership, verify_main_theorem
 from .poly import DomainError, Poly, StructuralError, format_poly, parse_poly
 
@@ -271,7 +271,7 @@ def _run_involution(cfg: RunConfig) -> tuple:
         lines.append(f"  FAILURE {f['kind']}: {f}")
     pairs_json = []
     for s, img in rep.pairs:
-        w = state_weight(s)
+        w = rep.weights[s]
         (mono, coeff), = w.terms.items()
         pairs_json.append({
             "state": _state_json(s),

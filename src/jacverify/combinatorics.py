@@ -38,19 +38,18 @@ def enumerate_compositions(m: int, n: int) -> list:
 
 def composition_sub(alpha: Composition, alpha1: Composition) -> Composition:
     """Pointwise difference; parts may not go negative."""
-    if len(alpha) != len(alpha1):
-        raise DomainError("length mismatch")
-    diff = tuple(a - b for a, b in zip(alpha, alpha1))
-    if any(p < 0 for p in diff):
+    diff = composition_sub_or_none(alpha, alpha1)
+    if diff is None:
         raise DomainError(f"{alpha1} is not dominated by {alpha}")
     return diff
 
 
 def composition_sub_or_none(alpha: Composition, alpha1: Composition):
-    try:
-        return composition_sub(alpha, alpha1)
-    except DomainError:
+    """Pointwise difference, or None on a length mismatch or a negative part."""
+    if len(alpha) != len(alpha1):
         return None
+    diff = tuple(a - b for a, b in zip(alpha, alpha1))
+    return None if any(p < 0 for p in diff) else diff
 
 
 def labeling_content(nu: LevelLabeling, n: int) -> Composition:
@@ -139,25 +138,6 @@ def cycle_count(S, sigma):
     return cycles
 
 
-def permutation_cycles(S: tuple, sigma: tuple) -> list:
-    """Cycles as tuples, each starting at its smallest element, sorted."""
-    mapping = dict(zip(S, sigma))
-    seen = set()
-    cycles = []
-    for start in sorted(S):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        cur = mapping[start]
-        while cur != start:
-            cyc.append(cur)
-            seen.add(cur)
-            cur = mapping[cur]
-        cycles.append(tuple(cyc))
-    return cycles
-
-
 def enumerate_subset_permutations(n: int, k: int) -> list:
     """Every (S, sigma) with S a k-subset of [1,n]; binom(n,k) * k! pairs."""
     if not 0 <= k <= n:
@@ -190,13 +170,3 @@ def last_rep_indices(lam) -> LastRep | None:
                 return LastRep(l1, l2)
     return None
 
-
-def last_rep_is_valid(lam, rep: LastRep) -> bool:
-    """Check the three defining conditions of a last-rep pair directly."""
-    l1, l2 = rep.l1, rep.l2
-    if not (0 <= l1 < l2 < len(lam)):
-        return False
-    if lam[l1] != lam[l2]:
-        return False
-    tail = lam[l1 + 1:]
-    return len(set(tail)) == len(tail)

@@ -23,7 +23,9 @@ z over every m-level labeling of a given content from those matrices:
     S(m, rem) = sum_{c <= rem} multinom(c) * M(c) * S(m-1, rem-c)
 
 with c running over compositions of d-1 into n parts (rem has weight
-m(d-1), so it is 0 whenever m is).  M and S are cached per process.
+m(d-1), so it is 0 whenever m is).  Each entry of S is one
+``poly.sum_of_products`` over every (c, t) pair, with the multinomial
+folded into M's monomials.  M and S are cached per process.
 ``_path_sum`` enumerates interior paths of one labeling directly; it is
 the independent oracle the level sums are tested against.
 """
@@ -39,7 +41,7 @@ from .combinatorics import (
     enumerate_compositions,
     labeling_content,
 )
-from .poly import DomainError, Poly, a_monomial
+from .poly import DomainError, Poly, a_monomial, poly_sum, sum_of_products
 
 _ROW_MATRIX_CACHE: dict = {}
 _LEVEL_SUM_CACHE: dict = {}
@@ -79,16 +81,16 @@ def _path_sum(d: int, n: int, u0: int, uk: int, nu) -> Poly:
     k = len(nu)
     if k == 0:
         return Poly.one(n) if u0 == uk else Poly.zero(n)
-    total: dict = {}
-    for interior in itertools.product(range(1, n + 1), repeat=k - 1):
+
+    def weight(interior):
         lam = (u0,) + interior + (uk,)
         entries = []
         for i in range(1, k + 1):
             entries.append((lam[i - 1], lam[i]))
             entries.extend((lam[i - 1], lab) for lab in nu[i - 1])
-        for mono, coeff in a_monomial(n, entries).terms.items():
-            total[mono] = total.get(mono, 0) + coeff
-    return Poly(n, total)
+        return a_monomial(n, entries)
+
+    return poly_sum(n, map(weight, itertools.product(range(1, n + 1), repeat=k - 1)))
 
 
 def level_sum(d: int, n: int, m: int, rem: tuple, u0: int, uk: int,
@@ -116,7 +118,7 @@ def level_sum(d: int, n: int, m: int, rem: tuple, u0: int, uk: int,
         return Poly.zero(n)
     row = _row_matrix(n, c)[u0 - 1]
     tail = _level_sums(d, n, m - 1, rest)
-    return _dot(n, row, [tail[t][uk - 1] for t in range(n)])
+    return sum_of_products(n, zip(row, (tail_t[uk - 1] for tail_t in tail)))
 
 
 def _row_matrix(n: int, c: tuple) -> tuple:
@@ -140,29 +142,19 @@ def _level_sums(d: int, n: int, m: int, rem: tuple) -> tuple:
         S = tuple(tuple(Poly.one(n) if r == s else Poly.zero(n) for s in range(n))
                   for r in range(n))
     else:
-        acc = [[Poly.zero(n)] * n for _ in range(n)]
+        parts = []  # (multinom(c) * M(c), S(m-1, rem-c)) per admissible c
         for c in enumerate_compositions(d - 1, n):
             rest = composition_sub_or_none(rem, c)
-            if rest is None:
-                continue
-            weight = count_level_labelings(c, 1, d)
-            M = _row_matrix(n, c)
-            tail = _level_sums(d, n, m - 1, rest)
-            for r in range(n):
-                for s in range(n):
-                    acc[r][s] = acc[r][s] + weight * _dot(
-                        n, M[r], [tail[t][s] for t in range(n)])
-        S = tuple(tuple(row) for row in acc)
+            if rest is not None:
+                weight = count_level_labelings(c, 1, d)
+                scaled = [[weight * x for x in row] for row in _row_matrix(n, c)]
+                parts.append((scaled, _level_sums(d, n, m - 1, rest)))
+        S = tuple(tuple(sum_of_products(n, ((M[r][t], tail[t][s])
+                                            for M, tail in parts for t in range(n)))
+                        for s in range(n))
+                  for r in range(n))
     _LEVEL_SUM_CACHE[key] = S
     return S
-
-
-def _dot(n: int, xs, ys) -> Poly:
-    total = Poly.zero(n)
-    for x, y in zip(xs, ys):
-        if y:
-            total = total + x * y
-    return total
 
 
 def z_fern_is_homogeneous(fl: FernLabeling) -> bool:

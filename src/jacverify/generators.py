@@ -26,8 +26,8 @@ from .combinatorics import (
     enumerate_subset_permutations,
 )
 from .poly import (
-    DomainError, Poly, PolyMatrix, VerificationError, a_, a_monomial, poly_determinant, split_xt,
-    t_, x_,
+    DomainError, Poly, PolyMatrix, VerificationError, a_, a_monomial, poly_determinant, poly_sum,
+    split_xt, sum_of_products, t_, x_,
 )
 
 
@@ -72,10 +72,7 @@ class GeneratorSet:
 def linear_form(spec: DLinearSpec, i: int) -> Poly:
     """sum_j a[i,j] x_j for row i."""
     n = spec.n
-    out = Poly.zero(n)
-    for j in range(1, n + 1):
-        out = out + a_(n, i, j) * x_(n, j)
-    return out
+    return sum_of_products(n, ((a_(n, i, j), x_(n, j)) for j in range(1, n + 1)))
 
 
 def map_components(spec: DLinearSpec) -> list:
@@ -158,12 +155,10 @@ def generator_direct(spec: DLinearSpec, key: JKey) -> Poly:
     d, n = spec.d, spec.n
     if sum(key.alpha) != key.k * (d - 1):
         raise DomainError("alpha weight must equal k(d-1)")
-    total = Poly.zero(n)
     labelings = enumerate_level_labelings(key.alpha, key.k, d)
-    for ssig in enumerate_subset_permutations(n, key.k):
-        for nu in labelings:
-            total = total + weight_w(spec, ssig, nu)
-    return total
+    return poly_sum(n, (weight_w(spec, ssig, nu)
+                        for ssig in enumerate_subset_permutations(n, key.k)
+                        for nu in labelings))
 
 
 @dataclass

@@ -36,7 +36,9 @@ from random import Random
 from .combinatorics import composition_sub_or_none, enumerate_compositions
 from .fern import _path_sum, level_sum
 from .generators import DLinearSpec, JKey, extract_generators
-from .poly import DomainError, Poly, VarId, a_monomial, determinant, substitute_numeric
+from .poly import (
+    DomainError, Poly, VarId, a_monomial, determinant, substitute_numeric, sum_of_products,
+)
 
 _GENERATOR_CACHE: dict = {}
 
@@ -97,18 +99,17 @@ def identity2_lhs(inst: IdentityInstance) -> Poly:
 def _assemble(inst, k_max, beta) -> Poly:
     d, n = inst.d, inst.n
     gens = generator_set(DLinearSpec(d, n))
-    total = Poly.zero(n)
+    pairs = []
     for k in range(k_max + 1):
         for alpha1 in enumerate_compositions(k * (d - 1), n):
             rem = composition_sub_or_none(inst.alpha, alpha1)
             if rem is None:
                 continue
             gen = gens[JKey(k, alpha1)]
-            if gen.is_zero():
-                continue
-            z = level_sum(d, n, n - k, rem, inst.u0, inst.un, first_row=beta)
-            total = total + z * gen
-    return total
+            if gen:
+                z = level_sum(d, n, n - k, rem, inst.u0, inst.un, first_row=beta)
+                pairs.append((z, gen))
+    return sum_of_products(n, pairs)
 
 
 def identity1_instances(d: int, n: int):
@@ -255,11 +256,8 @@ class CHNumericReport:
 
 
 def _principal_minor_sum(A, k: int) -> Fraction:
-    n = len(A)
-    total = Fraction(0)
-    for rows in itertools.combinations(range(n), k):
-        total += determinant([[A[i][j] for j in rows] for i in rows], Fraction(1))
-    return total
+    return sum((determinant([[A[i][j] for j in rows] for i in rows], Fraction(1))
+                for rows in itertools.combinations(range(len(A)), k)), Fraction(0))
 
 
 def _mat_mul(A, B):

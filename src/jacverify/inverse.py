@@ -10,44 +10,40 @@ L_i = sum_j a[i,j] g_j, layer m of g_i is layer m of (t L_i)^d, and layer
 m of every power (t L_i)^k is built from strictly lower layers only, so
 each layer is exact as soon as it exists and no truncated iterate is ever
 recomputed (the tree recursion of Bass, Connell & Wright, run as dynamic
-programming).  ``tree_oracle_coefficient`` recomputes any single
+programming).  Each layer is a ``Poly`` and one ``poly.sum_of_products``;
+``mul_trunc`` is the same kernel over the pairs of t-layers whose degrees
+sum to at most the cutoff.  ``tree_oracle_coefficient`` recomputes any single
 coefficient by brute enumeration of labeled plane trees in which every
 vertex has d children or none, one tree at a time, with one
 a[parent, child] factor per edge; ``verify_inverse`` substitutes the
 finished series back into the map and the map into the series.  These
 checks must agree, and every nonzero coefficient of t^N x^alpha obeys
-N = 0 mod d and sum(alpha) = 1 + (d-1) N / d.
+N = 0 mod d and sum(alpha) = 1 + (d-1) N / d, which ``degree_law_holds``
+checks.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import add
 
 from .combinatorics import enumerate_compositions
 from .generators import DLinearSpec, map_components
 from .poly import (
-    DomainError, Poly, _canonical_terms, a_, a_monomial, monomial_key, split_xt, t_, x_,
+    DomainError, Poly, a_, a_monomial, monomial_key, poly_sum, split_xt, sum_of_products,
+    t_, t_layers, x_,
 )
 
 
 def mul_trunc(p: Poly, q: Poly, n_max: int) -> Poly:
-    """Product with every term above the t-degree cutoff discarded early."""
+    """Product with every term above the t-degree cutoff discarded early.
+
+    Only pairs of t-layers whose degrees sum to at most n_max are multiplied.
+    """
     p._check(q)
-    out: dict = {}
-    get = out.get
-    q_terms = list(q.terms.items())
-    for m1, c1 in p.terms.items():
-        room = n_max - m1[0]
-        if room < 0:
-            continue
-        for m2, c2 in q_terms:
-            if m2[0] > room:
-                continue
-            m = tuple(map(add, m1, m2))
-            out[m] = get(m, 0) + c1 * c2
-    return Poly._of(p.n, _canonical_terms(out))
+    q_layers = t_layers(q)
+    return sum_of_products(p.n, ((x, y) for a, x in t_layers(p).items()
+                                 for b, y in q_layers.items() if a + b <= n_max))
 
 
 @dataclass
@@ -80,58 +76,28 @@ def inverse_series(spec: DLinearSpec, n_max: int) -> TruncatedSeries:
         P_i^1[m] = t * sum_j a[i,j] * g_j[m-1],
         P_i^k[m] = sum_s P_i^1[s] * P_i^(k-1)[m-s]          (k >= 2).
 
-    P_i^k[m] vanishes for m < k, so the last sum reads P_i^1 and P_i^(k-1)
-    below layer m only.  Layers are term dicts, and empty ones are absent.
+    P_i^k[0] = 0 for k >= 1, so the last sum reads P_i^1 and P_i^(k-1)
+    below layer m only.  Layers are ``Poly`` values in lists indexed by m,
+    and each is one ``sum_of_products``.
     """
     if n_max < 0:
         raise DomainError("truncation degree must be nonnegative")
     d, n = spec.d, spec.n
-    g = [{0: x_(n, i).terms} for i in range(1, n + 1)]
-    t_a = [[(t_(n) * a_(n, i, j)).terms for j in range(1, n + 1)]
-           for i in range(1, n + 1)]
-    powers = [[{} for _ in range(d)] for _ in range(n)]  # powers[i][k-1][m]
+    g = [[x_(n, i)] for i in range(1, n + 1)]
+    t_a = [[t_(n) * a_(n, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    zero = Poly.zero(n)
+    powers = [[[zero] for _ in range(d)] for _ in range(n)]  # powers[i][k-1][m]
     for m in range(1, n_max + 1):
         for i in range(n):
             first = powers[i][0]
-            layer: dict = {}
-            for j in range(n):
-                if m - 1 in g[j]:
-                    _mul_into(layer, t_a[i][j], g[j][m - 1])
-            _store(first, m, layer)
+            first.append(sum_of_products(n, zip(t_a[i], (g_j[m - 1] for g_j in g))))
             for k in range(1, d):
-                layer = {}
                 lower = powers[i][k - 1]
-                for s, p_s in first.items():
-                    if m - s in lower:
-                        _mul_into(layer, p_s, lower[m - s])
-                _store(powers[i][k], m, layer)
+                powers[i][k].append(
+                    sum_of_products(n, ((first[s], lower[m - s]) for s in range(1, m))))
             # g_i[m] is read from layer m + 1 on, so it may be set now.
-            if m in powers[i][d - 1]:
-                g[i][m] = powers[i][d - 1][m]
-    components = []
-    for layers in g:
-        terms: dict = {}
-        for layer in layers.values():
-            terms.update(layer)
-        components.append(Poly._of(n, terms))
-    return TruncatedSeries(spec, n_max, components)
-
-
-def _mul_into(out: dict, p: dict, q: dict) -> None:
-    """Accumulate the product of two term dicts into out."""
-    get = out.get
-    q_terms = list(q.items())
-    for m1, c1 in p.items():
-        for m2, c2 in q_terms:
-            m = tuple(map(add, m1, m2))
-            out[m] = get(m, 0) + c1 * c2
-
-
-def _store(layers: dict, m: int, terms: dict) -> None:
-    """Keep layer m of a power in canonical form, if it is not zero."""
-    terms = _canonical_terms(terms)
-    if terms:
-        layers[m] = terms
+            g[i].append(powers[i][d - 1][m])
+    return TruncatedSeries(spec, n_max, [poly_sum(n, layers) for layers in g])
 
 
 @dataclass
@@ -155,10 +121,8 @@ def verify_inverse(spec: DLinearSpec, n_max: int) -> InverseReport:
     # the layer recursion that built them.
     t = t_(n)
     for i in range(1, n + 1):
-        form = Poly.zero(n)
-        for j in range(1, n + 1):
-            form = form + a_(n, i, j) * series.components[j - 1]
-        form = t * form
+        form = sum_of_products(n, ((t * a_(n, i, j), series.components[j - 1])
+                                   for j in range(1, n + 1)))
         power = Poly.one(n)
         for _ in range(d):
             power = mul_trunc(power, form, n_max)
@@ -194,7 +158,7 @@ def _substitute_x(p: Poly, replacements: list, n_max: int) -> Poly:
         for _ in range(max_e[j]):
             pj.append(mul_trunc(pj[-1], replacements[j], n_max))
         powers.append(pj)
-    total = Poly.zero(n)
+    terms = []
     for m, c in p.terms.items():
         if m[0] > n_max:
             continue
@@ -202,8 +166,8 @@ def _substitute_x(p: Poly, replacements: list, n_max: int) -> Poly:
         for j in range(n):
             if m[1 + j]:
                 term = mul_trunc(term, powers[j][m[1 + j]], n_max)
-        total = total + term
-    return total
+        terms.append(term)
+    return poly_sum(n, terms)
 
 
 def coefficient_c(spec: DLinearSpec, i: int, alpha: tuple, N: int,
@@ -272,11 +236,8 @@ def tree_oracle_coefficient(spec: DLinearSpec, i: int, alpha: tuple, N: int) -> 
         return Poly.one(n) if tuple(alpha) == _unit(n, i) else Poly.zero(n)
     if N % d != 0:
         return Poly.zero(n)
-    total = Poly.zero(n)
-    for tree in enumerate_trees(d, n, i, N):
-        if _leaf_content(tree, n) == tuple(alpha):
-            total = total + _tree_weight(tree, n)
-    return total
+    return poly_sum(n, (_tree_weight(tree, n) for tree in enumerate_trees(d, n, i, N)
+                        if _leaf_content(tree, n) == tuple(alpha)))
 
 
 def _unit(n: int, i: int) -> tuple:

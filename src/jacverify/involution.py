@@ -11,8 +11,9 @@ factor.  The signed weight of a state multiplies (-1)^cycles(sigma) into
 one a-variable factor per fern edge, per extra leaf, per sigma image and
 per rho entry; ``state_weight`` writes that product straight into one
 exponent vector with ``poly.a_monomial``.  ``verify_involution`` builds
-each weight once, sums them in a single term dict and compares every pair
-by the stored weights.
+each weight once, keeps it on the report (``InvolutionReport.weights``),
+sums the weights with ``poly.poly_sum`` and compares every pair by the
+stored weights.
 
 States split into two sides.  With h the greatest path index whose label
 lies in S and (l1, l2) the last-rep indices of lam:
@@ -44,7 +45,7 @@ from .combinatorics import (
     enumerate_subset_permutations,
     last_rep_indices,
 )
-from .poly import DomainError, Poly, VerificationError, a_monomial
+from .poly import DomainError, Poly, VerificationError, a_monomial, poly_sum
 
 DOMAIN_SIDE = "domain"
 IMAGE_SIDE = "image"
@@ -224,13 +225,6 @@ def tau_inverse(s: TupleState, variant: int) -> TupleState:
     return TupleState(s.d, s.n, new_lam, new_nu, new_S, new_sigma, new_rho)
 
 
-def apply_involution(s: TupleState, variant: int) -> TupleState:
-    """tau on the domain side, tau_inverse on the image side."""
-    if classify(s).side == DOMAIN_SIDE:
-        return tau(s, variant)
-    return tau_inverse(s, variant)
-
-
 @dataclass
 class InvolutionReport:
     d: int
@@ -246,6 +240,7 @@ class InvolutionReport:
     pairs: list = field(default_factory=list)
     failures: list = field(default_factory=list)
     signed_sum: Poly | None = None
+    weights: dict = field(default_factory=dict)  # state -> its signed weight
 
     @property
     def ok(self) -> bool:
@@ -276,14 +271,11 @@ def verify_involution(d, n, alpha, u0, un, variant, restricted_beta=None) -> Inv
         ]
     report.states = len(states)
 
-    signed: dict = {}
-    weights = {}
+    weights = report.weights
     domain_states = []
     image_states = set()
     for s in states:
-        weights[s] = w = state_weight(s)
-        for mono, coeff in w.terms.items():
-            signed[mono] = signed.get(mono, 0) + coeff
+        weights[s] = state_weight(s)
         try:
             side = classify(s).side
         except VerificationError as exc:
@@ -295,7 +287,7 @@ def verify_involution(d, n, alpha, u0, un, variant, restricted_beta=None) -> Inv
             image_states.add(s)
     report.domain_count = len(domain_states)
     report.image_count = len(image_states)
-    report.signed_sum = Poly(n, signed)
+    report.signed_sum = poly_sum(n, (weights[s] for s in states))
 
     seen_images = set()
     for s in domain_states:

@@ -28,7 +28,7 @@ from .fern import FernLabeling, z_fern
 from .generators import DLinearSpec, JKey
 from .identities import generator_set
 from .inverse import coefficient_c, inverse_series
-from .poly import DomainError, Poly, exact_quotient, monomial_key
+from .poly import DomainError, Poly, exact_quotient, sum_of_products
 
 
 @dataclass
@@ -46,17 +46,6 @@ class HomogeneousBasis:
     degree: int
     rows: list = field(default_factory=list)
     _pivots: dict = field(default_factory=dict)  # monomial -> (rowvec, combo)
-
-    def reduced_matrix(self) -> list:
-        """The row-reduced rows as printable data, sorted by pivot."""
-        out = []
-        for pivot in sorted(self._pivots, key=monomial_key, reverse=True):
-            rowvec, _ = self._pivots[pivot]
-            out.append({
-                "pivot": str(Poly(self.spec.n, {pivot: 1})),
-                "row": str(Poly(self.spec.n, rowvec)),
-            })
-        return out
 
 
 def a_monomials_of_degree(n: int, degree: int) -> list:
@@ -195,23 +184,21 @@ def membership(spec: DLinearSpec, p: Poly,
 
     residual, combo = _reduce(dict(p.terms), basis._pivots)
 
+    # Each (generator, multiplier) pair is one basis row, so a generator's
+    # coefficient polynomial has one term per row and nothing to add.
     by_key: dict = {}
     for idx, c in combo.items():
         row = basis.rows[idx]
-        add = Poly(n, {row.multiplier: c})
-        by_key[row.key] = by_key.get(row.key, Poly.zero(n)) + add
-    combination = [(key, poly) for key, poly in sorted(by_key.items())
-                   if not poly.is_zero()]
+        by_key.setdefault(row.key, {})[row.multiplier] = c
+    combination = [(key, Poly(n, terms)) for key, terms in sorted(by_key.items())]
     return MembershipCertificate(p, combination, Poly(n, residual))
 
 
 def certificate_residual(spec: DLinearSpec, cert: MembershipCertificate) -> Poly:
     """Re-multiply a certificate: target - sum(coeff * generator) - residual."""
     gens = generator_set(spec)
-    total = Poly.zero(spec.n)
-    for key, coeff in cert.combination:
-        total = total + coeff * gens[key]
-    return cert.target - total - cert.residual
+    combined = sum_of_products(spec.n, ((coeff, gens[key]) for key, coeff in cert.combination))
+    return cert.target - combined - cert.residual
 
 
 # -- fern lemma sweep ------------------------------------------------------

@@ -19,6 +19,15 @@ significant variable and a[n,n] the most significant.  Text output lists
 terms in ascending canonical order, which makes every printed polynomial
 byte-reproducible; ``parse_poly`` reads the same grammar back.
 
+Every sum of products goes through one kernel: ``sum_of_products`` (the
+sum of x * y over pairs) and ``poly_sum`` (the sum of polynomials)
+accumulate all terms into one dict and make it canonical once, dropping
+zeros and storing integral Fractions as int (the accumulate-then-normalize
+kernel of Monagan & Pearce), so no partial sum or intermediate product is
+built; ``Poly * Poly`` is its one-pair case.  Only this module touches the
+canonical form.  ``t_layers`` splits a polynomial by t-degree, so that
+truncated products pair only the layers below a cutoff.
+
 Signed products of a-variables (fern paths, state and generator weights,
 tree weights) are built by ``a_monomial``, which writes the whole product
 into one exponent vector instead of multiplying one-variable polynomials.
@@ -212,14 +221,7 @@ class Poly:
             c = _exact(other)
             return Poly._of(self.n, _canonical_terms({m: k * c for m, k in self.terms.items()}))
         self._check(other)
-        out: dict = {}
-        get = out.get
-        q_terms = list(other.terms.items())
-        for m1, c1 in self.terms.items():
-            for m2, c2 in q_terms:
-                m = tuple(map(add, m1, m2))
-                out[m] = get(m, 0) + c1 * c2
-        return Poly._of(self.n, _canonical_terms(out))
+        return sum_of_products(self.n, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -277,6 +279,50 @@ class Poly:
         return [(m, self.terms[m]) for m in sorted(self.terms, key=monomial_key)]
 
 
+# -- the product-and-sum kernel -----------------------------------------
+
+
+def _mul_into(out: dict, p: dict, q: dict) -> None:
+    """Accumulate the product of two term dicts into out, not yet canonical."""
+    get = out.get
+    q_terms = list(q.items())
+    for m1, c1 in p.items():
+        for m2, c2 in q_terms:
+            m = tuple(map(add, m1, m2))
+            out[m] = get(m, 0) + c1 * c2
+
+
+def sum_of_products(n: int, pairs) -> Poly:
+    """sum x * y over an iterable of (x, y) pairs of dimension-n polynomials."""
+    out: dict = {}
+    for x, y in pairs:
+        if x.n != n or y.n != n:
+            raise StructuralError(f"mismatched ambient n: {x.n}, {y.n} in a sum over {n}")
+        if x.terms and y.terms:
+            _mul_into(out, x.terms, y.terms)
+    return Poly._of(n, _canonical_terms(out))
+
+
+def poly_sum(n: int, polys) -> Poly:
+    """The sum of an iterable of dimension-n polynomials."""
+    out: dict = {}
+    get = out.get
+    for p in polys:
+        if p.n != n:
+            raise StructuralError(f"mismatched ambient n: {p.n} in a sum over {n}")
+        for m, c in p.terms.items():
+            out[m] = get(m, 0) + c
+    return Poly._of(n, _canonical_terms(out))
+
+
+def t_layers(p: Poly) -> dict:
+    """p split by t-degree: maps each t exponent to the part of p carrying it."""
+    out: dict = {}
+    for m, c in p.terms.items():
+        out.setdefault(m[0], {})[m] = c
+    return {e: Poly._of(p.n, terms) for e, terms in out.items()}
+
+
 def split_xt(p: Poly) -> dict:
     """Group p's terms by their (t, x) exponent head.
 
@@ -315,16 +361,16 @@ def substitute_numeric(p: Poly, assignment: Mapping[VarId, Fraction]) -> Fractio
     values: dict = {}
     for v, val in assignment.items():
         values[var_index(n, v)] = Fraction(val)
-    total = Fraction(0)
-    for m, c in p.terms.items():
-        term = c
+
+    def term(m, c):
         for pos, e in enumerate(m):
             if e:
                 if pos not in values:
                     raise StructuralError(f"no value for {var_of_index(n, pos)}")
-                term *= values[pos] ** e
-        total += term
-    return total
+                c *= values[pos] ** e
+        return c
+
+    return sum((term(m, c) for m, c in p.terms.items()), Fraction(0))
 
 
 @dataclass

@@ -7,7 +7,11 @@ from importlib.resources import files
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import jacverify.cli as cli
+import jacverify.involution as involution
 from jacverify.cli import main
 
 SCHEMAS = files("jacverify") / "schemas"
@@ -311,3 +315,149 @@ def test_negative_numeric_trials_exit_two(capsys):
     captured = capsys.readouterr()
     assert "--numeric-trials" in captured.err
     assert captured.out == ""
+
+
+def test_involution_json_builds_each_state_weight_once(capsys, monkeypatch):
+    """The pair list reads the weights the pairing check stored."""
+    calls = []
+    honest = involution.state_weight
+
+    def counted(s):
+        calls.append(s)
+        return honest(s)
+
+    monkeypatch.setattr(involution, "state_weight", counted)
+    monkeypatch.setattr(cli, "state_weight", counted, raising=False)
+    code, out = _run(capsys, ["involution", "--d", "2", "--n", "3", "--alpha", "1,1,1",
+                              "--u0", "1", "--un", "2", "--variant", "1", "--format", "json"])
+    payload = json.loads(out)["payload"]
+    assert code == 0 and payload["pairs"]
+    assert len(calls) == payload["states"] == len(set(calls))
+
+
+# -- argv fuzzing -------------------------------------------------------------
+#
+# Every subcommand with random flags and values must exit 0, 1 or 2 (argparse's
+# SystemExit(2) counts as 2) and never raise.  Values are mostly well formed so
+# that the library runs, with malformed ones mixed in; sizes are bounded (d and
+# n in -1..3, --Nmax and --N at most 8, polynomial degree at most 4) so that
+# each call stays well under a second.
+
+_SMALL = st.one_of(st.integers(1, 3), st.integers(-1, 3))
+_JUNK = st.sampled_from(["", "abc", "1.5", "-", "1,,2", "0x1", "1e3"])
+
+
+def _joined(xs, sep=","):
+    return sep.join(map(str, xs))
+
+
+@st.composite
+def _argv(draw):
+    sub = draw(st.sampled_from(["gens", "z", "identity1", "identity2", "relation",
+                                "involution", "inverse", "member", "verify-theorem"]))
+    d, n = draw(_SMALL), (2 if sub == "relation" else draw(_SMALL))
+    flags = {}
+
+    # Hypothesis favours the first entry of sampled_from, so it is the
+    # well-formed choice and the malformed one is drawn about once in ten.
+    def rarely():
+        return draw(st.sampled_from([False] * 9 + [True]))
+
+    def want():
+        return not rarely()
+
+    def text(valid):
+        return draw(_JUNK) if rarely() else str(valid)
+
+    def label():
+        return draw(st.one_of(st.integers(1, max(n, 1)), st.integers(-1, 4)))
+
+    def labels(width):
+        return _joined(label() for _ in range(max(width, 0)))
+
+    def composition(weight, parts):
+        if parts < 1 or weight < 0 or draw(st.integers(0, 3)) == 0:
+            return _joined(draw(st.lists(st.integers(-1, 4), max_size=4)))
+        cuts = sorted(draw(st.lists(st.integers(0, weight), min_size=parts - 1,
+                                    max_size=parts - 1)))
+        return _joined(b - a for a, b in zip([0] + cuts, cuts + [weight]))
+
+    def put(flag, value, required=True):
+        if want() if required else draw(st.booleans()):
+            flags[flag] = value
+
+    put("--d", text(d))
+    if sub not in ("relation", "verify-theorem"):
+        put("--n", text(n))
+    if sub in ("identity1", "identity2", "relation") and draw(st.booleans()):
+        flags["--all"] = None
+    elif sub in ("identity1", "identity2", "involution", "z"):
+        put("--u0", text(label()))
+        put("--uk" if sub == "z" else "--un", text(label()))
+        if sub != "z":
+            put("--alpha", composition(n * (d - 1), n))
+    if sub == "z":
+        rows = draw(st.integers(0, 3))
+        put("--nu", ";".join(labels(d - 1) for _ in range(rows)), required=False)
+    if sub in ("identity2", "involution"):
+        put("--beta", labels(d - 1), required=sub == "identity2")
+    if sub == "identity1":
+        put("--numeric-trials", text(draw(st.integers(-1, 3))), required=False)
+    if sub == "relation" and "--all" not in flags:
+        put("--alpha1", composition(d - 1, 2))
+        put("--alpha2", composition(d - 1, 2))
+        put("--u", text(draw(st.one_of(st.integers(1, 2), st.integers(0, 3)))))
+    if sub == "involution":
+        put("--variant", text(draw(st.one_of(st.integers(1, 2), st.integers(0, 3)))))
+        put("--dump", "@dump", required=False)
+    if sub == "inverse":
+        if draw(st.booleans()):
+            put("--Nmax", text(draw(st.integers(-1, 8))))
+        else:
+            parts = [draw(st.integers(0, n + 1))] + [
+                draw(st.integers(-1, 4)) for _ in range(max(n, 0))] + [
+                draw(st.integers(-1, 8))]
+            put("--coeff", text(_joined(parts)))
+    if sub == "member":
+        degree = draw(st.integers(0, 4))
+        terms = draw(st.lists(st.tuples(
+            st.sampled_from(["1", "2", "1/2", "3/4"]), st.sampled_from([" + ", " - "]),
+            st.lists(st.tuples(st.integers(1, max(n, 1)), st.integers(1, max(n, 1))),
+                     min_size=degree, max_size=degree)), min_size=1, max_size=3))
+        poly = "".join(
+            (sep if k else "") + "*".join([c] + [f"a[{i},{j}]" for i, j in mono])
+            for k, (c, sep, mono) in enumerate(terms))
+        put("--poly", text(poly))
+    if sub == "verify-theorem":
+        put("--N", text(_joined(draw(st.lists(
+            st.one_of(st.integers(1, 4).map(lambda k: k * max(d, 1)), st.integers(-1, 8))
+            .filter(lambda v: v <= 8), min_size=1, max_size=3)))))
+    put("--format", "xml" if rarely() else draw(st.sampled_from(["text", "json"])),
+        required=False)
+    put("--out", "@out", required=False)
+    if rarely():
+        flags["--workers"] = draw(st.sampled_from(["-1", "0", "abc"]))
+    else:
+        put("--workers", draw(st.sampled_from(["1", "2"])), required=False)
+    put("--seed", text(draw(st.integers(-5, 5))), required=False)
+
+    argv = [sub]
+    for flag, value in flags.items():
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_fuzzed_argv_exits_cleanly(capsys, tmp_path, argv):
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    assert _exit_code(argv) in (0, 1, 2), argv
+    capsys.readouterr()

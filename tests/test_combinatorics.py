@@ -9,16 +9,48 @@ from jacverify.combinatorics import (
     LastRep,
     SubsetPermutation,
     composition_sub,
+    composition_sub_or_none,
     count_level_labelings,
     enumerate_compositions,
     enumerate_level_labelings,
     enumerate_subset_permutations,
     labeling_content,
     last_rep_indices,
-    last_rep_is_valid,
-    permutation_cycles,
 )
 from jacverify.poly import DomainError
+
+
+# -- oracles: each checks a definition directly, independently of the code --
+
+
+def permutation_cycles(S: tuple, sigma: tuple) -> list:
+    """Cycles as tuples, each starting at its smallest element, sorted."""
+    mapping = dict(zip(S, sigma))
+    seen = set()
+    cycles = []
+    for start in sorted(S):
+        if start in seen:
+            continue
+        cyc = [start]
+        seen.add(start)
+        cur = mapping[start]
+        while cur != start:
+            cyc.append(cur)
+            seen.add(cur)
+            cur = mapping[cur]
+        cycles.append(tuple(cyc))
+    return cycles
+
+
+def last_rep_is_valid(lam, rep: LastRep) -> bool:
+    """Check the three defining conditions of a last-rep pair directly."""
+    l1, l2 = rep.l1, rep.l2
+    if not (0 <= l1 < l2 < len(lam)):
+        return False
+    if lam[l1] != lam[l2]:
+        return False
+    tail = lam[l1 + 1:]
+    return len(set(tail)) == len(tail)
 
 
 def test_compositions_examples():
@@ -42,6 +74,14 @@ def test_composition_sub():
     assert composition_sub((3, 2), (3, 2)) == (0, 0)
     with pytest.raises(DomainError):
         composition_sub((1, 0), (0, 1))
+    with pytest.raises(DomainError):
+        composition_sub((1, 0), (1,))
+    assert composition_sub_or_none((2, 1), (1, 0)) == (1, 1)
+    assert composition_sub_or_none((3, 2), (3, 2)) == (0, 0)
+    assert composition_sub_or_none((1, 0), (0, 1)) is None
+    assert composition_sub_or_none((1, 0), (1,)) is None
+    assert composition_sub_or_none((1,), (1, 0)) is None
+    assert composition_sub_or_none((), ()) == ()
 
 
 def test_level_labelings_examples():
@@ -99,6 +139,10 @@ def test_permutation_cycles():
     p = SubsetPermutation.make((1, 2, 3), (2, 1, 3))
     assert permutation_cycles(p.S, p.sigma) == [(1, 2), (3,)]
     assert p.cycle_count == 2
+    for n in range(1, 5):
+        for k in range(n + 1):
+            for p in enumerate_subset_permutations(n, k):
+                assert p.cycle_count == len(permutation_cycles(p.S, p.sigma))
 
 
 def test_last_rep_examples():

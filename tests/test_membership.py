@@ -139,13 +139,6 @@ def test_main_theorem_rejects_bad_orders():
         verify_main_theorem(2, [0])
 
 
-def test_reduced_matrix_is_exposed():
-    basis = build_basis(DLinearSpec(2, 2), 2)
-    rows = basis.reduced_matrix()
-    assert len(rows) == 2
-    assert all(set(r) == {"pivot", "row"} for r in rows)
-
-
 def test_main_theorem_splits_each_series_component_once(monkeypatch):
     calls = []
     real = inverse.split_xt

@@ -1,7 +1,9 @@
 """Exact polynomial arithmetic: examples, ring axioms, text grammar."""
 
+import ast
 import itertools
 from fractions import Fraction
+from importlib.resources import files
 from random import Random
 
 import pytest
@@ -23,9 +25,12 @@ from jacverify.poly import (
     n_vars,
     parse_poly,
     poly_determinant,
+    poly_sum,
     split_xt,
     substitute_numeric,
+    sum_of_products,
     t_,
+    t_layers,
     x_,
 )
 
@@ -382,14 +387,23 @@ def test_integer_kernel_matches_fraction_reference(case):
     power = {(0,) * n_vars(n): Fraction(1)}
     for _ in range(e):
         power = _ref_mul(power, rp)
+    pq = _ref_mul(rp, rq)
     results = [
         (p + q, _ref_add(rp, rq)),
         (p - q, _ref_add(rp, rq, -1)),
-        (p * q, _ref_mul(rp, rq)),
+        (p * q, pq),
         (p * scalar, _ref_mul(rp, _ref({(0,) * n_vars(n): scalar}))),
         (p ** e, power),
         (mul_trunc(p, q, n_max), _ref_mul(rp, rq, n_max)),
         (p, rp),
+        (sum_of_products(n, []), {}),
+        (sum_of_products(n, [(p, q), (-q, p)]), {}),
+        (sum_of_products(n, [(p, q), (q, p), (p, p)]),
+         _ref_add(_ref_add(pq, pq), _ref_mul(rp, rp))),
+        (poly_sum(n, []), {}),
+        (poly_sum(n, [p, q, -p, -q]), {}),
+        (poly_sum(n, [p, q, p]), _ref_add(_ref_add(rp, rq), rp)),
+        (poly_sum(n, t_layers(p).values()), rp),
     ]
     for got, expected in results:
         assert got.terms == expected
@@ -404,3 +418,38 @@ def test_constructor_rejects_float_coefficients():
 def test_const_rejects_float():
     with pytest.raises(StructuralError, match="neither an int nor a Fraction"):
         Poly.const(2, 0.1)
+
+
+def test_kernel_rejects_mismatched_dimensions():
+    with pytest.raises(StructuralError, match="mismatched ambient n"):
+        sum_of_products(2, [(x_(2, 1), x_(1, 1))])
+    with pytest.raises(StructuralError, match="mismatched ambient n"):
+        poly_sum(1, [x_(1, 1), x_(2, 1)])
+
+
+_KERNEL_PRIVATE = {"_canonical_terms", "_mul_into"}
+
+
+def _kernel_private_uses(tree) -> list:
+    """Every place a module names the kernel's private helpers or Poly._of."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in _KERNEL_PRIVATE:
+            found.append(node.id)
+        elif isinstance(node, ast.alias) and node.name in _KERNEL_PRIVATE:
+            found.append(node.name)
+        elif isinstance(node, ast.Attribute) and (
+                node.attr in _KERNEL_PRIVATE or node.attr == "_of"):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_only_poly_touches_the_canonical_form():
+    """Drop-zeros and int-when-integral stay behind the kernel's public entries."""
+    modules = [m for m in files("jacverify").iterdir() if m.name.endswith(".py")]
+    assert any(m.name == "poly.py" for m in modules)
+    assert _kernel_private_uses(ast.parse(
+        "from .poly import _canonical_terms\nPoly._of(n, t)\npoly._mul_into(o, p, q)"))
+    for module in modules:
+        if module.name != "poly.py":
+            assert _kernel_private_uses(ast.parse(module.read_text())) == [], module.name
