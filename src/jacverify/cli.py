@@ -4,25 +4,25 @@ Subcommands: gens, z, identity1, identity2, relation, involution, inverse,
 member, verify-theorem.  This module only parses arguments and formats
 what the library computes into a ``Report`` (a JSON body and text lines);
 the checking subcommands share one {status, counts, payload} envelope.
-Output is deterministic for a fixed command line (stable orders, canonical
+Each subparser binds its runner, and the runner reads its own flags from
+the argparse namespace and checks them before any work starts.  Output is
+deterministic for a fixed command line (stable orders, canonical
 polynomial text), so repeated runs are byte identical.  Exit codes: 0
 pass/member, 1 verification failure or non-member, 2 usage or input error,
-including a sweep with no instance and a count out of range (``--workers``
-below 1, ``--numeric-trials`` below 0).
+including a sweep with no instance, a count out of range (``--workers``
+below 1, ``--numeric-trials`` below 0) and ``--numeric-trials`` at d != 1.
 
 Sweeps (``--all``) run the library's instance enumerations
 (``identity1_instances``, ``identity2_instances``, ``relation_instances``
 through ``relation_report``); the identity sweeps can shard across
-processes: ``--workers`` or the JACVERIFY_WORKERS environment variable set
-the width, and results are merged in instance order so parallel runs print
-the same bytes.
+``--workers`` processes, and results are merged in instance order so
+parallel runs print the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -43,35 +43,6 @@ from .inverse import coefficient_c, inverse_series
 from .involution import verify_involution
 from .membership import membership, verify_main_theorem
 from .poly import DomainError, Poly, StructuralError, format_poly, parse_poly
-
-
-@dataclass
-class RunConfig:
-    """Validated arguments for one dispatch."""
-
-    subcommand: str
-    d: int = 0
-    n: int = 0
-    alpha: tuple | None = None
-    alpha1: tuple | None = None
-    alpha2: tuple | None = None
-    u0: int | None = None
-    un: int | None = None
-    beta: tuple | None = None
-    nu: tuple | None = None
-    u: int | None = None
-    N_list: tuple | None = None
-    n_max: int | None = None
-    coeff: tuple | None = None
-    poly_text: str | None = None
-    variant: int | None = None
-    sweep_all: bool = False
-    numeric_trials: int = 0
-    seed: int = 0
-    fmt: str = "text"
-    out: str | None = None
-    dump: str | None = None
-    workers: int = 1
 
 
 @dataclass
@@ -138,6 +109,10 @@ def _parse_nu(text: str, d: int, n: int) -> tuple:
     return tuple(_parse_labels(row, d - 1, n, "nu row") for row in rows)
 
 
+def _parse_beta(args) -> tuple | None:
+    return None if args.beta is None else _parse_labels(args.beta, args.d - 1, args.n, "beta")
+
+
 # -- sweep workers (module level so process pools can pickle them) -------
 
 
@@ -159,59 +134,69 @@ def _pmap(fn, tasks, workers: int):
 # -- subcommand implementations ------------------------------------------
 
 
-def _run_gens(cfg: RunConfig) -> tuple:
-    gens = generator_set(DLinearSpec(cfg.d, cfg.n))
+def _run_gens(args) -> tuple:
+    gens = generator_set(DLinearSpec(args.d, args.n))
     entries = []
     lines = []
     for key in gens.keys_sorted():
         text = format_poly(gens[key])
         entries.append({"k": key.k, "alpha": list(key.alpha), "poly": text})
         lines.append(f"k={key.k} alpha=({_tuple_text(key.alpha)}): {text}")
-    return Report({"d": cfg.d, "n": cfg.n, "generators": entries}, lines), 0
+    return Report({"d": args.d, "n": args.n, "generators": entries}, lines), 0
 
 
-def _run_z(cfg: RunConfig) -> tuple:
-    fl = FernLabeling(cfg.d, cfg.n, len(cfg.nu), cfg.u0, cfg.un, cfg.nu)
+def _run_z(args) -> tuple:
+    nu = _parse_nu(args.nu, args.d, args.n)
+    fl = FernLabeling(args.d, args.n, len(nu), args.u0, args.uk, nu)
     text = format_poly(z_fern(fl))
-    body = {"d": cfg.d, "n": cfg.n, "u0": cfg.u0, "uk": cfg.un,
-            "nu": [list(r) for r in cfg.nu], "poly": text}
+    body = {"d": args.d, "n": args.n, "u0": args.u0, "uk": args.uk,
+            "nu": [list(r) for r in nu], "poly": text}
     return Report(body, [text]), 0
 
 
-def _run_identity(which: str, cfg: RunConfig) -> tuple:
-    if cfg.sweep_all:
+def _run_identity(args) -> tuple:
+    which, d, n = args.subcommand, args.d, args.n
+    trials = args.numeric_trials if which == "identity1" else 0
+    if args.workers < 1:
+        raise DomainError(f"--workers must be at least 1, got {args.workers}")
+    if trials < 0:
+        raise DomainError(f"--numeric-trials must be at least 0, got {trials}")
+    if trials > 0 and d != 1:
+        raise DomainError("--numeric-trials applies at d=1 only")
+    beta = _parse_beta(args) if which == "identity2" else None
+    if args.sweep_all:
         sweep = identity1_instances if which == "identity1" else identity2_instances
-        instances = sweep(cfg.d, cfg.n)
+        instances = sweep(d, n)
     else:
-        instances = [IdentityInstance(which, cfg.d, cfg.n, cfg.alpha, cfg.u0, cfg.un,
-                                      cfg.beta)]
-    generator_set(DLinearSpec(cfg.d, cfg.n))  # warm the shared cache once
-    results = _pmap(_identity_worker, instances, cfg.workers)
+        if args.alpha is None or args.u0 is None or args.un is None:
+            raise DomainError("need --alpha, --u0 and --un (or --all)")
+        if which == "identity2" and beta is None:
+            raise DomainError("identity2 needs --beta (or --all)")
+        alpha = _parse_comp(args.alpha, n, "alpha")
+        instances = [IdentityInstance(which, d, n, alpha, args.u0, args.un, beta)]
+    generator_set(DLinearSpec(d, n))  # warm the shared cache once
+    results = _pmap(_identity_worker, instances, args.workers)
     failures = [r for r in results if not r["zero"]]
     lines = []
     for r in results:
         desc = f"alpha=({_tuple_text(r['alpha'])}) u0={r['u0']} un={r['un']}"
         if "beta" in r:
             desc += f" beta=({_tuple_text(r['beta'])})"
-        lines.append(f"{which} d={cfg.d} n={cfg.n} {desc}: "
+        lines.append(f"{which} d={d} n={n} {desc}: "
                      + ("zero" if r["zero"] else f"NONZERO {r['lhs']}"))
-    payload = {"d": cfg.d, "n": cfg.n, "instances": results}
+    payload = {"d": d, "n": n, "instances": results}
     counts = {"checked": len(results), "failures": len(failures)}
 
     code = 0 if not failures else 1
-    if which == "identity1" and cfg.numeric_trials > 0:
-        if cfg.d != 1:
-            raise DomainError("--numeric-trials applies at d=1 only")
-        num = cayley_hamilton_numeric(cfg.n, cfg.numeric_trials, cfg.seed)
+    if trials > 0:
+        num = cayley_hamilton_numeric(n, trials, args.seed)
         payload["numeric"] = {
-            "n": cfg.n, "trials": cfg.numeric_trials, "seed": cfg.seed,
+            "n": n, "trials": trials, "seed": args.seed,
             "ok": num.ok, "failures": len(num.failures),
         }
-        lines.append(
-            f"numeric n={cfg.n} trials={cfg.numeric_trials} seed={cfg.seed}: "
-            + ("pass" if num.ok else "FAIL")
-        )
-        counts["checked"] += cfg.numeric_trials
+        lines.append(f"numeric n={n} trials={trials} seed={args.seed}: "
+                     + ("pass" if num.ok else "FAIL"))
+        counts["checked"] += trials
         if not num.ok:
             counts["failures"] += len(num.failures)
             code = 1
@@ -220,9 +205,15 @@ def _run_identity(which: str, cfg: RunConfig) -> tuple:
     return _verdict(status, counts, payload, lines), code
 
 
-def _run_relation(cfg: RunConfig) -> tuple:
-    d = cfg.d
-    instances = None if cfg.sweep_all else [(cfg.alpha1, cfg.alpha2, cfg.u)]
+def _run_relation(args) -> tuple:
+    d = args.d
+    if args.sweep_all:
+        instances = None
+    elif args.alpha1 is None or args.alpha2 is None or args.u is None:
+        raise DomainError("need --alpha1, --alpha2 and --u (or --all)")
+    else:
+        instances = [(_parse_comp(args.alpha1, 2, "alpha1"),
+                      _parse_comp(args.alpha2, 2, "alpha2"), args.u)]
     rep = relation_report(d, instances)
     entries = []
     lines = []
@@ -257,13 +248,15 @@ def _state_json(s) -> dict:
             "sigma": tuple(zip(s.S, s.sigma)), "rho": s.rho}
 
 
-def _run_involution(cfg: RunConfig) -> tuple:
-    rep = verify_involution(cfg.d, cfg.n, cfg.alpha, cfg.u0, cfg.un,
-                            cfg.variant, cfg.beta)
-    desc = (f"involution d={cfg.d} n={cfg.n} alpha=({_tuple_text(cfg.alpha)}) "
-            f"u0={cfg.u0} un={cfg.un} variant={cfg.variant}")
-    if cfg.beta is not None:
-        desc += f" beta=({_tuple_text(cfg.beta)})"
+def _run_involution(args) -> tuple:
+    d, n, u0, un, variant = args.d, args.n, args.u0, args.un, args.variant
+    alpha = _parse_comp(args.alpha, n, "alpha")
+    beta = _parse_beta(args)
+    rep = verify_involution(d, n, alpha, u0, un, variant, beta)
+    desc = (f"involution d={d} n={n} alpha=({_tuple_text(alpha)}) "
+            f"u0={u0} un={un} variant={variant}")
+    if beta is not None:
+        desc += f" beta=({_tuple_text(beta)})"
     status = "pass" if rep.ok else "fail"
     lines = [f"{desc}: {status} (states={rep.states}, domain={rep.domain_count}, "
              f"image={rep.image_count}, pairs={len(rep.pairs)})"]
@@ -280,47 +273,51 @@ def _run_involution(cfg: RunConfig) -> tuple:
             "sign": 1 if coeff > 0 else -1,
         })
     payload = {
-        "d": cfg.d, "n": cfg.n, "alpha": list(cfg.alpha),
-        "u0": cfg.u0, "un": cfg.un, "variant": cfg.variant,
-        "beta": list(cfg.beta) if cfg.beta is not None else None,
+        "d": d, "n": n, "alpha": list(alpha), "u0": u0, "un": un, "variant": variant,
+        "beta": list(beta) if beta is not None else None,
         "states": rep.states, "pairs": pairs_json,
         "signed_sum": format_poly(rep.signed_sum),
         "failures": [str(f) for f in rep.failures],
     }
-    if cfg.dump:
-        with open(cfg.dump, "w") as fh:
+    if args.dump:
+        with open(args.dump, "w") as fh:
             json.dump(pairs_json, fh, indent=2)
-        lines.append(f"pairs written to {cfg.dump}")
+        lines.append(f"pairs written to {args.dump}")
     counts = {"checked": rep.states, "failures": len(rep.failures)}
     return _verdict(status, counts, payload, lines), 0 if rep.ok else 1
 
 
-def _run_inverse(cfg: RunConfig) -> tuple:
-    spec = DLinearSpec(cfg.d, cfg.n)
-    if cfg.coeff is not None:
-        i, alpha, N = cfg.coeff
-        text = format_poly(coefficient_c(spec, i, alpha, N))
-        body = {"d": cfg.d, "n": cfg.n, "i": i, "alpha": list(alpha), "N": N, "poly": text}
+def _run_inverse(args) -> tuple:
+    d, n = args.d, args.n
+    if args.coeff is not None:
+        parts = _parse_ints(args.coeff, "--coeff")
+        if len(parts) != n + 2:
+            raise DomainError(f"--coeff needs i,alpha({n} parts),N")
+        i, alpha, N = parts[0], parts[1:-1], parts[-1]
+        text = format_poly(coefficient_c(DLinearSpec(d, n), i, alpha, N))
+        body = {"d": d, "n": n, "i": i, "alpha": list(alpha), "N": N, "poly": text}
         return Report(body, [text]), 0
-    series = inverse_series(spec, cfg.n_max)
+    if args.n_max is None:
+        raise DomainError("need --Nmax or --coeff")
+    series = inverse_series(DLinearSpec(d, n), args.n_max)
     components = []
     lines = []
-    for i in range(1, cfg.n + 1):
+    for i in range(1, n + 1):
         heads = series.heads(i)
         coeffs = []
         for head in sorted(heads):
             N, alpha = head[0], head[1:]
-            text = format_poly(Poly(cfg.n, heads[head]))
+            text = format_poly(Poly(n, heads[head]))
             coeffs.append({"N": N, "alpha": list(alpha), "poly": text})
             lines.append(f"g[{i}] N={N} alpha=({_tuple_text(alpha)}): {text}")
         components.append({"i": i, "coefficients": coeffs})
-    body = {"d": cfg.d, "n": cfg.n, "N_max": cfg.n_max, "components": components}
+    body = {"d": d, "n": n, "N_max": args.n_max, "components": components}
     return Report(body, lines), 0
 
 
-def _run_member(cfg: RunConfig) -> tuple:
-    target = parse_poly(cfg.poly_text, cfg.n)
-    body = _certificate_json(membership(DLinearSpec(cfg.d, cfg.n), target))
+def _run_member(args) -> tuple:
+    target = parse_poly(args.poly, args.n)
+    body = _certificate_json(membership(DLinearSpec(args.d, args.n), target))
     lines = ["member" if body["member"] else "non-member"]
     for item in body["combination"]:
         lines.append(f"  k={item['k']} alpha=({_tuple_text(item['alpha'])}) "
@@ -330,8 +327,9 @@ def _run_member(cfg: RunConfig) -> tuple:
     return Report(body, lines), 0 if body["member"] else 1
 
 
-def _run_verify_theorem(cfg: RunConfig) -> tuple:
-    rep = verify_main_theorem(cfg.d, list(cfg.N_list))
+def _run_verify_theorem(args) -> tuple:
+    N_list = _parse_ints(args.N, "--N")
+    rep = verify_main_theorem(args.d, list(N_list))
     entries = []
     lines = []
     for e in rep.entries:
@@ -348,27 +346,14 @@ def _run_verify_theorem(cfg: RunConfig) -> tuple:
     lines.append(f"{status}: {counts['checked']} coefficients, "
                  f"{counts['failures']} failures, "
                  f"{len(rep.exceptional_entries())} exceptional")
-    payload = {"d": cfg.d, "N": list(cfg.N_list), "entries": entries,
+    payload = {"d": args.d, "N": list(N_list), "entries": entries,
                "failures": [str(f) for f in rep.failures]}
     return _verdict(status, counts, payload, lines), 0 if rep.ok else 1
 
 
-_RUNNERS = {
-    "gens": _run_gens,
-    "z": _run_z,
-    "identity1": lambda cfg: _run_identity("identity1", cfg),
-    "identity2": lambda cfg: _run_identity("identity2", cfg),
-    "relation": _run_relation,
-    "involution": _run_involution,
-    "inverse": _run_inverse,
-    "member": _run_member,
-    "verify-theorem": _run_verify_theorem,
-}
-
-
-def dispatch(cfg: RunConfig) -> tuple:
-    """Route one validated config; returns (Report, exit code)."""
-    return _RUNNERS[cfg.subcommand](cfg)
+def dispatch(args) -> tuple:
+    """Run the subcommand's bound runner; returns (Report, exit code)."""
+    return args.run(args)
 
 
 # -- argument parsing -----------------------------------------------------
@@ -378,10 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["text", "json"], default="text")
     common.add_argument("--out", metavar="FILE", help="write output to FILE")
-    common.add_argument("--workers", type=int, default=None,
-                        help="sweep parallelism (default: JACVERIFY_WORKERS or 1)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized numeric spot checks")
 
     parser = argparse.ArgumentParser(
         prog="jacverify",
@@ -391,10 +372,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gens", parents=[common],
                        help="print the ideal generators keyed by (k, alpha)")
+    p.set_defaults(run=_run_gens)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("z", parents=[common], help="print one fern weight element")
+    p.set_defaults(run=_run_z)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--u0", type=int, required=True)
@@ -406,6 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("identity1", "identity2"):
         p = sub.add_parser(name, parents=[common],
                            help=f"assemble {name} and check it vanishes")
+        p.set_defaults(run=_run_identity)
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--alpha", help="composition of n(d-1), comma separated")
@@ -415,12 +399,17 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--beta", help="(d-1)-tuple of labels, comma separated")
         p.add_argument("--all", action="store_true", dest="sweep_all",
                        help="sweep every admissible instance")
+        p.add_argument("--workers", type=int, default=1,
+                       help="processes for the instances (at least 1)")
         if name == "identity1":
             p.add_argument("--numeric-trials", type=int, default=0,
                            help="extra random-matrix spot checks (d=1 only)")
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed for the --numeric-trials matrices")
 
     p = sub.add_parser("relation", parents=[common],
                        help="report the two-ones relation differences")
+    p.set_defaults(run=_run_relation)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--alpha1", help="composition of d-1 into 2 parts")
     p.add_argument("--alpha2", help="composition of d-1 into 2 parts")
@@ -429,6 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("involution", parents=[common],
                        help="verify the sign-reversing pairing on one instance")
+    p.set_defaults(run=_run_involution)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", required=True)
@@ -440,6 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inverse", parents=[common],
                        help="truncated inverse series or one coefficient")
+    p.set_defaults(run=_run_inverse)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--Nmax", type=int, dest="n_max")
@@ -447,96 +438,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("member", parents=[common],
                        help="ideal membership certificate for a polynomial")
+    p.set_defaults(run=_run_member)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--poly", required=True, help="polynomial in the text grammar")
 
     p = sub.add_parser("verify-theorem", parents=[common],
                        help="membership sweep of inverse coefficients (n=2)")
+    p.set_defaults(run=_run_verify_theorem)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--N", required=True, help="comma-separated multiples of d")
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    cfg.fmt = args.format
-    cfg.out = args.out
-    cfg.seed = getattr(args, "seed", 0)
-    env_workers = os.environ.get("JACVERIFY_WORKERS")
-    if args.workers is not None:
-        cfg.workers = args.workers
-    elif env_workers:
-        try:
-            cfg.workers = int(env_workers)
-        except ValueError:
-            raise DomainError(f"JACVERIFY_WORKERS must be an integer, got {env_workers!r}")
-    if cfg.workers < 1:
-        raise DomainError(f"--workers and JACVERIFY_WORKERS must be at least 1, "
-                          f"got {cfg.workers}")
-
-    cfg.d = getattr(args, "d", 0)
-    cfg.n = getattr(args, "n", 0)
-    d, n = cfg.d, cfg.n
-    if cfg.subcommand == "relation":
-        cfg.n = n = 2
-
-    cfg.sweep_all = getattr(args, "sweep_all", False)
-    cfg.numeric_trials = getattr(args, "numeric_trials", 0)
-    if cfg.numeric_trials < 0:
-        raise DomainError(f"--numeric-trials must be at least 0, got {cfg.numeric_trials}")
-    cfg.dump = getattr(args, "dump", None)
-    cfg.variant = getattr(args, "variant", None)
-    cfg.poly_text = getattr(args, "poly", None)
-    cfg.n_max = getattr(args, "n_max", None)
-
-    if cfg.subcommand == "z":
-        cfg.u0 = args.u0
-        cfg.un = args.uk
-        cfg.nu = _parse_nu(args.nu, d, n)
-    if cfg.subcommand in ("identity1", "identity2", "involution"):
-        if cfg.subcommand == "involution" or not cfg.sweep_all:
-            if args.alpha is None or args.u0 is None or args.un is None:
-                raise DomainError("need --alpha, --u0 and --un (or --all)")
-            cfg.alpha = _parse_comp(args.alpha, n, "alpha")
-            cfg.u0, cfg.un = args.u0, args.un
-        beta_text = getattr(args, "beta", None)
-        if beta_text is not None:
-            cfg.beta = _parse_labels(beta_text, d - 1, n, "beta")
-        elif cfg.subcommand == "identity2" and not cfg.sweep_all:
-            raise DomainError("identity2 needs --beta (or --all)")
-    if cfg.subcommand == "relation":
-        if not cfg.sweep_all:
-            if args.alpha1 is None or args.alpha2 is None or args.u is None:
-                raise DomainError("need --alpha1, --alpha2 and --u (or --all)")
-            cfg.alpha1 = _parse_comp(args.alpha1, 2, "alpha1")
-            cfg.alpha2 = _parse_comp(args.alpha2, 2, "alpha2")
-            cfg.u = args.u
-    if cfg.subcommand == "inverse":
-        if args.coeff is not None:
-            parts = _parse_ints(args.coeff, "--coeff")
-            if len(parts) != n + 2:
-                raise DomainError(f"--coeff needs i,alpha({n} parts),N")
-            cfg.coeff = (parts[0], parts[1:-1], parts[-1])
-        elif args.n_max is None:
-            raise DomainError("need --Nmax or --coeff")
-    if cfg.subcommand == "verify-theorem":
-        cfg.N_list = _parse_ints(args.N, "--N")
-    return cfg
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        report, code = dispatch(cfg)
+        report, code = dispatch(args)
     except (DomainError, StructuralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = report.to_json() if cfg.fmt == "json" else report.to_text()
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    text = report.to_json() if args.format == "json" else report.to_text()
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)

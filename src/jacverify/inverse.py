@@ -84,6 +84,8 @@ def inverse_series(spec: DLinearSpec, n_max: int) -> TruncatedSeries:
         raise DomainError("truncation degree must be nonnegative")
     d, n = spec.d, spec.n
     g = [[x_(n, i)] for i in range(1, n + 1)]
+    if d > n_max:  # layer m of (t L_i)^d is zero for m < d, so g_i = x_i
+        return TruncatedSeries(spec, n_max, [layers[0] for layers in g])
     t_a = [[t_(n) * a_(n, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
     zero = Poly.zero(n)
     powers = [[[zero] for _ in range(d)] for _ in range(n)]  # powers[i][k-1][m]

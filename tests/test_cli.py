@@ -270,14 +270,6 @@ def test_workers_do_not_change_output(capsys):
     assert serial == parallel
 
 
-def test_workers_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("JACVERIFY_WORKERS", "2")
-    _, out = _run(capsys, ["identity2", "--d", "2", "--n", "2", "--all"])
-    monkeypatch.delenv("JACVERIFY_WORKERS")
-    _, serial = _run(capsys, ["identity2", "--d", "2", "--n", "2", "--all"])
-    assert out == serial
-
-
 def test_empty_sweeps_exit_two(capsys):
     assert main(["identity2", "--d", "2", "--n", "1", "--all"]) == 2
     assert "identity 2 needs n >= 2" in capsys.readouterr().err
@@ -295,18 +287,59 @@ def test_non_integer_N_exits_two(capsys):
     assert "--N" in capsys.readouterr().err
 
 
-def test_non_integer_workers_env_exits_two(capsys, monkeypatch):
-    monkeypatch.setenv("JACVERIFY_WORKERS", "abc")
-    assert main(["identity1", "--d", "2", "--n", "2", "--all"]) == 2
-    assert "JACVERIFY_WORKERS" in capsys.readouterr().err
-
-
-def test_workers_below_one_exit_two(capsys, monkeypatch):
+def test_workers_below_one_exit_two(capsys):
     assert main(["identity1", "--d", "2", "--n", "2", "--all", "--workers", "-3"]) == 2
     assert "--workers" in capsys.readouterr().err
-    monkeypatch.setenv("JACVERIFY_WORKERS", "0")
-    assert main(["identity1", "--d", "2", "--n", "2", "--all"]) == 2
-    assert "JACVERIFY_WORKERS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "gens --d 1 --n 2 --seed 1",
+    "member --d 2 --n 2 --poly 'a[1,1]' --workers 2",
+    "inverse --d 2 --n 2 --Nmax 2 --workers 1",
+])
+def test_flags_of_other_subcommands_exit_two(capsys, argv):
+    """--workers belongs to the identity sweeps and --seed to identity1 only."""
+    with pytest.raises(SystemExit) as exc:
+        main(shlex.split(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_numeric_trials_checked_before_the_sweep(capsys, monkeypatch):
+    def never(inst):
+        raise AssertionError("the sweep ran before --numeric-trials was checked")
+
+    monkeypatch.setattr(cli, "identity1_lhs", never)
+    assert main(["identity1", "--d", "2", "--n", "2", "--all", "--numeric-trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "d=1 only" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags", [["--Nmax", "1"], ["--coeff", "1,1,0"]])
+def test_inverse_degree_above_cutoff_is_the_identity(capsys, flags):
+    """For d > Nmax no layer above 0 exists, so a huge d allocates nothing.
+
+    The address space is capped 512 MB above its current size for the call,
+    so a regression ends in a MemoryError, not in exhausting the host.
+    """
+    resource = pytest.importorskip("resource")
+    try:
+        with open("/proc/self/statm") as fh:
+            size = int(fh.read().split()[0]) * resource.getpagesize()
+    except OSError:
+        pytest.skip("needs /proc/self/statm to cap the address space")
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + 2**29
+    if limits[1] != resource.RLIM_INFINITY:
+        cap = min(cap, limits[1])
+    resource.setrlimit(resource.RLIMIT_AS, (cap, limits[1]))
+    try:
+        code, out = _run(capsys, ["inverse", "--d", "9" * 30, "--n", "1", *flags])
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, limits)
+    assert code == 0
+    assert out == ("g[1] N=0 alpha=(1): 1\n" if flags[0] == "--Nmax" else "1\n")
 
 
 def test_negative_numeric_trials_exit_two(capsys):
@@ -403,6 +436,12 @@ def _argv(draw):
         put("--beta", labels(d - 1), required=sub == "identity2")
     if sub == "identity1":
         put("--numeric-trials", text(draw(st.integers(-1, 3))), required=False)
+        put("--seed", text(draw(st.integers(-5, 5))), required=False)
+    if sub in ("identity1", "identity2"):
+        if rarely():
+            flags["--workers"] = draw(st.sampled_from(["-1", "0", "abc"]))
+        else:
+            put("--workers", draw(st.sampled_from(["1", "2"])), required=False)
     if sub == "relation" and "--all" not in flags:
         put("--alpha1", composition(d - 1, 2))
         put("--alpha2", composition(d - 1, 2))
@@ -435,11 +474,6 @@ def _argv(draw):
     put("--format", "xml" if rarely() else draw(st.sampled_from(["text", "json"])),
         required=False)
     put("--out", "@out", required=False)
-    if rarely():
-        flags["--workers"] = draw(st.sampled_from(["-1", "0", "abc"]))
-    else:
-        put("--workers", draw(st.sampled_from(["1", "2"])), required=False)
-    put("--seed", text(draw(st.integers(-5, 5))), required=False)
 
     argv = [sub]
     for flag, value in flags.items():
