@@ -63,10 +63,6 @@ class TupleState:
     sigma: tuple
     rho: tuple
 
-    @property
-    def k(self) -> int:
-        return len(self.S)
-
     def sigma_map(self) -> dict:
         return dict(zip(self.S, self.sigma))
 

@@ -2,10 +2,11 @@
 
 The generator ideal is graded, so a homogeneous degree-D polynomial lies
 in it iff it lies in the span of (monomial times generator) products of
-degree D.  ``build_basis`` materializes those products for one degree and
-row-reduces them over the rationals, remembering how each reduced row
-combines the originals; ``membership`` then reduces a target against the
-pivots and reads off an exact certificate
+degree D.  ``build_basis`` lists those products for one degree as
+(generator, multiplier) rows and row-reduces them over the rationals,
+building each product only while it is reduced and remembering how each
+reduced row combines the originals; ``membership`` then reduces a target
+against the pivots and reads off an exact certificate
 
     target = sum_k coeff_poly[k] * generator[k] + residual
 
@@ -35,7 +36,6 @@ from .poly import DomainError, Poly, exact_quotient, sum_of_products
 class BasisRow:
     key: JKey
     multiplier: tuple  # exponent tuple of the monomial factor
-    product: Poly
 
 
 @dataclass
@@ -70,17 +70,19 @@ def build_basis(spec: DLinearSpec, degree: int) -> HomogeneousBasis:
         gen_deg = key.k * d
         if gen_deg > degree:
             continue
-        gen = gens[key]
-        if gen.is_zero():
+        if gens[key].is_zero():
             continue
         for mult in a_monomials_of_degree(n, degree - gen_deg):
-            product = Poly(n, {mult: 1}) * gen
-            basis.rows.append(BasisRow(key, mult, product))
+            basis.rows.append(BasisRow(key, mult))
 
+    # A monomial times a generator has as many terms as the generator, so
+    # rows go shortest product first; each product is built only to reduce.
     order = sorted(range(len(basis.rows)),
-                   key=lambda i: (len(basis.rows[i].product.terms), i))
+                   key=lambda i: (len(gens[basis.rows[i].key].terms), i))
     for idx in order:
-        residual, acc = _reduce(dict(basis.rows[idx].product.terms), basis._pivots)
+        row = basis.rows[idx]
+        product = Poly(n, {row.multiplier: 1}) * gens[row.key]
+        residual, acc = _reduce(dict(product.terms), basis._pivots)
         if residual:
             lead = next(iter(residual))  # residual terms come in descending order
             lc = residual[lead]
@@ -286,19 +288,17 @@ def verify_main_theorem(d: int, N_list) -> TheoremReport:
             raise DomainError(f"order {N} is not a positive multiple of d")
     report = TheoremReport(d, N_list)
     series = inverse_series(spec, max(N_list))
-    bases: dict = {}
     for N in N_list:
         exceptional = N < 2 * d
         leaves = 1 + (d - 1) * N // d
-        if N not in bases:
-            bases[N] = build_basis(spec, N)
+        basis = build_basis(spec, N)
         for i in (1, 2):
             for alpha in enumerate_compositions(leaves, n):
                 c = coefficient_c(spec, i, alpha, N, series)
                 if c.is_zero():
                     report.entries.append(TheoremEntry(i, alpha, N, exceptional, True, None))
                     continue
-                cert = membership(spec, c, bases[N])
+                cert = membership(spec, c, basis)
                 report.entries.append(
                     TheoremEntry(i, alpha, N, exceptional, cert.member, cert)
                 )

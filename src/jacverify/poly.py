@@ -17,7 +17,8 @@ share across threads or processes.
 The canonical term order is graded lexicographic with t the least
 significant variable and a[n,n] the most significant.  Text output lists
 terms in ascending canonical order, which makes every printed polynomial
-byte-reproducible; ``parse_poly`` reads the same grammar back.
+byte-reproducible; ``parse_poly`` reads the same grammar back, accepting
+text by one regular expression built from the grammar's rules.
 
 Every sum of products goes through one kernel: ``sum_of_products`` (the
 sum of x * y over pairs) and ``poly_sum`` (the sum of polynomials)
@@ -432,8 +433,22 @@ def determinant(rows, one):
 # coeff  := INT | INT '/' INT        (positive; sign comes from the separator)
 # factor := ('a[i,j]' | 'x[i]' | 't') ['^' INT]
 #
+# Blanks may separate the tokens but not split a factor or a coefficient.
 # A coefficient of exactly 1 on a proper term is omitted.  Terms appear in
 # ascending canonical order and factors in ascending variable order.
+#
+# The grammar has no nesting, so the regular expressions below state it
+# once, rule by rule.  A term tries its product form before a bare
+# coefficient, so that ``2 * a[1,1]`` is never read as two terms.  The
+# numbers of coeff and factor are captured, so ``_ATOM`` reads one
+# coefficient or factor of an accepted term.
+
+_COEFF = r"(\d+)(?:/(\d+))?"
+_FACTOR = r"(?:a\[(\d+),(\d+)\]|x\[(\d+)\]|t)(?:\^(\d+))?"
+_TERM = rf"(?:(?:{_COEFF}\s*\*\s*)?{_FACTOR}(?:\s*\*\s*{_FACTOR})*|{_COEFF})"
+_POLY = re.compile(rf"\s*(?:0|(?P<terms>(?:-\s*)?{_TERM}(?:\s*[+-]\s*{_TERM})*))\s*")
+_SIGNED_TERM = re.compile(rf"\s*(?P<sign>[+-]?)\s*(?P<term>{_TERM})")
+_ATOM = re.compile(f"{_COEFF}|{_FACTOR}")
 
 
 @lru_cache(maxsize=None)
@@ -464,80 +479,34 @@ def format_poly(p: Poly) -> str:
     return "".join(parts)
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<var>a\[(?P<i>\d+),(?P<j>\d+)\]|x\[(?P<xi>\d+)\]|t)(?:\^(?P<exp>\d+))?"
-    r"|(?P<num>\d+(?:/\d+)?)"
-    r"|(?P<op>[*+-]))"
-)
-
-
 def parse_poly(text: str, n: int) -> Poly:
     """Parse exactly the text grammar above; anything else is a StructuralError.
 
     Terms may come in any order and repeat; like terms are combined.
     """
-    tokens = []
-    pos, end = 0, len(text.rstrip())
-    while pos < end:
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise StructuralError(f"cannot parse polynomial at {text[pos:]!r}")
-        tokens.append(m)
-        pos = m.end()
-    if len(tokens) == 1 and tokens[0].group("num") == "0":
+    m = _POLY.fullmatch(text)
+    if m is None:
+        raise StructuralError(f"polynomial text outside the grammar: {text!r}")
+    if m["terms"] is None:
         return Poly.zero(n)
-
-    def op_at(k):
-        return tokens[k].group("op") if k < len(tokens) else None
-
-    def fail(k, expected):
-        where = repr(text[tokens[k].start():].strip()) if k < len(tokens) else "the end"
-        raise StructuralError(f"polynomial text: expected {expected} at {where}")
-
     terms: dict = {}
-    k = 0
-    sign = 1
-    if op_at(k) == "-":
-        sign, k = -1, 1
-    while True:
+    for signed in _SIGNED_TERM.finditer(m["terms"]):
+        term = signed["term"]
         coeff = 1
         exps = [0] * n_vars(n)
-        if k < len(tokens) and tokens[k].group("num") is not None:
-            try:
-                coeff = Fraction(tokens[k].group("num"))
-            except ZeroDivisionError:
-                raise StructuralError(f"zero denominator in {tokens[k].group('num')!r}")
-            if coeff == 0:
-                fail(k, "a positive coefficient")
-            k += 1
-            has_factors = op_at(k) == "*"
-            if has_factors:
-                k += 1
-        else:
-            has_factors = True
-        while has_factors:
-            if k == len(tokens) or tokens[k].group("var") is None:
-                fail(k, "a variable")
-            tok = tokens[k]
-            if tok.group("i") is not None:
-                v = VarId("a", int(tok.group("i")), int(tok.group("j")))
-            elif tok.group("xi") is not None:
-                v = VarId("x", int(tok.group("xi")))
-            else:
-                v = VarId("t")
-            exps[var_index(n, v)] += int(tok.group("exp") or 1)
-            k += 1
-            if op_at(k) != "*":
-                break
-            k += 1
+        for num, den, i, j, xi, exp in _ATOM.findall(term):
+            if num:
+                if den and not int(den):
+                    raise StructuralError(f"zero denominator in {term!r}")
+                coeff = Fraction(int(num), int(den or 1))
+                if not coeff:
+                    raise StructuralError(f"zero coefficient in {term!r}")
+                continue
+            v = VarId("a", int(i), int(j)) if i else VarId("x", int(xi)) if xi else VarId("t")
+            exps[var_index(n, v)] += int(exp or 1)
         mono = tuple(exps)
-        terms[mono] = terms.get(mono, 0) + sign * coeff
-        if k == len(tokens):
-            return Poly(n, terms)
-        if op_at(k) not in ("+", "-"):
-            fail(k, "'+' or '-'")
-        sign = 1 if op_at(k) == "+" else -1
-        k += 1
+        terms[mono] = terms.get(mono, 0) + (-coeff if signed["sign"] == "-" else coeff)
+    return Poly(n, terms)
 
 
 # convenience builders used throughout the package

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from importlib.resources import files
 
 import jsonschema
@@ -268,6 +271,19 @@ def test_workers_do_not_change_output(capsys):
     _, parallel = _run(capsys, ["identity1", "--d", "2", "--n", "2", "--all",
                                 "--workers", "2"])
     assert serial == parallel
+
+
+def test_import_loads_no_process_pool():
+    """Only a pooled sweep loads multiprocessing; importing the CLI does not."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, jacverify.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_empty_sweeps_exit_two(capsys):

@@ -227,7 +227,9 @@ def _reduction_cases(draw):
     # Add whole basis rows, so that the reduction cancels and members occur.
     for idx, c in draw(st.lists(st.tuples(st.integers(0, max(len(basis.rows) - 1, 0)),
                                           coeff), max_size=4 if basis.rows else 0)):
-        for mono, rc in basis.rows[idx].product.terms.items():
+        row = basis.rows[idx]
+        product = Poly(n, {row.multiplier: 1}) * generator_set(DLinearSpec(2, n))[row.key]
+        for mono, rc in product.terms.items():
             vec[mono] = vec.get(mono, 0) + c * rc
     return basis, Poly(n, vec).terms
 

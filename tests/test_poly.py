@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import re
 from fractions import Fraction
 from importlib.resources import files
 from random import Random
@@ -31,6 +32,7 @@ from jacverify.poly import (
     sum_of_products,
     t_,
     t_layers,
+    var_index,
     x_,
 )
 
@@ -237,6 +239,80 @@ def test_parse_reference_inputs():
         parse_poly("a[1,1] $ junk", 2)
 
 
+# The token walker that parsed polynomial text before the grammar became one
+# regular expression, kept as the oracle of the differential test below.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<var>a\[(?P<i>\d+),(?P<j>\d+)\]|x\[(?P<xi>\d+)\]|t)(?:\^(?P<exp>\d+))?"
+    r"|(?P<num>\d+(?:/\d+)?)"
+    r"|(?P<op>[*+-]))"
+)
+
+
+def _reference_parse(text: str, n: int) -> Poly:
+    tokens = []
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
+        m = _TOKEN.match(text, pos)
+        if not m:
+            raise StructuralError(f"cannot parse polynomial at {text[pos:]!r}")
+        tokens.append(m)
+        pos = m.end()
+    if len(tokens) == 1 and tokens[0].group("num") == "0":
+        return Poly.zero(n)
+
+    def op_at(k):
+        return tokens[k].group("op") if k < len(tokens) else None
+
+    def fail(k, expected):
+        where = repr(text[tokens[k].start():].strip()) if k < len(tokens) else "the end"
+        raise StructuralError(f"polynomial text: expected {expected} at {where}")
+
+    terms: dict = {}
+    k = 0
+    sign = 1
+    if op_at(k) == "-":
+        sign, k = -1, 1
+    while True:
+        coeff = 1
+        exps = [0] * n_vars(n)
+        if k < len(tokens) and tokens[k].group("num") is not None:
+            try:
+                coeff = Fraction(tokens[k].group("num"))
+            except ZeroDivisionError:
+                raise StructuralError(f"zero denominator in {tokens[k].group('num')!r}")
+            if coeff == 0:
+                fail(k, "a positive coefficient")
+            k += 1
+            has_factors = op_at(k) == "*"
+            if has_factors:
+                k += 1
+        else:
+            has_factors = True
+        while has_factors:
+            if k == len(tokens) or tokens[k].group("var") is None:
+                fail(k, "a variable")
+            tok = tokens[k]
+            if tok.group("i") is not None:
+                v = VarId("a", int(tok.group("i")), int(tok.group("j")))
+            elif tok.group("xi") is not None:
+                v = VarId("x", int(tok.group("xi")))
+            else:
+                v = VarId("t")
+            exps[var_index(n, v)] += int(tok.group("exp") or 1)
+            k += 1
+            if op_at(k) != "*":
+                break
+            k += 1
+        mono = tuple(exps)
+        terms[mono] = terms.get(mono, 0) + sign * coeff
+        if k == len(tokens):
+            return Poly(n, terms)
+        if op_at(k) not in ("+", "-"):
+            fail(k, "'+' or '-'")
+        sign = 1 if op_at(k) == "+" else -1
+        k += 1
+
+
 @pytest.mark.parametrize("text", [
     "a[1,1]a[1,2]",
     "a[1,1]^2**a[1,2]",
@@ -250,10 +326,58 @@ def test_parse_reference_inputs():
     "0 + a[1,1]",
     "0 * a[1,1]",
     "-0",
+    "a[1,1] ^2",
+    "1 /2",
+    "x[ 1]",
+    "0 0",
+    "a[1,1]^",
+    "2 * 3",
+    "t^2^3",
+    "a[1,1]+",
 ])
 def test_parse_rejects_text_outside_the_grammar(text):
     with pytest.raises(StructuralError):
         parse_poly(text, 2)
+    with pytest.raises(StructuralError):
+        _reference_parse(text, 2)
+
+
+# Tokens of the grammar (with indices in and out of range for n = 2), their
+# pieces, blanks and characters outside the grammar.
+_TEXT_TOKENS = ["a[1,1]", "a[2,1]", "a[1,3]", "a[0,2]", "x[1]", "x[2]", "x[3]", "t",
+                "a[", "x[", "]", ",", "0", "1", "2", "12", "/", "*", "^", "+", "-",
+                " ", "  ", "\t", "$", "b", ".", "\u0663"]
+
+
+@st.composite
+def _term_texts(draw):
+    """Text shaped like the grammar, so that most of it is accepted."""
+    names = ["a[1,1]", "a[2,1]", "a[1,3]", "x[1]", "x[3]", "t"]
+    factor = st.tuples(st.sampled_from(names), st.sampled_from(["", "^0", "^2", "^12"]))
+    text = draw(st.sampled_from(["", "-", "- ", " "]))
+    for k in range(draw(st.integers(1, 4))):
+        if k:
+            text += draw(st.sampled_from([" + ", " - ", "+", "-\t"]))
+        coeff = draw(st.sampled_from(["", "0", "1", "3", "12", "1/2", "4/6", "2/0"]))
+        factors = ["".join(f) for f in draw(st.lists(factor, max_size=3))]
+        mul = draw(st.sampled_from(["*", " * "]))
+        text += mul.join(([coeff] if coeff else []) + factors)
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text, 2)
+    except StructuralError:
+        return StructuralError
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(_TEXT_TOKENS), max_size=14).map("".join),
+                 _term_texts()))
+def test_parse_matches_token_walker(text):
+    """The grammar regex accepts, rejects and reads text as the token walker did."""
+    assert _outcome(parse_poly, text) == _outcome(_reference_parse, text)
 
 
 _COEFFS = st.fractions(min_value=-50, max_value=50, max_denominator=20)
