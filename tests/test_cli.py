@@ -112,6 +112,10 @@ GOLDEN = [
     ('involution --d 2 --n 4 --alpha 1,1,2,0 --u0 3 --un 2 --variant 1',
      0, "8a06d032914c54eefed781a369c2545276c53b5e51a716a94147436340190563",
      0, "7d5e4308e8f112d1be0abfb71328ddcc4ade40c495f43e2569fc9c568f2e68d8"),
+    # 152 KB of JSON: enough nested pairs to pin the report encoder's bytes.
+    ('involution --d 3 --n 3 --alpha 2,2,2 --u0 1 --un 2 --variant 2 --beta 1,3',
+     0, "0346ca122ab7b0a549b205d9cfd83f3691f46f325e7e75bec5ecc8c0151e9f58",
+     0, "1a1b6588d8e0af3e172b3d012f0dd2cffed1be3d0df3350228910a42f2a64b00"),
 ]
 
 
@@ -200,8 +204,12 @@ def test_involution_with_dump(capsys, tmp_path):
                               "--dump", str(dump), "--format", "json"])
     assert code == 0
     _validate(out, "involution.schema.json")
-    pairs = json.loads(dump.read_text())
+    text = dump.read_text()
+    pairs = json.loads(text)
     assert pairs and all(p["sign"] in (1, -1) for p in pairs)
+    # The file holds the report's pair list in the report's own bytes,
+    # with no trailing newline.
+    assert text == json.dumps(json.loads(out)["payload"]["pairs"], indent=2)
 
 
 def test_inverse_full_and_single(capsys):
