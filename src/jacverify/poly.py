@@ -479,6 +479,13 @@ def format_poly(p: Poly) -> str:
     return "".join(parts)
 
 
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise StructuralError(f"a number of {len(digits)} digits is too long to read") from None
+
+
 def parse_poly(text: str, n: int) -> Poly:
     """Parse exactly the text grammar above; anything else is a StructuralError.
 
@@ -496,14 +503,14 @@ def parse_poly(text: str, n: int) -> Poly:
         exps = [0] * n_vars(n)
         for num, den, i, j, xi, exp in _ATOM.findall(term):
             if num:
-                if den and not int(den):
+                if den and not _int(den):
                     raise StructuralError(f"zero denominator in {term!r}")
-                coeff = Fraction(int(num), int(den or 1))
+                coeff = Fraction(_int(num), _int(den or "1"))
                 if not coeff:
                     raise StructuralError(f"zero coefficient in {term!r}")
                 continue
-            v = VarId("a", int(i), int(j)) if i else VarId("x", int(xi)) if xi else VarId("t")
-            exps[var_index(n, v)] += int(exp or 1)
+            v = VarId("a", _int(i), _int(j)) if i else VarId("x", _int(xi)) if xi else VarId("t")
+            exps[var_index(n, v)] += _int(exp or "1")
         mono = tuple(exps)
         terms[mono] = terms.get(mono, 0) + (-coeff if signed["sign"] == "-" else coeff)
     return Poly(n, terms)

@@ -306,6 +306,22 @@ def test_zero_denominator_exits_two(capsys):
     assert "zero denominator" in capsys.readouterr().err
 
 
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _INT_DIGITS, reason="this interpreter reads ints of any length")
+@pytest.mark.parametrize("template", ["{} * a[1,1]^2", "1/{} * a[1,1]", "a[{},1]^2",
+                                      "a[1,1]^{}"],
+                         ids=["coefficient", "denominator", "index", "exponent"])
+def test_number_past_the_int_digit_limit_exits_two(capsys, template):
+    """int() refuses text longer than the interpreter's digit limit (4300 by default)."""
+    poly = template.format("1" * (_INT_DIGITS + 1))
+    assert main(["member", "--d", "2", "--n", "2", "--poly", poly]) == 2
+    captured = capsys.readouterr()
+    assert f"{_INT_DIGITS + 1} digits is too long" in captured.err
+    assert captured.out == ""
+
+
 def test_non_integer_N_exits_two(capsys):
     assert main(["verify-theorem", "--d", "2", "--N", "a"]) == 2
     assert "--N" in capsys.readouterr().err
