@@ -22,9 +22,9 @@ parallel runs print the same bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .fern import FernLabeling, z_fern
 from .generators import DLinearSpec
@@ -44,6 +44,47 @@ from .membership import membership, verify_main_theorem
 from .poly import DomainError, Poly, StructuralError, format_poly, parse_poly
 
 
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)`` (whose ``indent`` skips json's C encoder) for str,
+    int, bool, None, list, tuple and str-keyed dict values; others raise TypeError."""
+    chunks = []  # joined once, so no string is copied per nesting level
+    append = chunks.append
+    levels = []  # per depth, built once: open [, open {, separator, close ], close }, keys
+
+    def emit(o, depth):
+        if isinstance(o, str):
+            append(encode_basestring_ascii(o))
+        elif o is None or o is True or o is False:
+            append("null" if o is None else "true" if o else "false")
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        elif not isinstance(o, (list, tuple, dict)):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        else:
+            if depth == len(levels):
+                pad, ind = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+                levels.append(("[" + ind, "{" + ind, "," + ind, pad + "]", pad + "}", {}))
+            open_list, open_dict, sep, close_list, close_dict, keys = levels[depth]
+            if isinstance(o, dict):
+                for at, (k, v) in enumerate(o.items()):
+                    if k not in keys:  # encode_basestring_ascii rejects a non-str key
+                        name = encode_basestring_ascii(k) + ": "
+                        keys[k] = (open_dict + name, sep + name)  # first item, later item
+                    append(keys[k][at > 0])
+                    emit(v, depth + 1)
+                append(close_dict if o else "{}")
+            elif o and all(type(v) is int for v in o):  # type, not isinstance: bools differ
+                append(open_list + sep.join(map(int.__repr__, o)) + close_list)
+            else:
+                for at, v in enumerate(o):
+                    append(sep if at else open_list)
+                    emit(v, depth + 1)
+                append(close_list if o else "[]")
+
+    emit(obj, 0)
+    return "".join(chunks)
+
+
 @dataclass
 class Report:
     """What one dispatch prints: a JSON body and the text lines."""
@@ -52,7 +93,7 @@ class Report:
     lines: list
 
     def to_json(self) -> str:
-        return json.dumps(self.body, indent=2)
+        return _json_text(self.body)
 
     def to_text(self) -> str:
         return "\n".join(self.lines)
@@ -245,7 +286,7 @@ def _run_relation(args) -> tuple:
 
 
 def _state_json(s) -> dict:
-    # json writes tuples as arrays, so the state's own tuples serve as is.
+    # _json_text writes tuples as arrays, so the state's own tuples serve as is.
     return {"lambda": s.lam, "nu": s.nu, "S": s.S,
             "sigma": tuple(zip(s.S, s.sigma)), "rho": s.rho}
 
@@ -283,7 +324,7 @@ def _run_involution(args) -> tuple:
     }
     if args.dump:
         with open(args.dump, "w") as fh:
-            json.dump(pairs_json, fh, indent=2)
+            fh.write(_json_text(pairs_json))
         lines.append(f"pairs written to {args.dump}")
     counts = {"checked": rep.states, "failures": len(rep.failures)}
     return _verdict(status, counts, payload, lines), 0 if rep.ok else 1

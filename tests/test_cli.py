@@ -408,6 +408,38 @@ def test_involution_json_builds_each_state_weight_once(capsys, monkeypatch):
     assert len(calls) == payload["states"] == len(set(calls))
 
 
+# -- report encoder -----------------------------------------------------------
+#
+# ``cli._json_text`` must write exactly what ``json.dumps(indent=2)`` writes.
+
+_JSON_STR = st.text(st.one_of(st.sampled_from('"\\\x00\n\x1f\x7f\u2028\u2029\xe9\U0001f600'),
+                              st.characters()), max_size=8)
+_JSON_KEY = st.one_of(st.sampled_from(["k", "state", 'a"b', "\u2028"]), _JSON_STR)
+_JSON_VALUE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10**60, 10**60), _JSON_STR),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(st.one_of(st.integers(-10**60, 10**60), st.booleans()), max_size=4),
+        st.lists(st.integers(-9, 9), max_size=4).map(tuple),
+        st.dictionaries(_JSON_KEY, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=_JSON_VALUE)
+def test_json_text_equals_json_dumps(value):
+    # Wrapping puts the value at depth 4 and the key "k" at two depths.
+    for v in (value, {"k": [value, {"k": (value, [])}, {}], "": value}):
+        assert cli._json_text(v) == json.dumps(v, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {"k": [0.0]}, {1: "v"}, [{"k": {2: 3}}], {1, 2}])
+def test_json_text_rejects_what_reports_never_hold(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
 # -- argv fuzzing -------------------------------------------------------------
 #
 # Every subcommand with random flags and values must exit 0, 1 or 2 (argparse's
