@@ -45,8 +45,8 @@ from .poly import DomainError, Poly, StructuralError, format_poly, parse_poly
 
 
 def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2)`` (whose ``indent`` skips json's C encoder) for str,
-    int, bool, None, list, tuple and str-keyed dict values; others raise TypeError."""
+    """The text of ``json.dumps(obj, indent=2)``, for which json never uses its C encoder,
+    from str, int, bool, None, list, tuple and str-keyed dict values; others raise TypeError."""
     chunks = []  # joined once, so no string is copied per nesting level
     append = chunks.append
     levels = []  # per depth, built once: open [, open {, separator, close ], close }, keys
