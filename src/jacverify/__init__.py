@@ -4,77 +4,61 @@ Everything is computed in exact rational arithmetic: sparse polynomials
 with int coefficients (a Fraction only where a value is not integral),
 explicit combinatorial enumerations, checked sign-reversing pairings and
 linear-algebra membership certificates.
+
+The names below are exported lazily (PEP 562): ``jacverify.<name>`` imports
+the name's home module on first use, so importing the package, or running
+one CLI command, loads only the modules that are used.
 """
 
-from .combinatorics import (
-    LastRep,
-    SubsetPermutation,
-    composition_sub,
-    enumerate_compositions,
-    enumerate_level_labelings,
-    enumerate_subset_permutations,
-    last_rep_indices,
-)
-from .fern import FernLabeling, z_fern, z_fern_is_homogeneous
-from .generators import (
-    DLinearSpec,
-    GeneratorSet,
-    JKey,
-    cross_check_generators,
-    differential_matrix,
-    extract_generators,
-    generator_direct,
-    weight_w,
-)
-from .identities import (
-    IdentityInstance,
-    cayley_hamilton_numeric,
-    check_relation_2_1s,
-    generator_set,
-    identity1_lhs,
-    identity2_lhs,
-    relation_instances,
-    relation_report,
-)
-from .inverse import (
-    TruncatedSeries,
-    coefficient_c,
-    degree_law_holds,
-    inverse_series,
-    tree_oracle_coefficient,
-    verify_inverse,
-)
-from .involution import (
-    TupleState,
-    classify,
-    enumerate_states,
-    state_weight,
-    tau,
-    tau_inverse,
-    verify_involution,
-)
-from .membership import (
-    HomogeneousBasis,
-    MembershipCertificate,
-    build_basis,
-    membership,
-    verify_fern_lemmas,
-    verify_main_theorem,
-)
-from .poly import (
-    DomainError,
-    Poly,
-    PolyMatrix,
-    StructuralError,
-    VarId,
-    VerificationError,
-    coefficient_of,
-    determinant,
-    format_poly,
-    parse_poly,
-    poly_determinant,
-    split_xt,
-    substitute_numeric,
-)
+import sys
+from importlib import import_module
+from types import ModuleType
 
 __version__ = "0.1.0"
+
+_HOMES = {
+    "combinatorics": ("LastRep", "SubsetPermutation", "composition_sub",
+                      "enumerate_compositions", "enumerate_level_labelings",
+                      "enumerate_subset_permutations", "last_rep_indices"),
+    "fern": ("FernLabeling", "z_fern", "z_fern_is_homogeneous"),
+    "generators": ("DLinearSpec", "GeneratorSet", "JKey", "cross_check_generators",
+                   "differential_matrix", "extract_generators", "generator_direct",
+                   "weight_w"),
+    "identities": ("IdentityInstance", "cayley_hamilton_numeric", "check_relation_2_1s",
+                   "generator_set", "identity1_lhs", "identity2_lhs",
+                   "relation_instances", "relation_report"),
+    "inverse": ("TruncatedSeries", "coefficient_c", "degree_law_holds", "inverse_series",
+                "tree_oracle_coefficient", "verify_inverse"),
+    "involution": ("TupleState", "classify", "enumerate_states", "state_weight", "tau",
+                   "tau_inverse", "verify_involution"),
+    "membership": ("HomogeneousBasis", "MembershipCertificate", "build_basis", "membership",
+                   "verify_fern_lemmas", "verify_main_theorem"),
+    "poly": ("DomainError", "Poly", "PolyMatrix", "StructuralError", "VarId",
+             "VerificationError", "coefficient_of", "determinant", "format_poly",
+             "parse_poly", "poly_determinant", "split_xt", "substitute_numeric"),
+}
+_EXPORTS = {name: module for module, names in _HOMES.items() for name in names}
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))
+
+
+class _Package(ModuleType):
+    def __setattr__(self, name, value):
+        # Loading the submodule jacverify.membership sets the package attribute of
+        # that name; the exported function ``membership`` keeps it instead.
+        if not (name in _EXPORTS and isinstance(value, ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -23,30 +23,54 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
+from importlib import import_module
 
-from .fern import FernLabeling, z_fern
-from .generators import DLinearSpec
-from .identities import (
-    IdentityInstance,
-    cayley_hamilton_numeric,
-    generator_set,
-    identity1_instances,
-    identity1_lhs,
-    identity2_instances,
-    identity2_lhs,
-    relation_report,
-)
-from .inverse import coefficient_c, inverse_series
-from .involution import verify_involution
-from .membership import membership, verify_main_theorem
-from .poly import DomainError, Poly, StructuralError, format_poly, parse_poly
+
+def _deferred(module: str, name: str):
+    """A stand-in for ``jacverify.<module>.<name>`` that imports the module on its first call.
+
+    Importing the CLI thus loads no library module, and each command loads only
+    those it runs.  The stand-in stays this module's attribute, so tests and the
+    benchmark tracer can still replace or wrap ``cli.<name>``.
+    """
+    target = None
+
+    def stand_in(*args, **kwargs):
+        nonlocal target
+        if target is None:
+            target = getattr(import_module(f".{module}", __package__), name)
+        return target(*args, **kwargs)
+
+    stand_in.__name__ = stand_in.__qualname__ = name
+    return stand_in
+
+
+FernLabeling = _deferred("fern", "FernLabeling")
+z_fern = _deferred("fern", "z_fern")
+DLinearSpec = _deferred("generators", "DLinearSpec")
+IdentityInstance = _deferred("identities", "IdentityInstance")
+cayley_hamilton_numeric = _deferred("identities", "cayley_hamilton_numeric")
+generator_set = _deferred("identities", "generator_set")
+identity1_instances = _deferred("identities", "identity1_instances")
+identity1_lhs = _deferred("identities", "identity1_lhs")
+identity2_instances = _deferred("identities", "identity2_instances")
+identity2_lhs = _deferred("identities", "identity2_lhs")
+relation_report = _deferred("identities", "relation_report")
+coefficient_c = _deferred("inverse", "coefficient_c")
+inverse_series = _deferred("inverse", "inverse_series")
+verify_involution = _deferred("involution", "verify_involution")
+membership = _deferred("membership", "membership")
+verify_main_theorem = _deferred("membership", "verify_main_theorem")
+Poly = _deferred("poly", "Poly")
+format_poly = _deferred("poly", "format_poly")
+parse_poly = _deferred("poly", "parse_poly")
 
 
 def _json_text(obj) -> str:
     """The text of ``json.dumps(obj, indent=2)``, for which json never uses its C encoder,
     from str, int, bool, None, list, tuple and str-keyed dict values; others raise TypeError."""
+    from json.encoder import encode_basestring_ascii
+
     chunks = []  # joined once, so no string is copied per nesting level
     append = chunks.append
     levels = []  # per depth, built once: open [, open {, separator, close ], close }, keys
@@ -85,12 +109,12 @@ def _json_text(obj) -> str:
     return "".join(chunks)
 
 
-@dataclass
 class Report:
     """What one dispatch prints: a JSON body and the text lines."""
 
-    body: dict
-    lines: list
+    def __init__(self, body: dict, lines: list):
+        self.body = body
+        self.lines = lines
 
     def to_json(self) -> str:
         return _json_text(self.body)
@@ -121,10 +145,14 @@ def _parse_ints(text: str, what: str) -> tuple:
     try:
         return tuple(int(v) for v in text.split(","))
     except ValueError:
+        from .poly import DomainError
+
         raise DomainError(f"{what} must be comma-separated integers, got {text!r}")
 
 
 def _parse_comp(text: str, parts: int, what: str) -> tuple:
+    from .poly import DomainError
+
     values = _parse_ints(text, what)
     if len(values) != parts:
         raise DomainError(f"{what} needs exactly {parts} parts, got {len(values)}")
@@ -134,6 +162,8 @@ def _parse_comp(text: str, parts: int, what: str) -> tuple:
 
 
 def _parse_labels(text: str, width: int, n: int, what: str) -> tuple:
+    from .poly import DomainError
+
     values = () if text == "" else _parse_ints(text, what)
     if len(values) != width:
         raise DomainError(f"{what} needs exactly {width} labels, got {len(values)}")
@@ -198,6 +228,8 @@ def _run_z(args) -> tuple:
 
 
 def _run_identity(args) -> tuple:
+    from .poly import DomainError
+
     which, d, n = args.subcommand, args.d, args.n
     trials = args.numeric_trials if which == "identity1" else 0
     if args.workers < 1:
@@ -249,6 +281,8 @@ def _run_identity(args) -> tuple:
 
 
 def _run_relation(args) -> tuple:
+    from .poly import DomainError
+
     d = args.d
     if args.sweep_all:
         instances = None
@@ -291,6 +325,20 @@ def _state_json(s) -> dict:
             "sigma": tuple(zip(s.S, s.sigma)), "rho": s.rho}
 
 
+def _pairs_json(rep) -> list:
+    pairs = []
+    for s, img in rep.pairs:
+        w = rep.weights[s]
+        (mono, coeff), = w.terms.items()
+        pairs.append({
+            "state": _state_json(s),
+            "partner": _state_json(img),
+            "monomial": format_poly(Poly(w.n, {mono: abs(coeff)})),
+            "sign": 1 if coeff > 0 else -1,
+        })
+    return pairs
+
+
 def _run_involution(args) -> tuple:
     d, n, u0, un, variant = args.d, args.n, args.u0, args.un, args.variant
     alpha = _parse_comp(args.alpha, n, "alpha")
@@ -305,16 +353,8 @@ def _run_involution(args) -> tuple:
              f"image={rep.image_count}, pairs={len(rep.pairs)})"]
     for f in rep.failures:
         lines.append(f"  FAILURE {f['kind']}: {f}")
-    pairs_json = []
-    for s, img in rep.pairs:
-        w = rep.weights[s]
-        (mono, coeff), = w.terms.items()
-        pairs_json.append({
-            "state": _state_json(s),
-            "partner": _state_json(img),
-            "monomial": format_poly(Poly(w.n, {mono: abs(coeff)})),
-            "sign": 1 if coeff > 0 else -1,
-        })
+    # Only JSON output and --dump print the pair list; text output skips building it.
+    pairs_json = _pairs_json(rep) if args.format == "json" or args.dump else None
     payload = {
         "d": d, "n": n, "alpha": list(alpha), "u0": u0, "un": un, "variant": variant,
         "beta": list(beta) if beta is not None else None,
@@ -331,6 +371,8 @@ def _run_involution(args) -> tuple:
 
 
 def _run_inverse(args) -> tuple:
+    from .poly import DomainError
+
     d, n = args.d, args.n
     if args.coeff is not None:
         parts = _parse_ints(args.coeff, "--coeff")
@@ -496,6 +538,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    from .poly import DomainError, StructuralError  # after parsing: --help loads no library
+
     try:
         report, code = dispatch(args)
     except (DomainError, StructuralError) as exc:

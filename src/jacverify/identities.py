@@ -31,7 +31,6 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from random import Random
 
 from .combinatorics import composition_sub_or_none, enumerate_compositions
 from .fern import _path_sum, level_sum
@@ -272,6 +271,8 @@ def cayley_hamilton_numeric(n: int, trials: int, seed: int = 0) -> CHNumericRepo
     Also evaluates the assembled degree-1 identity at each sample matrix
     through ``substitute_numeric``, which must give exactly zero.
     """
+    from random import Random  # only this spot check draws random numbers
+
     if n < 1:
         raise DomainError("n must be positive")
     rng = Random(seed)

@@ -281,17 +281,42 @@ def test_workers_do_not_change_output(capsys):
     assert serial == parallel
 
 
-def test_import_loads_no_process_pool():
-    """Only a pooled sweep loads multiprocessing; importing the CLI does not."""
+def _modules_after(argv) -> tuple:
+    """(exit code, loaded modules) of a fresh interpreter that imports the CLI and,
+    given argv, runs it; pytest itself has long since imported every module."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("import sys, jacverify.cli; "
-             "print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    probe = ("import sys, jacverify.cli\n"
+             "code = jacverify.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+             "print(code, *sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    code, *loaded = done.stdout.split()
+    return int(code), set(loaded)
+
+
+def test_import_loads_no_process_pool():
+    """Importing the CLI loads no library module, no process pool (only a pooled
+    sweep does), and neither dataclasses nor json."""
+    _, loaded = _modules_after([])
+    assert {m for m in loaded if m.startswith("jacverify")} == {"jacverify", "jacverify.cli"}
+    assert not {m.split(".")[0] for m in loaded} & {
+        "concurrent", "multiprocessing", "dataclasses", "json"}
+
+
+@pytest.mark.parametrize("argv,used,unused", [
+    ("involution --d 2 --n 2 --alpha 1,1 --u0 1 --un 2 --variant 1 --format json",
+     {"involution", "poly"}, {"identities", "membership", "inverse", "fern", "generators"}),
+    ("gens --d 2 --n 2", {"identities", "generators"}, {"involution", "membership", "inverse"}),
+    ("identity1 --d 2 --n 2 --all", {"identities", "fern"},
+     {"involution", "membership", "inverse"}),
+])
+def test_command_loads_only_the_modules_it_runs(tmp_path, argv, used, unused):
+    code, loaded = _modules_after(shlex.split(argv) + ["--out", str(tmp_path / "out")])
+    assert code == 0
+    assert {f"jacverify.{m}" for m in used} <= loaded
+    assert not {f"jacverify.{m}" for m in unused} & loaded
 
 
 def test_empty_sweeps_exit_two(capsys):
@@ -406,6 +431,29 @@ def test_involution_json_builds_each_state_weight_once(capsys, monkeypatch):
     payload = json.loads(out)["payload"]
     assert code == 0 and payload["pairs"]
     assert len(calls) == payload["states"] == len(set(calls))
+
+
+def test_involution_text_formats_only_the_signed_sum(capsys, monkeypatch, tmp_path):
+    """Text output prints no pair, so only JSON output and --dump build the pair list."""
+    argv = ["involution", "--d", "2", "--n", "3", "--alpha", "1,1,1",
+            "--u0", "1", "--un", "2", "--variant", "1"]
+    calls = []
+    honest = cli.format_poly
+
+    def counted(p):
+        calls.append(p)
+        return honest(p)
+
+    monkeypatch.setattr(cli, "format_poly", counted)
+    assert _run(capsys, argv)[0] == 0
+    assert calls == [involution.verify_involution(2, 3, (1, 1, 1), 1, 2, 1).signed_sum]
+    calls.clear()
+    code, out = _run(capsys, argv + ["--format", "json"])
+    assert code == 0 and len(calls) == 1 + len(json.loads(out)["payload"]["pairs"]) > 1
+    calls.clear()
+    dump = tmp_path / "pairs.json"
+    assert _run(capsys, argv + ["--dump", str(dump)])[0] == 0
+    assert len(calls) == 1 + len(json.loads(dump.read_text()))
 
 
 # -- report encoder -----------------------------------------------------------
