@@ -7,7 +7,8 @@ linear-algebra membership certificates.
 
 The names below are exported lazily (PEP 562): ``jacverify.<name>`` imports
 the name's home module on first use, so importing the package, or running
-one CLI command, loads only the modules that are used.
+one CLI command, loads only the modules that are used.  Each export is the
+object its module defined when it loaded, as with an eager import.
 """
 
 import sys
@@ -25,8 +26,9 @@ _HOMES = {
                    "differential_matrix", "extract_generators", "generator_direct",
                    "weight_w"),
     "identities": ("IdentityInstance", "cayley_hamilton_numeric", "check_relation_2_1s",
-                   "generator_set", "identity1_lhs", "identity2_lhs",
-                   "relation_instances", "relation_report"),
+                   "generator_set", "identity1_instances", "identity1_lhs",
+                   "identity2_instances", "identity2_lhs", "relation_instances",
+                   "relation_report"),
     "inverse": ("TruncatedSeries", "coefficient_c", "degree_law_holds", "inverse_series",
                 "tree_oracle_coefficient", "verify_inverse"),
     "involution": ("TupleState", "classify", "enumerate_states", "state_weight", "tau",
@@ -42,11 +44,10 @@ __all__ = list(_EXPORTS)
 
 
 def __getattr__(name):
-    module = _EXPORTS.get(name)
-    if module is None:
+    if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
-    return value
+    import_module(f".{_EXPORTS[name]}", __name__)  # loading binds the module's exports
+    return globals()[name]
 
 
 def __dir__():
@@ -55,9 +56,13 @@ def __dir__():
 
 class _Package(ModuleType):
     def __setattr__(self, name, value):
-        # Loading the submodule jacverify.membership sets the package attribute of
-        # that name; the exported function ``membership`` keeps it instead.
-        if not (name in _EXPORTS and isinstance(value, ModuleType)):
+        # The import system sets jacverify.<module> once that submodule has loaded:
+        # bind its exports then, so a later patch of a module attribute leaves the
+        # export as the module defined it.  An export keeps its name, so
+        # jacverify.membership stays the function, not the submodule.
+        if name in _HOMES and isinstance(value, ModuleType):
+            globals().update((export, getattr(value, export)) for export in _HOMES[name])
+        if name not in _EXPORTS:
             super().__setattr__(name, value)
 
 

@@ -23,47 +23,43 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import import_module
 
 
-def _deferred(module: str, name: str):
-    """A stand-in for ``jacverify.<module>.<name>`` that imports the module on its first call.
+def _deferred(name: str):
+    """A stand-in for the package export ``jacverify.<name>``; the package imports
+    the name's home module on the first call.
 
     Importing the CLI thus loads no library module, and each command loads only
     those it runs.  The stand-in stays this module's attribute, so tests and the
     benchmark tracer can still replace or wrap ``cli.<name>``.
     """
-    target = None
 
     def stand_in(*args, **kwargs):
-        nonlocal target
-        if target is None:
-            target = getattr(import_module(f".{module}", __package__), name)
-        return target(*args, **kwargs)
+        return getattr(sys.modules[__package__], name)(*args, **kwargs)
 
     stand_in.__name__ = stand_in.__qualname__ = name
     return stand_in
 
 
-FernLabeling = _deferred("fern", "FernLabeling")
-z_fern = _deferred("fern", "z_fern")
-DLinearSpec = _deferred("generators", "DLinearSpec")
-IdentityInstance = _deferred("identities", "IdentityInstance")
-cayley_hamilton_numeric = _deferred("identities", "cayley_hamilton_numeric")
-generator_set = _deferred("identities", "generator_set")
-identity1_instances = _deferred("identities", "identity1_instances")
-identity1_lhs = _deferred("identities", "identity1_lhs")
-identity2_instances = _deferred("identities", "identity2_instances")
-identity2_lhs = _deferred("identities", "identity2_lhs")
-relation_report = _deferred("identities", "relation_report")
-coefficient_c = _deferred("inverse", "coefficient_c")
-inverse_series = _deferred("inverse", "inverse_series")
-verify_involution = _deferred("involution", "verify_involution")
-membership = _deferred("membership", "membership")
-verify_main_theorem = _deferred("membership", "verify_main_theorem")
-Poly = _deferred("poly", "Poly")
-format_poly = _deferred("poly", "format_poly")
-parse_poly = _deferred("poly", "parse_poly")
+FernLabeling = _deferred("FernLabeling")
+z_fern = _deferred("z_fern")
+DLinearSpec = _deferred("DLinearSpec")
+IdentityInstance = _deferred("IdentityInstance")
+cayley_hamilton_numeric = _deferred("cayley_hamilton_numeric")
+generator_set = _deferred("generator_set")
+identity1_instances = _deferred("identity1_instances")
+identity1_lhs = _deferred("identity1_lhs")
+identity2_instances = _deferred("identity2_instances")
+identity2_lhs = _deferred("identity2_lhs")
+relation_report = _deferred("relation_report")
+coefficient_c = _deferred("coefficient_c")
+inverse_series = _deferred("inverse_series")
+verify_involution = _deferred("verify_involution")
+membership = _deferred("membership")
+verify_main_theorem = _deferred("verify_main_theorem")
+Poly = _deferred("Poly")
+format_poly = _deferred("format_poly")
+parse_poly = _deferred("parse_poly")
 
 
 def _json_text(obj) -> str:
