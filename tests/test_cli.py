@@ -31,6 +31,29 @@ def _validate(payload: str, schema_name: str):
     jsonschema.validate(json.loads(payload), schema)
 
 
+# Two members of the benchmark's member pool (perfbench/expected.json,
+# entries 4 and 6) summed: degree 7 at (2,3), eighteen terms that lie in six
+# weight blocks, three from each entry.
+POOL_SUM = (
+    "3 * a[1,1]^2*a[1,2]*a[2,1]^2*a[2,3]^2"
+    " + 3 * a[1,1]*a[2,1]^2*a[2,2]^2*a[2,3]^2"
+    " + 3 * a[1,1]^3*a[2,2]^3*a[3,2] + 3 * a[1,1]*a[2,1]*a[2,2]^4*a[3,2]"
+    " - 1 * a[1,1]*a[1,3]*a[2,1]*a[2,2]*a[2,3]^2*a[3,2]"
+    " - 1 * a[2,1]*a[2,2]^2*a[2,3]^3*a[3,2]"
+    " - 2 * a[1,1]*a[1,3]*a[2,1]^2*a[2,2]*a[3,1]*a[3,2]"
+    " - 2 * a[2,1]^2*a[2,2]^2*a[2,3]*a[3,1]*a[3,2]"
+    " - 1 * a[1,1]^3*a[1,2]*a[2,2]*a[3,2]*a[3,3]"
+    " - 1 * a[1,1]*a[1,2]*a[2,1]*a[2,2]^2*a[3,2]*a[3,3]"
+    " + 3 * a[1,1]*a[2,1]^2*a[2,3]^2*a[3,2]*a[3,3]"
+    " + 3 * a[1,1]*a[2,2]^3*a[3,1]*a[3,2]*a[3,3]"
+    " - 2 * a[1,1]*a[1,3]*a[3,1]^3*a[3,2]*a[3,3]"
+    " - 2 * a[2,2]*a[2,3]*a[3,1]^3*a[3,2]*a[3,3]"
+    " - 1 * a[2,1]*a[2,2]*a[2,3]^2*a[3,2]*a[3,3]^2"
+    " - 1 * a[1,1]*a[1,2]*a[2,2]*a[3,1]*a[3,2]*a[3,3]^2"
+    " - 2 * a[2,1]^2*a[2,2]*a[3,1]*a[3,2]*a[3,3]^2"
+    " - 2 * a[3,1]^3*a[3,2]*a[3,3]^3"
+)
+
 # stdout SHA-256 of small commands of every subcommand, in text and JSON.
 # Each row is (command line, text exit code, text digest, json exit code,
 # json digest); a refactor that changes one output byte fails here.
@@ -108,6 +131,17 @@ GOLDEN = [
     ('verify-theorem --d 2 --N 14,16',
      0, "8759f3c125d96b65991262ead98a2cc09756841cb7cb0983b9babac9c1ba1de7",
      0, "7ef0dcc0206f8fc759c0cd24757c11209b4fc9c3317eeeb6dd394d936d7dcb48"),
+    # Membership at (2,3): a pure power, a member spread over several weight
+    # blocks, and that member plus a power, a non-member in one more block.
+    ("member --d 2 --n 3 --poly 'a[1,1]^8'",
+     1, "48e80d00702e6aa4d79f8344e8dede61d3ddb5739d7918212cc19bc07a2780d5",
+     1, "9f9fd0146fad73d817d81e23c70d1e594fa6a992cd1ca2317bf150173c6150a0"),
+    (f"member --d 2 --n 3 --poly '{POOL_SUM}'",
+     0, "3d4d83c3078f59a943ea57b01cba4853a8526850c4ee7e66a127ff3036645ea7",
+     0, "eee2aaf4e16e5cc19ee62b525d3a29f8ed6ccb4010991ff2a6fe08b420dc518d"),
+    (f"member --d 2 --n 3 --poly '{POOL_SUM} + a[1,1]^7'",
+     1, "2e33c7b3ff85036854b1b2cbe6d5311c7f70cca2ac37535ea625bd320291d837",
+     1, "dfb18b7b0adf1f6c421a1c968503f9fe7f47096984c41ad6757153a047ef11f5"),
     # Pairs whose sigma is not the identity, so the JSON pins its orientation.
     ('involution --d 2 --n 4 --alpha 1,1,2,0 --u0 3 --un 2 --variant 1',
      0, "8a06d032914c54eefed781a369c2545276c53b5e51a716a94147436340190563",
