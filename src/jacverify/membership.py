@@ -16,6 +16,17 @@ of Monagan & Pearce), so no step rescans the vector.  The rows are sparse
 and monomial-indexed, with exact coefficients: integers until a pivot row
 is normalized by its leading coefficient, which gives a Fraction only
 where the quotient is not integral.  Nothing is ever rounded.
+
+The ideal is also graded by a weight in Z^n (Miller & Sturmfels,
+*Combinatorial Commutative Algebra*, ch. 8).  Rescaling x_i to l_i*x_i
+conjugates the d-linear map, which gives a[i,j] the weight d*e_j - e_i,
+and every generator G[(k, alpha)] is homogeneous of weight d*alpha
+(``build_basis`` checks this for each generator it multiplies).  So every
+row is weight-homogeneous, a row reduces only against pivots of its own
+weight, and each degree slice splits into independent weight blocks.
+``build_basis`` builds only the blocks it is asked for, and within a block
+keeps the row order of the whole slice, so pivots, residuals and
+certificates are exactly those of the full elimination.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ from .fern import FernLabeling, z_fern
 from .generators import DLinearSpec, JKey
 from .identities import generator_set
 from .inverse import coefficient_c, inverse_series
-from .poly import DomainError, Poly, exact_quotient, sum_of_products
+from .poly import DomainError, Poly, VerificationError, exact_quotient, sum_of_products
 
 
 @dataclass
@@ -44,6 +55,7 @@ class HomogeneousBasis:
 
     spec: DLinearSpec
     degree: int
+    weights: frozenset | None = None  # weight blocks built; None: all of them
     rows: list = field(default_factory=list)
     _pivots: dict = field(default_factory=dict)  # monomial -> (rowvec, combo)
 
@@ -57,13 +69,73 @@ def a_monomials_of_degree(n: int, degree: int) -> list:
     return out
 
 
-def build_basis(spec: DLinearSpec, degree: int) -> HomogeneousBasis:
-    """Products (monomial of degree D - k*d) x (generator of degree k*d)."""
+def a_weight(d: int, n: int, m: tuple) -> tuple:
+    """Weight of an a-monomial, a[i,j] weighing d*e_j - e_i."""
+    flat = m[1 + n:]
+    return tuple(d * sum(flat[j::n]) - sum(flat[j * n:(j + 1) * n]) for j in range(n))
+
+
+def weight_block_monomials(d: int, n: int, degree: int, weight: tuple) -> list:
+    """The a-monomials of one degree and weight, in ``a_monomials_of_degree`` order.
+
+    Their exponent matrices have some column sums c and row sums
+    d*c - weight; each c with nonnegative row sums gives the matrices with
+    those margins.
+    """
+    if len(weight) != n:
+        raise DomainError(f"a weight has {n} parts")
+    if sum(weight) != (d - 1) * degree:
+        return []
+    flats = []
+    for cols in enumerate_compositions(degree, n):
+        rows = [d * c - w for c, w in zip(cols, weight)]
+        if min(rows) >= 0:
+            flats += _margin_matrices(rows, cols)
+    flats.sort(reverse=True)
+    return [(0,) * (1 + n) + flat for flat in flats]
+
+
+def _margin_matrices(rows: list, cols: tuple) -> list:
+    """Nonnegative matrices with these row and column sums (equal totals),
+    flattened row by row, lexicographically decreasing."""
+    if not rows:
+        return [()]
+    out = []
+    for first in _capped_compositions(rows[0], cols):
+        left = tuple(c - f for c, f in zip(cols, first))
+        out += [first + rest for rest in _margin_matrices(rows[1:], left)]
+    return out
+
+
+def _capped_compositions(total: int, caps: tuple) -> list:
+    """Compositions of total with part j at most caps[j], lexicographically
+    decreasing; each part is bounded so that the later parts can finish."""
+    if len(caps) == 1:
+        return [(total,)] if total <= caps[0] else []
+    out = []
+    for first in range(min(total, caps[0]), max(0, total - sum(caps[1:])) - 1, -1):
+        out += [(first,) + rest for rest in _capped_compositions(total - first, caps[1:])]
+    return out
+
+
+def _weights(spec: DLinearSpec, polys) -> set:
+    """The weights of every term of the given polynomials."""
+    return {a_weight(spec.d, spec.n, m) for p in polys for m in p.terms}
+
+
+def build_basis(spec: DLinearSpec, degree: int, weights=None) -> HomogeneousBasis:
+    """Products (monomial of degree D - k*d) x (generator of degree k*d).
+
+    With ``weights``, only the rows of those weight blocks; None builds
+    every block of the slice.
+    """
     if degree < 0:
         raise DomainError("degree must be nonnegative")
     d, n = spec.d, spec.n
     gens = generator_set(spec)
-    basis = HomogeneousBasis(spec, degree)
+    if weights is not None:
+        weights = frozenset(weights)
+    basis = HomogeneousBasis(spec, degree, weights)
     for key in gens.keys_sorted():
         if key.k == 0:
             continue
@@ -72,7 +144,16 @@ def build_basis(spec: DLinearSpec, degree: int) -> HomogeneousBasis:
             continue
         if gens[key].is_zero():
             continue
-        for mult in a_monomials_of_degree(n, degree - gen_deg):
+        own = tuple(d * a for a in key.alpha)
+        if any(a_weight(d, n, m) != own for m in gens[key].terms):
+            raise VerificationError(f"generator k={key.k} alpha={key.alpha} "
+                                    f"is not homogeneous of weight {own}")
+        if weights is None:
+            mults = a_monomials_of_degree(n, degree - gen_deg)
+        else:
+            mults = [m for w in sorted(weights) for m in weight_block_monomials(
+                d, n, degree - gen_deg, tuple(a - b for a, b in zip(w, own)))]
+        for mult in mults:
             basis.rows.append(BasisRow(key, mult))
 
     # A monomial times a generator has as many terms as the generator, so
@@ -179,10 +260,14 @@ def membership(spec: DLinearSpec, p: Poly,
         return MembershipCertificate(p, [], Poly.zero(n))
 
     degree = p.total_degree()
+    weights = _weights(spec, [p])
     if basis is None:
-        basis = build_basis(spec, degree)
+        basis = build_basis(spec, degree, weights)
     elif basis.degree != degree or basis.spec != spec:
         raise DomainError("basis was built for a different degree slice")
+    elif basis.weights is not None and not weights <= basis.weights:
+        # The missing rows could make p a member: no verdict without them.
+        raise DomainError("basis lacks a weight block of the polynomial")
 
     residual, combo = _reduce(dict(p.terms), basis._pivots)
 
@@ -228,20 +313,22 @@ def verify_fern_lemmas(d: int) -> FernMembershipReport:
     n = 2
     spec = DLinearSpec(d, n)
     report = FernMembershipReport(d)
-    basis = build_basis(spec, 2 * d)
     row = lambda ones: (1,) * ones + (2,) * (d - 1 - ones)
+    targets = []
     for u0 in (1, 2):
         for u2 in (1, 2):
             for m1 in range(d):
                 for m2 in range(d):
                     nu = (row(m1), row(m2))
-                    z = z_fern(FernLabeling(d, n, 2, u0, u2, nu))
-                    cert = membership(spec, z, basis)
-                    report.entries.append((u0, u2, nu, cert))
-                    if not cert.member:
-                        report.failures.append((u0, u2, nu, str(cert.residual)))
-                    elif not certificate_residual(spec, cert).is_zero():
-                        report.failures.append((u0, u2, nu, "certificate mismatch"))
+                    targets.append((u0, u2, nu, z_fern(FernLabeling(d, n, 2, u0, u2, nu))))
+    basis = build_basis(spec, 2 * d, _weights(spec, (z for *_, z in targets)))
+    for u0, u2, nu, z in targets:
+        cert = membership(spec, z, basis)
+        report.entries.append((u0, u2, nu, cert))
+        if not cert.member:
+            report.failures.append((u0, u2, nu, str(cert.residual)))
+        elif not certificate_residual(spec, cert).is_zero():
+            report.failures.append((u0, u2, nu, "certificate mismatch"))
     return report
 
 
@@ -291,19 +378,19 @@ def verify_main_theorem(d: int, N_list) -> TheoremReport:
     for N in N_list:
         exceptional = N < 2 * d
         leaves = 1 + (d - 1) * N // d
-        basis = build_basis(spec, N)
-        for i in (1, 2):
-            for alpha in enumerate_compositions(leaves, n):
-                c = coefficient_c(spec, i, alpha, N, series)
-                if c.is_zero():
-                    report.entries.append(TheoremEntry(i, alpha, N, exceptional, True, None))
-                    continue
-                cert = membership(spec, c, basis)
-                report.entries.append(
-                    TheoremEntry(i, alpha, N, exceptional, cert.member, cert)
-                )
-                if not certificate_residual(spec, cert).is_zero():
-                    report.failures.append((i, alpha, N, "certificate mismatch"))
-                elif not cert.member and not exceptional:
-                    report.failures.append((i, alpha, N, str(cert.residual)))
+        coeffs = [(i, alpha, coefficient_c(spec, i, alpha, N, series))
+                  for i in (1, 2) for alpha in enumerate_compositions(leaves, n)]
+        basis = build_basis(spec, N, _weights(spec, (c for *_, c in coeffs)))
+        for i, alpha, c in coeffs:
+            if c.is_zero():
+                report.entries.append(TheoremEntry(i, alpha, N, exceptional, True, None))
+                continue
+            cert = membership(spec, c, basis)
+            report.entries.append(
+                TheoremEntry(i, alpha, N, exceptional, cert.member, cert)
+            )
+            if not certificate_residual(spec, cert).is_zero():
+                report.failures.append((i, alpha, N, "certificate mismatch"))
+            elif not cert.member and not exceptional:
+                report.failures.append((i, alpha, N, str(cert.residual)))
     return report

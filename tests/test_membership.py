@@ -1,5 +1,6 @@
 """Membership certificates: construction, soundness, fern and coefficient sweeps."""
 
+import importlib
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from jacverify import inverse
 from jacverify.fern import FernLabeling, z_fern
-from jacverify.generators import DLinearSpec, JKey
+from jacverify.generators import DLinearSpec, GeneratorSet, JKey
 from jacverify.identities import generator_set
 from jacverify.inverse import inverse_series
 from jacverify.membership import (
@@ -18,13 +19,15 @@ from jacverify.membership import (
     _reduce,
     _tuple_key,
     a_monomials_of_degree,
+    a_weight,
     build_basis,
     certificate_residual,
     membership,
     verify_fern_lemmas,
     verify_main_theorem,
+    weight_block_monomials,
 )
-from jacverify.poly import DomainError, Poly, a_, monomial_key, x_
+from jacverify.poly import DomainError, Poly, VerificationError, a_, monomial_key, x_
 
 
 def test_build_basis_row_counts():
@@ -271,3 +274,107 @@ def test_basis_pivot_is_the_largest_monomial_of_its_row(n, degree):
     for lead, (vec, _) in basis._pivots.items():
         assert lead == max(vec, key=monomial_key)
         assert vec[lead] == 1
+
+
+# -- weight blocks ---------------------------------------------------------
+
+
+def test_membership_rejects_basis_without_the_target_block():
+    spec = DLinearSpec(2, 2)
+    gens = generator_set(spec)
+    target = a_(2, 1, 2) * gens[JKey(1, (1, 0))]  # a member of weight (1, 2)
+    assert membership(spec, target).member
+    other = build_basis(spec, 3, [(0, 3)])
+    assert other.rows
+    with pytest.raises(DomainError):
+        membership(spec, target, other)
+    assert membership(spec, target, build_basis(spec, 3, [(0, 3), (1, 2)])).member
+
+
+@pytest.mark.parametrize("weights", [None, [(-2, 4), (2, 0)]])
+def test_build_basis_rejects_generator_off_its_weight(monkeypatch, weights):
+    spec = DLinearSpec(2, 2)
+    real = generator_set(spec)
+    key = JKey(1, (1, 0))  # weight d*alpha = (2, 0); a[1,2]^2 weighs (-2, 4)
+    entries = dict(real.entries)
+    entries[key] = real[key] + a_(2, 1, 2) ** 2
+    monkeypatch.setattr(importlib.import_module("jacverify.membership"), "generator_set",
+                        lambda s: GeneratorSet(s, entries))
+    with pytest.raises(VerificationError):
+        build_basis(spec, 3, weights)
+
+
+# (d, n, largest degree) small enough to build the whole slice in a test.
+_SLICES = [(1, 2, 4), (2, 2, 6), (3, 2, 6), (1, 3, 3), (2, 3, 5)]
+
+
+@st.composite
+def _slice_and_weights(draw):
+    d, n, top = draw(st.sampled_from(_SLICES))
+    degree = draw(st.integers(0, top))
+    present = sorted({a_weight(d, n, m) for m in a_monomials_of_degree(n, degree)})
+    weights = draw(st.lists(st.sampled_from(present), min_size=1, max_size=4, unique=True))
+    return d, n, degree, weights
+
+
+@settings(max_examples=120, deadline=None)
+@given(_slice_and_weights(), st.lists(st.integers(-4, 8), min_size=3, max_size=3))
+def test_weight_block_monomials_filter_the_slice_in_order(case, stray):
+    d, n, degree, weights = case
+    monos = a_monomials_of_degree(n, degree)
+    # stray: a weight of the right length that the slice may not have.
+    for w in weights + [tuple(stray[:n])]:
+        want = [m for m in monos if a_weight(d, n, m) == w]
+        assert weight_block_monomials(d, n, degree, w) == want
+
+
+def _combos_by_row(basis, combo):
+    return {(basis.rows[i].key, basis.rows[i].multiplier): c for i, c in combo.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_slice_and_weights())
+def test_block_pivots_equal_the_full_build(case):
+    d, n, degree, weights = case
+    spec = DLinearSpec(d, n)
+    full = _basis(d, n, degree)
+    blocks = build_basis(spec, degree, weights)
+    # Pivots of one block come in the same order; blocks may interleave.
+    for w in weights:
+        assert ([lead for lead in blocks._pivots if a_weight(d, n, lead) == w]
+                == [lead for lead in full._pivots if a_weight(d, n, lead) == w])
+    assert {a_weight(d, n, lead) for lead in blocks._pivots} <= set(weights)
+    for lead, (vec, combo) in blocks._pivots.items():
+        full_vec, full_combo = full._pivots[lead]
+        assert list(vec.items()) == list(full_vec.items())
+        assert _combos_by_row(blocks, combo) == _combos_by_row(full, full_combo)
+
+
+@st.composite
+def _multi_weight_targets(draw):
+    d, n, top = draw(st.sampled_from(_SLICES))
+    degree = draw(st.integers(d, top))
+    spec = DLinearSpec(d, n)
+    gens = generator_set(spec)
+    keys = [k for k in gens.keys_sorted()
+            if k.k >= 1 and k.k * d <= degree and not gens[k].is_zero()]
+    coeff = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3))
+    target = Poly.zero(n)
+    for key, c in draw(st.lists(st.tuples(st.sampled_from(keys), coeff), max_size=4)):
+        mult = draw(st.sampled_from(a_monomials_of_degree(n, degree - key.k * d)))
+        target = target + Poly(n, {mult: c}) * gens[key]
+    monos = a_monomials_of_degree(n, degree)
+    target = target + Poly(n, dict(draw(st.lists(st.tuples(st.sampled_from(monos), coeff),
+                                                  max_size=2))))
+    return spec, degree, target
+
+
+@settings(max_examples=80, deadline=None)
+@given(_multi_weight_targets())
+def test_block_certificates_equal_the_full_build(case):
+    spec, degree, target = case
+    cert = membership(spec, target)
+    full = membership(spec, target, _basis(spec.d, spec.n, degree)) if target else cert
+    assert cert.combination == full.combination
+    assert cert.residual == full.residual
+    assert certificate_residual(spec, cert).is_zero()
