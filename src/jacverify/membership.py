@@ -135,6 +135,8 @@ def build_basis(spec: DLinearSpec, degree: int, weights=None) -> HomogeneousBasi
     gens = generator_set(spec)
     if weights is not None:
         weights = frozenset(weights)
+        if any(len(w) != n for w in weights):
+            raise DomainError(f"a weight has {n} parts")
     basis = HomogeneousBasis(spec, degree, weights)
     for key in gens.keys_sorted():
         if key.k == 0:
@@ -250,7 +252,10 @@ class MembershipCertificate:
 
 def membership(spec: DLinearSpec, p: Poly,
                basis: HomogeneousBasis | None = None) -> MembershipCertificate:
-    """Exact membership decision with a certificate; p must be homogeneous."""
+    """Exact membership decision with a certificate; p must be homogeneous.
+
+    A given basis must hold every weight block of p's terms.
+    """
     n = spec.n
     if p.n != n:
         raise DomainError("polynomial has the wrong ambient dimension")

@@ -289,6 +289,11 @@ def test_membership_rejects_basis_without_the_target_block():
     with pytest.raises(DomainError):
         membership(spec, target, other)
     assert membership(spec, target, build_basis(spec, 3, [(0, 3), (1, 2)])).member
+    for weight in [(1, 2, 0), (3,)]:
+        with pytest.raises(DomainError):
+            build_basis(spec, 3, [weight])
+        with pytest.raises(DomainError):
+            weight_block_monomials(2, 2, 3, weight)
 
 
 @pytest.mark.parametrize("weights", [None, [(-2, 4), (2, 0)]])
