@@ -119,6 +119,17 @@ class Report:
         return "\n".join(self.lines)
 
 
+def _write(path: str, text: str) -> None:
+    """Write an --out or --dump file; a path that cannot be written is an input error."""
+    from .poly import DomainError
+
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _verdict(status: str, counts: dict, payload: dict, lines: list) -> Report:
     """The {status, counts, payload} envelope of the checking subcommands."""
     return Report({"status": status, "counts": counts, "payload": payload}, lines)
@@ -359,8 +370,7 @@ def _run_involution(args) -> tuple:
         "failures": [str(f) for f in rep.failures],
     }
     if args.dump:
-        with open(args.dump, "w") as fh:
-            fh.write(_json_text(pairs_json))
+        _write(args.dump, _json_text(pairs_json))
         lines.append(f"pairs written to {args.dump}")
     counts = {"checked": rep.states, "failures": len(rep.failures)}
     return _verdict(status, counts, payload, lines), 0 if rep.ok else 1
@@ -538,14 +548,13 @@ def main(argv=None) -> int:
 
     try:
         report, code = dispatch(args)
+        text = report.to_json() if args.format == "json" else report.to_text()
+        if args.out:
+            _write(args.out, text + "\n")
     except (DomainError, StructuralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = report.to_json() if args.format == "json" else report.to_text()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
+    if not args.out:
         print(text)
     return code
 

@@ -43,6 +43,7 @@ from .combinatorics import (
     enumerate_compositions,
     enumerate_level_labelings,
     enumerate_subset_permutations,
+    labeling_content,
     last_rep_indices,
 )
 from .poly import DomainError, Poly, VerificationError, a_monomial, poly_sum
@@ -67,11 +68,7 @@ class TupleState:
         return dict(zip(self.S, self.sigma))
 
     def content(self) -> tuple:
-        counts = [0] * self.n
-        for row in self.nu + self.rho:
-            for e in row:
-                counts[e - 1] += 1
-        return tuple(counts)
+        return labeling_content(self.nu + self.rho, self.n)
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,14 @@ against the pivots and reads off an exact certificate
 
     target = sum_k coeff_poly[k] * generator[k] + residual
 
-where residual = 0 exactly when the target is a member.  Reduction takes
-lead terms from a heap in the graded order (as in the sparse elimination
-of Monagan & Pearce), so no step rescans the vector.  The rows are sparse
-and monomial-indexed, with exact coefficients: integers until a pivot row
-is normalized by its leading coefficient, which gives a Fraction only
-where the quotient is not integral.  Nothing is ever rounded.
+where residual = 0 exactly when the target is a member.  Each basis numbers
+the degree-D monomials of its weight blocks once, in ``monomial_key``
+order, and elimination runs on those numbers: reduction takes lead terms
+from a heap of negated indices (as in the sparse elimination of Monagan &
+Pearce), so no step rescans the vector.  The rows are sparse, with exact
+coefficients: integers until a pivot row is normalized by its leading
+coefficient, which gives a Fraction only where the quotient is not
+integral.  Nothing is ever rounded.
 
 The ideal is also graded by a weight in Z^n (Miller & Sturmfels,
 *Combinatorial Commutative Algebra*, ch. 8).  Rescaling x_i to l_i*x_i
@@ -33,14 +35,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from operator import neg
 
 from .combinatorics import enumerate_compositions
 from .fern import FernLabeling, z_fern
 from .generators import DLinearSpec, JKey
 from .identities import generator_set
 from .inverse import coefficient_c, inverse_series
-from .poly import DomainError, Poly, VerificationError, exact_quotient, sum_of_products
+from .poly import (
+    DomainError, Poly, VerificationError, exact_quotient, monomial_key, sum_of_products,
+)
 
 
 @dataclass
@@ -51,17 +54,23 @@ class BasisRow:
 
 @dataclass
 class HomogeneousBasis:
-    """Degree slice of the ideal: generator multiples plus echelon data."""
+    """Weight blocks of a degree slice: generator multiples plus echelon data."""
 
     spec: DLinearSpec
     degree: int
-    weights: frozenset | None = None  # weight blocks built; None: all of them
+    weights: frozenset  # the weight blocks built
+    monomials: list  # the blocks' degree-D monomials, ascending by monomial_key
+    _index: dict  # monomial -> its position in monomials
     rows: list = field(default_factory=list)
-    _pivots: dict = field(default_factory=dict)  # monomial -> (rowvec, combo)
+    _pivots: dict = field(default_factory=dict)  # lead index -> (index row, row combo)
 
 
 def a_monomials_of_degree(n: int, degree: int) -> list:
-    """Exponent tuples of all a-variable monomials with the given degree."""
+    """Exponent tuples of all a-variable monomials with the given degree.
+
+    ``build_basis`` lists weight blocks instead; the tests and the benchmark
+    recorder use this whole-slice list.
+    """
     shift = 1 + n
     out = []
     for comp in enumerate_compositions(degree, n * n):
@@ -123,21 +132,18 @@ def _weights(spec: DLinearSpec, polys) -> set:
     return {a_weight(spec.d, spec.n, m) for p in polys for m in p.terms}
 
 
-def build_basis(spec: DLinearSpec, degree: int, weights=None) -> HomogeneousBasis:
-    """Products (monomial of degree D - k*d) x (generator of degree k*d).
-
-    With ``weights``, only the rows of those weight blocks; None builds
-    every block of the slice.
-    """
+def build_basis(spec: DLinearSpec, degree: int, weights) -> HomogeneousBasis:
+    """Products (monomial of degree D - k*d) x (generator of degree k*d)
+    in the given weight blocks of the degree-D slice."""
     if degree < 0:
         raise DomainError("degree must be nonnegative")
     d, n = spec.d, spec.n
     gens = generator_set(spec)
-    if weights is not None:
-        weights = frozenset(weights)
-        if any(len(w) != n for w in weights):
-            raise DomainError(f"a weight has {n} parts")
-    basis = HomogeneousBasis(spec, degree, weights)
+    weights = frozenset(weights)
+    monomials = sorted((m for w in weights for m in weight_block_monomials(d, n, degree, w)),
+                       key=monomial_key)
+    basis = HomogeneousBasis(spec, degree, weights, monomials,
+                             {m: i for i, m in enumerate(monomials)})
     for key in gens.keys_sorted():
         if key.k == 0:
             continue
@@ -150,11 +156,8 @@ def build_basis(spec: DLinearSpec, degree: int, weights=None) -> HomogeneousBasi
         if any(a_weight(d, n, m) != own for m in gens[key].terms):
             raise VerificationError(f"generator k={key.k} alpha={key.alpha} "
                                     f"is not homogeneous of weight {own}")
-        if weights is None:
-            mults = a_monomials_of_degree(n, degree - gen_deg)
-        else:
-            mults = [m for w in sorted(weights) for m in weight_block_monomials(
-                d, n, degree - gen_deg, tuple(a - b for a, b in zip(w, own)))]
+        mults = [m for w in sorted(weights) for m in weight_block_monomials(
+            d, n, degree - gen_deg, tuple(a - b for a, b in zip(w, own)))]
         for mult in mults:
             basis.rows.append(BasisRow(key, mult))
 
@@ -165,7 +168,8 @@ def build_basis(spec: DLinearSpec, degree: int, weights=None) -> HomogeneousBasi
     for idx in order:
         row = basis.rows[idx]
         product = Poly(n, {row.multiplier: 1}) * gens[row.key]
-        residual, acc = _reduce(dict(product.terms), basis._pivots)
+        residual, acc = _reduce({basis._index[m]: c for m, c in product.terms.items()},
+                                basis._pivots)
         if residual:
             lead = next(iter(residual))  # residual terms come in descending order
             lc = residual[lead]
@@ -180,21 +184,19 @@ def build_basis(spec: DLinearSpec, degree: int, weights=None) -> HomogeneousBasi
 def _reduce(vec: dict, pivots: dict):
     """Split vec as residual + sum(acc[i] * original row i) using the pivots.
 
-    Pivot rows are normalized to leading coefficient 1 and each remembers
-    its own expression in original rows, so the returned decomposition is
-    exact.  Lead terms come off a heap in descending ``monomial_key``
-    order; a monomial that cancels stays on the heap and is skipped when
-    it surfaces.  Residual terms are emitted in descending order.
+    vec maps monomial indices of one basis to coefficients.  Pivot rows are
+    normalized to leading coefficient 1 and each remembers its own
+    expression in original rows, so the returned decomposition is exact.
+    Lead terms come off a heap of negated indices, largest index first; a
+    monomial that cancels stays on the heap and is skipped when it
+    surfaces.  Residual terms are emitted in descending order.
     """
     acc: dict = {}
     residual: dict = {}
-    # vec and the pivot rows lie in one degree-D slice, so no exponent
-    # exceeds D: below 256 each fits a byte of the packed key.
-    key = _packed_key if all(sum(m) < 256 for m in vec) else _tuple_key
-    heap = [(key(m), m) for m in vec]
+    heap = [-m for m in vec]
     heapify(heap)
     while heap:
-        lead = heappop(heap)[1]
+        lead = -heappop(heap)
         coeff = vec.pop(lead, 0)
         if not coeff:
             continue
@@ -211,7 +213,7 @@ def _reduce(vec: dict, pivots: dict):
             if s:
                 vec[m] = s
                 if not old:
-                    heappush(heap, (key(m), m))
+                    heappush(heap, -m)
             elif old:
                 del vec[m]
         for i, c in rowcombo.items():
@@ -221,20 +223,6 @@ def _reduce(vec: dict, pivots: dict):
             elif i in acc:
                 del acc[i]
     return residual, acc
-
-
-# Min-heap keys that surface the largest ``monomial_key`` first.  The packed
-# key is one int: a key tuple per push left ~0.3 MB of freed tuples in the
-# interpreter's free lists.  ``bytes`` raises ValueError for an exponent
-# above 255 rather than misorder it.
-
-
-def _packed_key(m: tuple) -> int:
-    return -(sum(m) << 8 * len(m) | int.from_bytes(bytes(m), "little"))
-
-
-def _tuple_key(m: tuple) -> tuple:
-    return (-sum(m), tuple(map(neg, reversed(m))))
 
 
 @dataclass
@@ -270,11 +258,12 @@ def membership(spec: DLinearSpec, p: Poly,
         basis = build_basis(spec, degree, weights)
     elif basis.degree != degree or basis.spec != spec:
         raise DomainError("basis was built for a different degree slice")
-    elif basis.weights is not None and not weights <= basis.weights:
+    elif not weights <= basis.weights:
         # The missing rows could make p a member: no verdict without them.
         raise DomainError("basis lacks a weight block of the polynomial")
 
-    residual, combo = _reduce(dict(p.terms), basis._pivots)
+    residual, combo = _reduce({basis._index[m]: c for m, c in p.terms.items()},
+                              basis._pivots)
 
     # Each (generator, multiplier) pair is one basis row, so a generator's
     # coefficient polynomial has one term per row and nothing to add.
@@ -283,7 +272,8 @@ def membership(spec: DLinearSpec, p: Poly,
         row = basis.rows[idx]
         by_key.setdefault(row.key, {})[row.multiplier] = c
     combination = [(key, Poly(n, terms)) for key, terms in sorted(by_key.items())]
-    return MembershipCertificate(p, combination, Poly(n, residual))
+    residual = Poly(n, {basis.monomials[i]: c for i, c in residual.items()})
+    return MembershipCertificate(p, combination, residual)
 
 
 def certificate_residual(spec: DLinearSpec, cert: MembershipCertificate) -> Poly:

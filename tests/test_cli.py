@@ -296,6 +296,20 @@ def test_out_file(capsys, tmp_path):
     _validate(target.read_text(), "gens.schema.json")
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["gens", "--d", "1", "--n", "1"], "--out"),
+    (["involution", "--d", "2", "--n", "2", "--alpha", "2,0", "--u0", "1", "--un", "2",
+      "--variant", "2", "--beta", "1"], "--dump"),
+])
+def test_unwritable_file_exits_two(capsys, tmp_path, argv, flag):
+    path = tmp_path / "missing" / "file"
+    assert main(argv + [flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert not path.parent.exists()
+
+
 def test_repeated_runs_byte_identical(capsys):
     for argv in (
         ["gens", "--d", "2", "--n", "2", "--format", "json"],

@@ -15,9 +15,7 @@ from jacverify.generators import DLinearSpec, GeneratorSet, JKey
 from jacverify.identities import generator_set
 from jacverify.inverse import inverse_series
 from jacverify.membership import (
-    _packed_key,
     _reduce,
-    _tuple_key,
     a_monomials_of_degree,
     a_weight,
     build_basis,
@@ -30,10 +28,21 @@ from jacverify.membership import (
 from jacverify.poly import DomainError, Poly, VerificationError, a_, monomial_key, x_
 
 
+def _slice_weights(d, n, degree):
+    """Every weight that occurs among the a-monomials of one degree."""
+    return sorted({a_weight(d, n, m) for m in a_monomials_of_degree(n, degree)})
+
+
+@lru_cache(maxsize=None)
+def _basis(d, n, degree):
+    """The whole degree slice: every weight block it has."""
+    return build_basis(DLinearSpec(d, n), degree, _slice_weights(d, n, degree))
+
+
 def test_build_basis_row_counts():
-    assert len(build_basis(DLinearSpec(2, 2), 2).rows) == 2
-    assert build_basis(DLinearSpec(2, 2), 1).rows == []
-    assert len(build_basis(DLinearSpec(1, 2), 2).rows) == 5
+    assert len(_basis(2, 2, 2).rows) == 2
+    assert _basis(2, 2, 1).rows == []
+    assert len(_basis(1, 2, 2).rows) == 5
 
 
 def test_membership_reference_fern_certificate():
@@ -212,11 +221,6 @@ def _reduce_rescan(vec, pivots):
     return residual, acc
 
 
-@lru_cache(maxsize=None)
-def _basis(d, n, degree):
-    return build_basis(DLinearSpec(d, n), degree)
-
-
 @st.composite
 def _reduction_cases(draw):
     n = draw(st.sampled_from([2, 3]))
@@ -237,42 +241,40 @@ def _reduction_cases(draw):
     return basis, Poly(n, vec).terms
 
 
+def _reduce_both_ways(basis, terms):
+    """_reduce on the basis's monomial indices, its residual mapped back to
+    exponent tuples, and the rescan on the same pivots keyed by tuples."""
+    mon = basis.monomials
+    tuple_pivots = {mon[lead]: ({mon[i]: c for i, c in vec.items()}, combo)
+                    for lead, (vec, combo) in basis._pivots.items()}
+    residual, acc = _reduce({basis._index[m]: c for m, c in terms.items()}, basis._pivots)
+    got = ({mon[i]: c for i, c in residual.items()}, acc)
+    return got, _reduce_rescan(dict(terms), tuple_pivots)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_reduction_cases())
 def test_heap_reduce_matches_rescan_reference(case):
-    basis, terms = case
-    got = _reduce(dict(terms), basis._pivots)
-    want = _reduce_rescan(dict(terms), basis._pivots)
+    got, want = _reduce_both_ways(*case)
     for g, w in zip(got, want):
         assert list(g.items()) == list(w.items())
 
 
-def test_reduce_beyond_packed_exponents_matches_rescan():
-    """A slice of degree 256 and above takes the tuple key, in the same order."""
+def test_reduce_in_a_degree_300_slice_matches_rescan():
     spec = DLinearSpec(1, 1)
-    basis = build_basis(spec, 300)
     target = {(0, 0, 300): 3}
-    got = _reduce(dict(target), basis._pivots)
-    assert got == _reduce_rescan(dict(target), basis._pivots)
+    got, want = _reduce_both_ways(_basis(1, 1, 300), target)
+    assert got == want
     assert membership(spec, Poly(1, target)).member
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(st.integers(0, 255), min_size=7, max_size=7),
-                min_size=1, max_size=12))
-def test_heap_keys_order_as_monomial_key(exps):
-    monos = [tuple(e) for e in exps]
-    want = sorted(monos, key=monomial_key, reverse=True)
-    assert sorted(monos, key=_packed_key) == want
-    assert sorted(monos, key=_tuple_key) == want
 
 
 @pytest.mark.parametrize("n,degree", [(2, 6), (3, 5)])
 def test_basis_pivot_is_the_largest_monomial_of_its_row(n, degree):
     basis = _basis(2, n, degree)
+    mon = basis.monomials
     assert basis._pivots
     for lead, (vec, _) in basis._pivots.items():
-        assert lead == max(vec, key=monomial_key)
+        assert mon[lead] == max((mon[i] for i in vec), key=monomial_key)
         assert vec[lead] == 1
 
 
@@ -296,7 +298,7 @@ def test_membership_rejects_basis_without_the_target_block():
             weight_block_monomials(2, 2, 3, weight)
 
 
-@pytest.mark.parametrize("weights", [None, [(-2, 4), (2, 0)]])
+@pytest.mark.parametrize("weights", [_slice_weights(2, 2, 3), [(-2, 4), (2, 0)]])
 def test_build_basis_rejects_generator_off_its_weight(monkeypatch, weights):
     spec = DLinearSpec(2, 2)
     real = generator_set(spec)
@@ -317,8 +319,8 @@ _SLICES = [(1, 2, 4), (2, 2, 6), (3, 2, 6), (1, 3, 3), (2, 3, 5)]
 def _slice_and_weights(draw):
     d, n, top = draw(st.sampled_from(_SLICES))
     degree = draw(st.integers(0, top))
-    present = sorted({a_weight(d, n, m) for m in a_monomials_of_degree(n, degree)})
-    weights = draw(st.lists(st.sampled_from(present), min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.sampled_from(_slice_weights(d, n, degree)),
+                            min_size=1, max_size=4, unique=True))
     return d, n, degree, weights
 
 
@@ -333,8 +335,26 @@ def test_weight_block_monomials_filter_the_slice_in_order(case, stray):
         assert weight_block_monomials(d, n, degree, w) == want
 
 
-def _combos_by_row(basis, combo):
-    return {(basis.rows[i].key, basis.rows[i].multiplier): c for i, c in combo.items()}
+@settings(max_examples=80, deadline=None)
+@given(_slice_and_weights())
+def test_basis_numbers_its_block_monomials_in_monomial_key_order(case):
+    d, n, degree, weights = case
+    basis = build_basis(DLinearSpec(d, n), degree, weights)
+    blocks = [m for w in weights for m in weight_block_monomials(d, n, degree, w)]
+    assert sorted(basis.monomials) == sorted(blocks)
+    keys = [monomial_key(m) for m in basis.monomials]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert len(basis._index) == len(basis.monomials)
+    assert all(basis.monomials[i] == m for m, i in basis._index.items())
+
+
+def _pivots_by_monomial(basis):
+    """Pivots with monomials as exponent tuples and combos keyed by
+    (key, multiplier), since bases of other weight sets number both apart."""
+    mon, rows = basis.monomials, basis.rows
+    return {mon[lead]: ([(mon[i], c) for i, c in vec.items()],
+                        {(rows[i].key, rows[i].multiplier): c for i, c in combo.items()})
+            for lead, (vec, combo) in basis._pivots.items()}
 
 
 @settings(max_examples=60, deadline=None)
@@ -342,17 +362,15 @@ def _combos_by_row(basis, combo):
 def test_block_pivots_equal_the_full_build(case):
     d, n, degree, weights = case
     spec = DLinearSpec(d, n)
-    full = _basis(d, n, degree)
-    blocks = build_basis(spec, degree, weights)
+    full = _pivots_by_monomial(_basis(d, n, degree))
+    blocks = _pivots_by_monomial(build_basis(spec, degree, weights))
     # Pivots of one block come in the same order; blocks may interleave.
     for w in weights:
-        assert ([lead for lead in blocks._pivots if a_weight(d, n, lead) == w]
-                == [lead for lead in full._pivots if a_weight(d, n, lead) == w])
-    assert {a_weight(d, n, lead) for lead in blocks._pivots} <= set(weights)
-    for lead, (vec, combo) in blocks._pivots.items():
-        full_vec, full_combo = full._pivots[lead]
-        assert list(vec.items()) == list(full_vec.items())
-        assert _combos_by_row(blocks, combo) == _combos_by_row(full, full_combo)
+        assert ([lead for lead in blocks if a_weight(d, n, lead) == w]
+                == [lead for lead in full if a_weight(d, n, lead) == w])
+    assert {a_weight(d, n, lead) for lead in blocks} <= set(weights)
+    for lead, entry in blocks.items():
+        assert entry == full[lead]
 
 
 @st.composite
