@@ -33,8 +33,9 @@ _HOMES = {
                 "tree_oracle_coefficient", "verify_inverse"),
     "involution": ("TupleState", "classify", "enumerate_states", "state_weight", "tau",
                    "tau_inverse", "verify_involution"),
-    "membership": ("HomogeneousBasis", "MembershipCertificate", "build_basis", "membership",
-                   "verify_fern_lemmas", "verify_main_theorem"),
+    "membership": ("HomogeneousBasis", "MembershipCertificate", "build_basis",
+                   "certificate_residual", "membership", "verify_fern_lemmas",
+                   "verify_main_theorem"),
     "poly": ("DomainError", "Poly", "PolyMatrix", "StructuralError", "VarId",
              "VerificationError", "coefficient_of", "determinant", "format_poly",
              "parse_poly", "poly_determinant", "split_xt", "substitute_numeric"),

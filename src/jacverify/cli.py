@@ -11,6 +11,8 @@ polynomial text), so repeated runs are byte identical.  Exit codes: 0
 pass/member, 1 verification failure or non-member, 2 usage or input error,
 including a sweep with no instance, a count out of range (``--workers``
 below 1, ``--numeric-trials`` below 0) and ``--numeric-trials`` at d != 1.
+A failed exact check in the library (``VerificationError``, such as a
+``member`` certificate that does not re-multiply) prints ``error:`` only.
 
 Sweeps (``--all``) run the library's instance enumerations
 (``identity1_instances``, ``identity2_instances``, ``relation_instances``
@@ -56,6 +58,7 @@ coefficient_c = _deferred("coefficient_c")
 inverse_series = _deferred("inverse_series")
 verify_involution = _deferred("verify_involution")
 membership = _deferred("membership")
+certificate_residual = _deferred("certificate_residual")
 verify_main_theorem = _deferred("verify_main_theorem")
 Poly = _deferred("Poly")
 format_poly = _deferred("format_poly")
@@ -407,8 +410,13 @@ def _run_inverse(args) -> tuple:
 
 
 def _run_member(args) -> tuple:
-    target = parse_poly(args.poly, args.n)
-    body = _certificate_json(membership(DLinearSpec(args.d, args.n), target))
+    from .poly import VerificationError
+
+    spec = DLinearSpec(args.d, args.n)
+    cert = membership(spec, parse_poly(args.poly, args.n))
+    if not certificate_residual(spec, cert).is_zero():
+        raise VerificationError("the certificate does not re-multiply to the target")
+    body = _certificate_json(cert)
     lines = ["member" if body["member"] else "non-member"]
     for item in body["combination"]:
         lines.append(f"  k={item['k']} alpha=({_tuple_text(item['alpha'])}) "
@@ -544,16 +552,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    from .poly import DomainError, StructuralError  # after parsing: --help loads no library
+    from .poly import DomainError, StructuralError, VerificationError  # not loaded by --help
 
     try:
         report, code = dispatch(args)
         text = report.to_json() if args.format == "json" else report.to_text()
         if args.out:
             _write(args.out, text + "\n")
-    except (DomainError, StructuralError) as exc:
+    except (DomainError, StructuralError, VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, VerificationError) else 2
     if not args.out:
         print(text)
     return code

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 
 from .combinatorics import (
     composition_sub_or_none,
@@ -42,9 +43,6 @@ from .combinatorics import (
     labeling_content,
 )
 from .poly import DomainError, Poly, a_monomial, poly_sum, sum_of_products
-
-_ROW_MATRIX_CACHE: dict = {}
-_LEVEL_SUM_CACHE: dict = {}
 
 
 @dataclass(frozen=True)
@@ -121,40 +119,33 @@ def level_sum(d: int, n: int, m: int, rem: tuple, u0: int, uk: int,
     return sum_of_products(n, zip(row, (tail_t[uk - 1] for tail_t in tail)))
 
 
+@cache
 def _row_matrix(n: int, c: tuple) -> tuple:
     """M(c)[r,s] = a[r,s] * prod_l a[r,l]^c_l: one level whose row has content c."""
-    key = (n, c)
-    if key not in _ROW_MATRIX_CACHE:
-        rows = []
-        for r in range(1, n + 1):
-            leaves = [(r, lab) for lab, e in enumerate(c, start=1) for _ in range(e)]
-            rows.append(tuple(a_monomial(n, leaves + [(r, s)]) for s in range(1, n + 1)))
-        _ROW_MATRIX_CACHE[key] = tuple(rows)
-    return _ROW_MATRIX_CACHE[key]
+    rows = []
+    for r in range(1, n + 1):
+        leaves = [(r, lab) for lab, e in enumerate(c, start=1) for _ in range(e)]
+        rows.append(tuple(a_monomial(n, leaves + [(r, s)]) for s in range(1, n + 1)))
+    return tuple(rows)
 
 
+@cache
 def _level_sums(d: int, n: int, m: int, rem: tuple) -> tuple:
     """The matrix S(m, rem); rem must be a composition of m(d-1)."""
-    key = (d, n, m, rem)
-    if key in _LEVEL_SUM_CACHE:
-        return _LEVEL_SUM_CACHE[key]
     if m == 0:
-        S = tuple(tuple(Poly.one(n) if r == s else Poly.zero(n) for s in range(n))
-                  for r in range(n))
-    else:
-        parts = []  # (multinom(c) * M(c), S(m-1, rem-c)) per admissible c
-        for c in enumerate_compositions(d - 1, n):
-            rest = composition_sub_or_none(rem, c)
-            if rest is not None:
-                weight = count_level_labelings(c, 1, d)
-                scaled = [[weight * x for x in row] for row in _row_matrix(n, c)]
-                parts.append((scaled, _level_sums(d, n, m - 1, rest)))
-        S = tuple(tuple(sum_of_products(n, ((M[r][t], tail[t][s])
-                                            for M, tail in parts for t in range(n)))
-                        for s in range(n))
-                  for r in range(n))
-    _LEVEL_SUM_CACHE[key] = S
-    return S
+        return tuple(tuple(Poly.one(n) if r == s else Poly.zero(n) for s in range(n))
+                     for r in range(n))
+    parts = []  # (multinom(c) * M(c), S(m-1, rem-c)) per admissible c
+    for c in enumerate_compositions(d - 1, n):
+        rest = composition_sub_or_none(rem, c)
+        if rest is not None:
+            weight = count_level_labelings(c, 1, d)
+            scaled = [[weight * x for x in row] for row in _row_matrix(n, c)]
+            parts.append((scaled, _level_sums(d, n, m - 1, rest)))
+    return tuple(tuple(sum_of_products(n, ((M[r][t], tail[t][s])
+                                           for M, tail in parts for t in range(n)))
+                       for s in range(n))
+                 for r in range(n))
 
 
 def z_fern_is_homogeneous(fl: FernLabeling) -> bool:

@@ -30,7 +30,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import comb
+from operator import mul
 
 from .combinatorics import composition_sub_or_none, enumerate_compositions
 from .fern import _path_sum, level_sum
@@ -39,14 +41,11 @@ from .poly import (
     DomainError, Poly, VarId, a_monomial, determinant, substitute_numeric, sum_of_products,
 )
 
-_GENERATOR_CACHE: dict = {}
 
-
+@cache
 def generator_set(spec: DLinearSpec):
     """Extracted generators, cached per (d, n); treat the result as frozen."""
-    if spec not in _GENERATOR_CACHE:
-        _GENERATOR_CACHE[spec] = extract_generators(spec)
-    return _GENERATOR_CACHE[spec]
+    return extract_generators(spec)
 
 
 @dataclass(frozen=True)
@@ -255,7 +254,8 @@ class CHNumericReport:
 
 
 def _principal_minor_sum(A, k: int) -> Fraction:
-    return sum((determinant([[A[i][j] for j in rows] for i in rows], Fraction(1))
+    dot = lambda pairs: sum(itertools.starmap(mul, pairs))
+    return sum((determinant([[A[i][j] for j in rows] for i in rows], Fraction(1), dot)
                 for rows in itertools.combinations(range(len(A)), k)), Fraction(0))
 
 

@@ -40,8 +40,7 @@ def mul_trunc(p: Poly, q: Poly, n_max: int) -> Poly:
 
     Only pairs of t-layers whose degrees sum to at most n_max are multiplied.
     """
-    p._check(q)
-    q_layers = t_layers(q)
+    q_layers = t_layers(p._operand(q))
     return sum_of_products(p.n, ((x, y) for a, x in t_layers(p).items()
                                  for b, y in q_layers.items() if a + b <= n_max))
 

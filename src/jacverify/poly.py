@@ -20,12 +20,14 @@ terms in ascending canonical order, which makes every printed polynomial
 byte-reproducible; ``parse_poly`` reads the same grammar back, accepting
 text by one regular expression built from the grammar's rules.
 
-Every sum of products goes through one kernel: ``sum_of_products`` (the
-sum of x * y over pairs) and ``poly_sum`` (the sum of polynomials)
-accumulate all terms into one dict and make it canonical once, dropping
-zeros and storing integral Fractions as int (the accumulate-then-normalize
-kernel of Monagan & Pearce), so no partial sum or intermediate product is
-built; ``Poly * Poly`` is its one-pair case.  Only this module touches the
+The kernel has one loop that multiplies (``_mul_into``), one that sums
+(``poly_sum``) and one normalization (``_canonical_terms``: zeros dropped,
+integral Fractions stored as int, floats refused), which the constructor
+also uses.  ``sum_of_products`` (the sum of x * y over pairs) accumulates
+every product into one dict and normalizes it once (the accumulate-then-
+normalize kernel of Monagan & Pearce); ``Poly * Poly`` is its one-pair
+case.  ``poly_sum`` keeps its dict canonical as each term is folded in;
+``+`` and ``-`` are its two-summand cases.  Only this module touches the
 canonical form.  ``t_layers`` splits a polynomial by t-degree, so that
 truncated products pair only the layers below a cutoff.
 
@@ -33,8 +35,9 @@ Signed products of a-variables (fern paths, state and generator weights,
 tree weights) are built by ``a_monomial``, which writes the whole product
 into one exponent vector instead of multiplying one-variable polynomials.
 ``split_xt`` is the one place that reads off the a-coefficient of each
-(t, x) monomial, and ``determinant`` the one cofactor expansion, used over
-both ``Poly`` and ``Fraction`` entries.
+(t, x) monomial, and ``determinant`` the one cofactor expansion, over
+``Poly`` or ``Fraction`` entries: it sums each level through the ring's
+``dot`` (``sum_of_products`` for ``Poly``), with no running total.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, partial
 from operator import add
 from typing import Mapping
 
@@ -130,9 +133,10 @@ def exact_quotient(a, b):
     return _exact(Fraction(a, b))
 
 
-def _canonical_terms(terms: dict) -> dict:
-    """A kernel result with its zeros dropped and integral Fractions as int."""
-    return {m: c if type(c) is int else _exact(c) for m, c in terms.items() if c}
+def _canonical_terms(terms: Mapping) -> dict:
+    """terms without zeros, integral Fractions as int; a float, even 0.0, raises."""
+    return {m: c if type(c) is int else _exact(c) for m, c in terms.items()
+            if c or type(c) is not int and _exact(c)}  # a non-int zero meets _exact too
 
 
 class Poly:
@@ -147,12 +151,7 @@ class Poly:
 
     def __init__(self, n: int, terms: Mapping[tuple, int | Fraction] | None = None):
         self.n = n
-        out = {}
-        for m, c in (terms or {}).items():
-            c = _exact(c)
-            if c:
-                out[m] = c
-        self.terms = out
+        self.terms = _canonical_terms(terms or {})
 
     @classmethod
     def _of(cls, n: int, terms: dict) -> "Poly":
@@ -184,25 +183,18 @@ class Poly:
 
     # -- ring operations ----------------------------------------------
 
-    def _check(self, other: "Poly"):
+    def _operand(self, other) -> "Poly":
+        """other as a polynomial of this ring: a scalar becomes a constant."""
+        if isinstance(other, (int, Fraction)):
+            return Poly.const(self.n, other)
         if not isinstance(other, Poly):
             raise StructuralError(f"expected Poly, got {type(other).__name__}")
         if self.n != other.n:
             raise StructuralError(f"mismatched ambient n: {self.n} vs {other.n}")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.n, other)
-        self._check(other)
-        out = dict(self.terms)
-        get = out.get
-        for m, c in other.terms.items():
-            s = get(m, 0) + c
-            if not s:
-                del out[m]
-            else:
-                out[m] = s if type(s) is int else _exact(s)
-        return Poly._of(self.n, out)
+        return poly_sum(self.n, (self, self._operand(other)))
 
     __radd__ = __add__
 
@@ -210,19 +202,16 @@ class Poly:
         return Poly._of(self.n, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.n, other)
-        return self + (-other)
+        return poly_sum(self.n, (self, -self._operand(other)))
 
     def __rsub__(self, other):
-        return Poly.const(self.n, other) - self
+        return poly_sum(self.n, (self._operand(other), -self))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _exact(other)
             return Poly._of(self.n, _canonical_terms({m: k * c for m, k in self.terms.items()}))
-        self._check(other)
-        return sum_of_products(self.n, ((self, other),))
+        return sum_of_products(self.n, ((self, self._operand(other)),))
 
     __rmul__ = __mul__
 
@@ -305,15 +294,26 @@ def sum_of_products(n: int, pairs) -> Poly:
 
 
 def poly_sum(n: int, polys) -> Poly:
-    """The sum of an iterable of dimension-n polynomials."""
+    """The sum of an iterable of dimension-n polynomials.
+
+    A summand that meets an empty sum is copied whole and each later term is
+    folded in, so p + q costs a copy of p plus one step per term of q.
+    """
     out: dict = {}
     get = out.get
     for p in polys:
         if p.n != n:
             raise StructuralError(f"mismatched ambient n: {p.n} in a sum over {n}")
+        if not out:
+            out.update(p.terms)
+            continue
         for m, c in p.terms.items():
-            out[m] = get(m, 0) + c
-    return Poly._of(n, _canonical_terms(out))
+            s = get(m, 0) + c
+            if not s:
+                del out[m]
+            else:
+                out[m] = s if type(s) is int else _exact(s)
+    return Poly._of(n, out)
 
 
 def t_layers(p: Poly) -> dict:
@@ -402,28 +402,25 @@ class PolyMatrix:
 
 def poly_determinant(mat: PolyMatrix) -> Poly:
     """Exact determinant by first-column cofactor expansion."""
-    return determinant(mat.entries, Poly.one(mat.ambient_n))
+    n = mat.ambient_n
+    return determinant(mat.entries, Poly.one(n), partial(sum_of_products, n))
 
 
-def determinant(rows, one):
+def determinant(rows, one, dot):
     """First-column cofactor expansion over any commutative ring.
 
-    Entries need +, -, * and a falsy zero (``Poly``, ``Fraction``, int);
-    ``one`` is the ring's unit, the determinant of the empty matrix.
+    Entries need negation and a falsy zero (``Poly``, ``Fraction``, int).
+    ``one`` is the ring's unit and ``dot`` its sum of x * y over (x, y)
+    pairs, called once per expansion on its signed (entry, minor) pairs.
     """
     k = len(rows)
     if k == 0:
         return one
     if k == 1:
         return rows[0][0]
-    total = one * 0
-    for i in range(k):
-        if not rows[i][0]:
-            continue
-        minor = [r[1:] for j, r in enumerate(rows) if j != i]
-        cof = rows[i][0] * determinant(minor, one)
-        total = total + cof if i % 2 == 0 else total - cof
-    return total
+    return dot((-rows[i][0] if i % 2 else rows[i][0],
+                determinant([r[1:] for j, r in enumerate(rows) if j != i], one, dot))
+               for i in range(k) if rows[i][0])
 
 
 # -- text grammar ------------------------------------------------------
@@ -451,7 +448,7 @@ _SIGNED_TERM = re.compile(rf"\s*(?P<sign>[+-]?)\s*(?P<term>{_TERM})")
 _ATOM = re.compile(f"{_COEFF}|{_FACTOR}")
 
 
-@lru_cache(maxsize=None)
+@cache
 def _var_names(n: int) -> tuple:
     """The printed name of each exponent position for dimension n."""
     return tuple(str(var_of_index(n, pos)) for pos in range(n_vars(n)))

@@ -1,6 +1,8 @@
 """Command-line surface: golden output, JSON schemas, exit codes, determinism."""
 
+import dataclasses
 import hashlib
+import importlib
 import json
 import os
 import shlex
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 import jacverify.cli as cli
 import jacverify.involution as involution
 from jacverify.cli import main
+from jacverify.poly import a_, t_, x_
 
 SCHEMAS = files("jacverify") / "schemas"
 
@@ -308,6 +311,38 @@ def test_unwritable_file_exits_two(capsys, tmp_path, argv, flag):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {path}: ")
     assert not path.parent.exists()
+
+
+def _assert_verification_error(capsys, argv):
+    """A failed exact check exits 1 with one error line and prints no report."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_member_rechecks_its_certificate(capsys, monkeypatch):
+    real = cli.membership
+
+    def drop_one_term(spec, target):
+        cert = real(spec, target)
+        assert cert.member and cert.combination
+        return dataclasses.replace(cert, combination=cert.combination[1:])
+
+    monkeypatch.setattr(cli, "membership", drop_one_term)
+    _assert_verification_error(capsys, ["member", "--d", "2", "--n", "2", "--poly",
+                                        "a[1,1]^3*a[1,2] + a[1,1]*a[1,2]*a[2,1]*a[2,2]"])
+
+
+def test_gens_with_a_broken_determinant_exits_one(capsys, monkeypatch):
+    """The stray term of tests/test_generators.py, reached through the CLI."""
+    generators = importlib.import_module("jacverify.generators")
+    n = 2
+    stray = t_(n) ** 2 * x_(n, 1) * a_(n, 1, 1) ** 2
+    real = generators.poly_determinant
+    monkeypatch.setattr(generators, "poly_determinant", lambda mat: real(mat) + stray)
+    importlib.import_module("jacverify.identities").generator_set.cache_clear()
+    _assert_verification_error(capsys, ["gens", "--d", "2", "--n", str(n)])
 
 
 def test_repeated_runs_byte_identical(capsys):

@@ -2,7 +2,7 @@
 
 import importlib
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from random import Random
 
 import pytest
@@ -33,7 +33,7 @@ def _slice_weights(d, n, degree):
     return sorted({a_weight(d, n, m) for m in a_monomials_of_degree(n, degree)})
 
 
-@lru_cache(maxsize=None)
+@cache
 def _basis(d, n, degree):
     """The whole degree slice: every weight block it has."""
     return build_basis(DLinearSpec(d, n), degree, _slice_weights(d, n, degree))

@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import operator
 import re
 from fractions import Fraction
 from importlib.resources import files
@@ -451,14 +452,18 @@ def _leibniz(M):
     return total
 
 
+def _fraction_dot(pairs):
+    return sum(itertools.starmap(operator.mul, pairs))
+
+
 def test_determinant_over_fractions_matches_leibniz():
     rng = Random(11)
-    assert determinant([], Fraction(1)) == 1
+    assert determinant([], Fraction(1), _fraction_dot) == 1
     for size in range(1, 5):
         for _ in range(10):
             M = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(size)]
                  for _ in range(size)]
-            assert determinant(M, Fraction(1)) == _leibniz(M)
+            assert determinant(M, Fraction(1), _fraction_dot) == _leibniz(M)
 
 
 def _is_stored_coefficient(c):
@@ -526,6 +531,9 @@ def test_integer_kernel_matches_fraction_reference(case):
          _ref_add(_ref_add(pq, pq), _ref_mul(rp, rp))),
         (poly_sum(n, []), {}),
         (poly_sum(n, [p, q, -p, -q]), {}),
+        (poly_sum(n, [Poly.zero(n), p, q]), _ref_add(rp, rq)),
+        (poly_sum(n, [p, -p, q, p]), _ref_add(rq, rp)),
+        (poly_sum(n, [q, -q, Poly.zero(n), p]), rp),
         (poly_sum(n, [p, q, p]), _ref_add(_ref_add(rp, rq), rp)),
         (poly_sum(n, t_layers(p).values()), rp),
     ]
@@ -534,14 +542,55 @@ def test_integer_kernel_matches_fraction_reference(case):
         assert all(_is_stored_coefficient(c) for c in got.terms.values())
 
 
+# A float zero too: zeros are dropped before the type check, which it must still meet.
+
 def test_constructor_rejects_float_coefficients():
-    with pytest.raises(StructuralError, match="neither an int nor a Fraction"):
-        Poly(2, {(0,) * n_vars(2): 0.5})
+    for value in (0.5, 0.0, -0.0):
+        with pytest.raises(StructuralError, match="neither an int nor a Fraction"):
+            Poly(2, {(0,) * n_vars(2): value})
 
 
 def test_const_rejects_float():
-    with pytest.raises(StructuralError, match="neither an int nor a Fraction"):
-        Poly.const(2, 0.1)
+    for value in (0.1, 0.0):
+        with pytest.raises(StructuralError, match="neither an int nor a Fraction"):
+            Poly.const(2, value)
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """Square Poly matrices of size 0-4, with int and Fraction coefficients,
+    and some first-column entries forced to zero."""
+    n = draw(st.integers(1, 2))
+    size = draw(st.integers(0, 4))
+    exps = st.tuples(*[st.integers(0, 2)] * n_vars(n))
+    entry = st.dictionaries(exps, _MIXED, max_size=2)
+    rows = [[Poly(n, draw(entry)) for _ in range(size)] for _ in range(size)]
+    for row in rows:
+        if draw(st.booleans()):
+            row[0] = Poly.zero(n)
+    return n, rows
+
+
+def _ref_leibniz(n, rows):
+    """The Leibniz expansion on Fraction term dicts."""
+    size = len(rows)
+    total = {}
+    for perm in itertools.permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(size), 2))
+        term = {(0,) * n_vars(n): Fraction(1)}
+        for i, j in enumerate(perm):
+            term = _ref_mul(term, _ref(rows[i][j].terms))
+        total = _ref_add(total, term, (-1) ** inversions)
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sparse_matrices())
+def test_poly_determinant_matches_leibniz_reference(case):
+    n, rows = case
+    got = poly_determinant(PolyMatrix(len(rows), rows, ambient_n=n))
+    assert got.terms == _ref_leibniz(n, rows)
+    assert all(_is_stored_coefficient(c) for c in got.terms.values())
 
 
 def test_kernel_rejects_mismatched_dimensions():
