@@ -17,13 +17,14 @@ A failed exact check in the library (``VerificationError``, such as a
 Sweeps (``--all``) run the library's instance enumerations
 (``identity1_instances``, ``identity2_instances``, ``relation_instances``
 through ``relation_report``); the identity sweeps can shard across
-``--workers`` processes, and results are merged in instance order so
-parallel runs print the same bytes.
+``--workers`` processes (no more than there are instances or CPUs), and
+results are merged in instance order so parallel runs print the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 
@@ -204,13 +205,15 @@ def _identity_worker(inst: IdentityInstance) -> dict:
 
 
 def _pmap(fn, tasks, workers: int):
+    # A pool forks all its processes at once, so it gets no more than tasks or CPUs.
     tasks = list(tasks)
-    if workers <= 1 or len(tasks) <= 1:
+    size = min(workers, len(tasks), os.cpu_count() or 1)
+    if size <= 1:
         return [fn(t) for t in tasks]
     # Imported here: only pooled sweeps pay for loading multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(fn, tasks))
 
 
@@ -462,6 +465,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["text", "json"], default="text")
     common.add_argument("--out", metavar="FILE", help="write output to FILE")
+    sized = argparse.ArgumentParser(add_help=False, parents=[common])
+    sized.add_argument("--d", type=int, required=True)
+    sized.add_argument("--n", type=int, required=True)
 
     parser = argparse.ArgumentParser(
         prog="jacverify",
@@ -469,16 +475,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("gens", parents=[common],
+    p = sub.add_parser("gens", parents=[sized],
                        help="print the ideal generators keyed by (k, alpha)")
     p.set_defaults(run=_run_gens)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("z", parents=[common], help="print one fern weight element")
+    p = sub.add_parser("z", parents=[sized], help="print one fern weight element")
     p.set_defaults(run=_run_z)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--u0", type=int, required=True)
     p.add_argument("--uk", type=int, required=True)
     p.add_argument("--nu", default="",
@@ -486,11 +488,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         "for d=1 use k-1 bare semicolons)")
 
     for name in ("identity1", "identity2"):
-        p = sub.add_parser(name, parents=[common],
+        p = sub.add_parser(name, parents=[sized],
                            help=f"assemble {name} and check it vanishes")
         p.set_defaults(run=_run_identity)
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
         p.add_argument("--alpha", help="composition of n(d-1), comma separated")
         p.add_argument("--u0", type=int)
         p.add_argument("--un", type=int)
@@ -515,11 +515,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=int, choices=[1, 2])
     p.add_argument("--all", action="store_true", dest="sweep_all")
 
-    p = sub.add_parser("involution", parents=[common],
+    p = sub.add_parser("involution", parents=[sized],
                        help="verify the sign-reversing pairing on one instance")
     p.set_defaults(run=_run_involution)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--u0", type=int, required=True)
     p.add_argument("--un", type=int, required=True)
@@ -527,19 +525,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", help="restrict to states with nu(1)=beta (variant 2)")
     p.add_argument("--dump", metavar="FILE", help="write the pair list as JSON")
 
-    p = sub.add_parser("inverse", parents=[common],
+    p = sub.add_parser("inverse", parents=[sized],
                        help="truncated inverse series or one coefficient")
     p.set_defaults(run=_run_inverse)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--Nmax", type=int, dest="n_max")
     p.add_argument("--coeff", help="i,alpha,N (alpha comma separated, n parts)")
 
-    p = sub.add_parser("member", parents=[common],
+    p = sub.add_parser("member", parents=[sized],
                        help="ideal membership certificate for a polynomial")
     p.set_defaults(run=_run_member)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--poly", required=True, help="polynomial in the text grammar")
 
     p = sub.add_parser("verify-theorem", parents=[common],

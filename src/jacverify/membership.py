@@ -22,19 +22,20 @@ integral.  Nothing is ever rounded.
 The ideal is also graded by a weight in Z^n (Miller & Sturmfels,
 *Combinatorial Commutative Algebra*, ch. 8).  Rescaling x_i to l_i*x_i
 conjugates the d-linear map, which gives a[i,j] the weight d*e_j - e_i,
-and every generator G[(k, alpha)] is homogeneous of weight d*alpha
-(``build_basis`` checks this for each generator it multiplies).  So every
-row is weight-homogeneous, a row reduces only against pivots of its own
-weight, and each degree slice splits into independent weight blocks.
-``build_basis`` builds only the blocks it is asked for, and within a block
-keeps the row order of the whole slice, so pivots, residuals and
-certificates are exactly those of the full elimination.
+and every generator G[(k, alpha)] is homogeneous of weight d*alpha.  So
+every row is weight-homogeneous, a row reduces only against pivots of its
+own weight, and each degree slice splits into independent weight blocks.
+``build_basis`` lists the monomials of only the blocks it is asked for,
+once each, and reads every row off those lists in the row order of the
+whole slice, so pivots, residuals and certificates are exactly those of
+the full elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from operator import ge, sub
 
 from .combinatorics import enumerate_compositions
 from .fern import FernLabeling, z_fern
@@ -134,32 +135,34 @@ def _weights(spec: DLinearSpec, polys) -> set:
 
 def build_basis(spec: DLinearSpec, degree: int, weights) -> HomogeneousBasis:
     """Products (monomial of degree D - k*d) x (generator of degree k*d)
-    in the given weight blocks of the degree-D slice."""
+    in the given weight blocks of the degree-D slice.
+
+    Rows are read off each block's degree-D monomials.  With e one term of
+    a generator g, u*g lies in a block exactly when u + e does, so g's
+    multipliers there are m - e for the block monomials m >= e
+    (componentwise), in the block's order.  That needs g homogeneous of
+    weight d*alpha, so g is checked before any of its rows is read.
+    """
     if degree < 0:
         raise DomainError("degree must be nonnegative")
     d, n = spec.d, spec.n
     gens = generator_set(spec)
     weights = frozenset(weights)
-    monomials = sorted((m for w in weights for m in weight_block_monomials(d, n, degree, w)),
-                       key=monomial_key)
+    blocks = [weight_block_monomials(d, n, degree, w) for w in sorted(weights)]
+    monomials = sorted((m for block in blocks for m in block), key=monomial_key)
     basis = HomogeneousBasis(spec, degree, weights, monomials,
                              {m: i for i, m in enumerate(monomials)})
     for key in gens.keys_sorted():
-        if key.k == 0:
-            continue
-        gen_deg = key.k * d
-        if gen_deg > degree:
-            continue
-        if gens[key].is_zero():
+        gen = gens[key]
+        if key.k == 0 or key.k * d > degree or gen.is_zero():
             continue
         own = tuple(d * a for a in key.alpha)
-        if any(a_weight(d, n, m) != own for m in gens[key].terms):
+        if any(a_weight(d, n, m) != own for m in gen.terms):
             raise VerificationError(f"generator k={key.k} alpha={key.alpha} "
                                     f"is not homogeneous of weight {own}")
-        mults = [m for w in sorted(weights) for m in weight_block_monomials(
-            d, n, degree - gen_deg, tuple(a - b for a, b in zip(w, own)))]
-        for mult in mults:
-            basis.rows.append(BasisRow(key, mult))
+        e = next(iter(gen.terms))
+        basis.rows += [BasisRow(key, tuple(map(sub, m, e)))
+                       for block in blocks for m in block if all(map(ge, m, e))]
 
     # A monomial times a generator has as many terms as the generator, so
     # rows go shortest product first; each product is built only to reduce.

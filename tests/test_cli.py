@@ -364,6 +364,41 @@ def test_workers_do_not_change_output(capsys):
     assert serial == parallel
 
 
+# identity1 at (2,2) sweeps 12 instances; None means the sweep ran serially.
+@pytest.mark.parametrize("workers,cpus,size", [
+    (100000, 4, 4), (100000, 64, 12), (3, 64, 3), (12, 12, 12),
+    (2, 1, None), (100000, None, None), (1, 64, None),
+])
+def test_pool_is_no_larger_than_the_instances_or_the_cpus(monkeypatch, capsys,
+                                                         workers, cpus, size):
+    """A pool forks all its processes at once, so the size must be bounded
+    before it starts; a stand-in pool records it and maps in this process."""
+    import concurrent.futures
+
+    _, serial = _run(capsys, ["identity1", "--d", "2", "--n", "2", "--all"])
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    code, out = _run(capsys, ["identity1", "--d", "2", "--n", "2", "--all",
+                              "--workers", str(workers)])
+    assert code == 0 and out == serial
+    assert sizes == ([] if size is None else [size])
+
+
 def _modules_after(argv) -> tuple:
     """(exit code, loaded modules) of a fresh interpreter that imports the CLI and,
     given argv, runs it; pytest itself has long since imported every module."""

@@ -15,6 +15,7 @@ from jacverify.generators import DLinearSpec, GeneratorSet, JKey
 from jacverify.identities import generator_set
 from jacverify.inverse import inverse_series
 from jacverify.membership import (
+    BasisRow,
     _reduce,
     a_monomials_of_degree,
     a_weight,
@@ -26,6 +27,9 @@ from jacverify.membership import (
     weight_block_monomials,
 )
 from jacverify.poly import DomainError, Poly, VerificationError, a_, monomial_key, x_
+
+# The module itself: the package export ``jacverify.membership`` is the function.
+membership_module = importlib.import_module("jacverify.membership")
 
 
 def _slice_weights(d, n, degree):
@@ -305,8 +309,7 @@ def test_build_basis_rejects_generator_off_its_weight(monkeypatch, weights):
     key = JKey(1, (1, 0))  # weight d*alpha = (2, 0); a[1,2]^2 weighs (-2, 4)
     entries = dict(real.entries)
     entries[key] = real[key] + a_(2, 1, 2) ** 2
-    monkeypatch.setattr(importlib.import_module("jacverify.membership"), "generator_set",
-                        lambda s: GeneratorSet(s, entries))
+    monkeypatch.setattr(membership_module, "generator_set", lambda s: GeneratorSet(s, entries))
     with pytest.raises(VerificationError):
         build_basis(spec, 3, weights)
 
@@ -401,3 +404,62 @@ def test_block_certificates_equal_the_full_build(case):
     assert cert.combination == full.combination
     assert cert.residual == full.residual
     assert certificate_residual(spec, cert).is_zero()
+
+
+# -- rows read off the degree-D block listing ------------------------------
+
+
+def _rows_from_shifted_blocks(spec, degree, weights, gens):
+    """The rows as each generator's own multiplier blocks give them: degree
+    D - k*d at the shifted weight w - d*alpha, block by block in sorted order."""
+    d, n = spec.d, spec.n
+    rows = []
+    for key in gens.keys_sorted():
+        if key.k == 0 or key.k * d > degree or gens[key].is_zero():
+            continue
+        own = tuple(d * a for a in key.alpha)
+        for w in sorted(weights):
+            shifted = tuple(a - b for a, b in zip(w, own))
+            rows += [BasisRow(key, m)
+                     for m in weight_block_monomials(d, n, degree - key.k * d, shifted)]
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(_slice_and_weights(), st.lists(st.tuples(st.integers(-4, 8), st.integers(-4, 8),
+                                                st.integers(-4, 8)), max_size=2))
+def test_basis_rows_equal_the_shifted_block_construction(case, strays):
+    d, n, degree, weights = case
+    # strays: weights of the right length, often with an empty block.
+    weights = set(weights) | {w[:n] for w in strays}
+    spec = DLinearSpec(d, n)
+    assert (build_basis(spec, degree, weights).rows
+            == _rows_from_shifted_blocks(spec, degree, weights, generator_set(spec)))
+
+
+def test_build_basis_lists_each_requested_block_once(monkeypatch):
+    calls = []
+    real = membership_module.weight_block_monomials
+
+    def counting(d, n, degree, weight):
+        calls.append((degree, weight))
+        return real(d, n, degree, weight)
+
+    monkeypatch.setattr(membership_module, "weight_block_monomials", counting)
+    weights = _slice_weights(2, 3, 4) + [(-5, 5, 4)]  # no a-variable weighs below -1
+    basis = build_basis(DLinearSpec(2, 3), 4, weights)
+    assert basis.rows
+    assert sorted(calls) == sorted((4, w) for w in weights)
+
+
+def test_build_basis_skips_a_zero_generator(monkeypatch):
+    spec = DLinearSpec(2, 2)
+    real = generator_set(spec)
+    entries = dict(real.entries)
+    entries[JKey(1, (1, 0))] = Poly.zero(2)
+    gens = GeneratorSet(spec, entries)
+    monkeypatch.setattr(membership_module, "generator_set", lambda s: gens)
+    weights = _slice_weights(2, 2, 4)
+    basis = build_basis(spec, 4, weights)
+    assert basis.rows == _rows_from_shifted_blocks(spec, 4, weights, gens)
+    assert all(row.key != JKey(1, (1, 0)) for row in basis.rows)
