@@ -11,8 +11,8 @@ against the pivots and reads off an exact certificate
     target = sum_k coeff_poly[k] * generator[k] + residual
 
 where residual = 0 exactly when the target is a member.  Each basis numbers
-the degree-D monomials of its weight blocks once, in ``monomial_key``
-order, and elimination runs on those numbers: reduction takes lead terms
+the degree-D monomials of its weight blocks once, in ``canonical_order``,
+and elimination runs on those numbers: reduction takes lead terms
 from a heap of negated indices (as in the sparse elimination of Monagan &
 Pearce), so no step rescans the vector.  The rows are sparse, with exact
 coefficients: integers until a pivot row is normalized by its leading
@@ -43,7 +43,7 @@ from .generators import DLinearSpec, JKey
 from .identities import generator_set
 from .inverse import coefficient_c, inverse_series
 from .poly import (
-    DomainError, Poly, VerificationError, exact_quotient, monomial_key, sum_of_products,
+    DomainError, Poly, VerificationError, canonical_order, exact_quotient, sum_of_products,
 )
 
 
@@ -60,7 +60,7 @@ class HomogeneousBasis:
     spec: DLinearSpec
     degree: int
     weights: frozenset  # the weight blocks built
-    monomials: list  # the blocks' degree-D monomials, ascending by monomial_key
+    monomials: list  # the blocks' degree-D monomials, in canonical_order
     _index: dict  # monomial -> its position in monomials
     rows: list = field(default_factory=list)
     _pivots: dict = field(default_factory=dict)  # lead index -> (index row, row combo)
@@ -149,7 +149,7 @@ def build_basis(spec: DLinearSpec, degree: int, weights) -> HomogeneousBasis:
     gens = generator_set(spec)
     weights = frozenset(weights)
     blocks = [weight_block_monomials(d, n, degree, w) for w in sorted(weights)]
-    monomials = sorted((m for block in blocks for m in block), key=monomial_key)
+    monomials = canonical_order(n, (m for block in blocks for m in block))
     basis = HomogeneousBasis(spec, degree, weights, monomials,
                              {m: i for i, m in enumerate(monomials)})
     for key in gens.keys_sorted():

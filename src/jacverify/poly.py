@@ -20,16 +20,20 @@ terms in ascending canonical order, which makes every printed polynomial
 byte-reproducible; ``parse_poly`` reads the same grammar back, accepting
 text by one regular expression built from the grammar's rules.
 
-The kernel has one loop that multiplies (``_mul_into``), one that sums
-(``poly_sum``) and one normalization (``_canonical_terms``: zeros dropped,
-integral Fractions stored as int, floats refused), which the constructor
-also uses.  ``sum_of_products`` (the sum of x * y over pairs) accumulates
-every product into one dict and normalizes it once (the accumulate-then-
-normalize kernel of Monagan & Pearce); ``Poly * Poly`` is its one-pair
-case.  ``poly_sum`` keeps its dict canonical as each term is folded in;
-``+`` and ``-`` are its two-summand cases.  Only this module touches the
-canonical form.  ``t_layers`` splits a polynomial by t-degree, so that
-truncated products pair only the layers below a cutoff.
+The kernel has two loops that multiply (``_mul_into`` and a packed one),
+one that sums (``poly_sum``) and one normalization (``_canonical_terms``:
+zeros dropped, integral Fractions stored as int, floats refused), which the
+constructor also uses.  ``sum_of_products`` (the sum of x * y over pairs)
+accumulates every product into one dict and normalizes it once (the
+accumulate-then-normalize kernel of Monagan & Pearce); ``Poly * Poly`` is
+its one-pair case.  Inside it each exponent tuple is packed into an int,
+one byte per variable, so a monomial product is one int add, and each
+output term is unpacked once; the tuple loop runs instead when an exponent
+sum could pass 255 (by total degree) or the products are few beside the
+terms to pack.  ``poly_sum`` keeps its dict canonical as each term is
+folded in; ``+`` and ``-`` are its two-summand cases.  Only this module
+touches the canonical form.  ``t_layers`` splits a polynomial by t-degree,
+so that truncated products pair only the layers below a cutoff.
 
 Signed products of a-variables (fern paths, state and generator weights,
 tree weights) are built by ``a_monomial``, which writes the whole product
@@ -46,7 +50,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from operator import add
+from operator import add, getitem, itemgetter
 from typing import Mapping
 
 
@@ -111,6 +115,22 @@ def var_of_index(n: int, pos: int) -> VarId:
 def monomial_key(exps: tuple) -> tuple:
     """Sort key realizing the canonical graded-lex order (ascending)."""
     return (sum(exps), tuple(reversed(exps)))
+
+
+@cache
+def _reversed_exponents(n: int) -> itemgetter:
+    return itemgetter(*range(n_vars(n) - 1, -1, -1))
+
+
+def canonical_order(n: int, monomials) -> list:
+    """Dimension-n monomials sorted ascending by ``monomial_key``.
+
+    Two stable sorts with C-level keys, by the reversed exponents and then
+    by total degree, give the order of ``monomial_key`` at less cost.
+    """
+    out = sorted(monomials, key=_reversed_exponents(n))
+    out.sort(key=sum)
+    return out
 
 
 def _exact(c):
@@ -266,7 +286,7 @@ class Poly:
 
     def sorted_terms(self) -> list:
         """Terms as (exponents, coeff) in ascending canonical order."""
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=monomial_key)]
+        return [(m, self.terms[m]) for m in canonical_order(self.n, self.terms)]
 
 
 # -- the product-and-sum kernel -----------------------------------------
@@ -284,13 +304,32 @@ def _mul_into(out: dict, p: dict, q: dict) -> None:
 
 def sum_of_products(n: int, pairs) -> Poly:
     """sum x * y over an iterable of (x, y) pairs of dimension-n polynomials."""
-    out: dict = {}
+    live = []
     for x, y in pairs:
         if x.n != n or y.n != n:
             raise StructuralError(f"mismatched ambient n: {x.n}, {y.n} in a sum over {n}")
         if x.terms and y.terms:
-            _mul_into(out, x.terms, y.terms)
-    return Poly._of(n, _canonical_terms(out))
+            live.append((x.terms, y.terms))
+    out: dict = {}
+    # Tuples where packing costs more than it saves (packing and unpacking a
+    # term cost about what two packed products save), or where a byte field
+    # could pass 255 and carry silently into its neighbour.
+    if (sum(len(p) * len(q) for p, q in live) < 2 * sum(len(p) + len(q) for p, q in live)
+            or max((max(map(sum, p)) + max(map(sum, q)) for p, q in live), default=0) > 255):
+        for p, q in live:
+            _mul_into(out, p, q)
+        return Poly._of(n, _canonical_terms(out))
+    get = out.get
+    for p, q in live:
+        q_keys = [(int.from_bytes(bytes(m), "little"), c) for m, c in q.items()]
+        for m1, c1 in p.items():
+            k1 = int.from_bytes(bytes(m1), "little")
+            for k2, c2 in q_keys:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+    out = _canonical_terms(out)
+    width = n_vars(n)
+    return Poly._of(n, {tuple(k.to_bytes(width, "little")): c for k, c in out.items()})
 
 
 def poly_sum(n: int, polys) -> Poly:
@@ -449,26 +488,30 @@ _ATOM = re.compile(f"{_COEFF}|{_FACTOR}")
 
 
 @cache
-def _var_names(n: int) -> tuple:
-    """The printed name of each exponent position for dimension n."""
-    return tuple(str(var_of_index(n, pos)) for pos in range(n_vars(n)))
+def _factor_table(n: int) -> tuple:
+    """Per exponent position, the printed factor for exponents 0 to 15."""
+    names = (str(var_of_index(n, pos)) for pos in range(n_vars(n)))
+    return tuple(("", name) + tuple(f"{name}^{e}" for e in range(2, 16)) for name in names)
 
 
 def format_poly(p: Poly) -> str:
     if not p.terms:
         return "0"
-    names = _var_names(p.n)
+    table = _factor_table(p.n)
     parts = []
     for m, c in p.sorted_terms():
-        factors = [names[pos] if e == 1 else f"{names[pos]}^{e}"
-                   for pos, e in enumerate(m) if e]
+        try:
+            factors = "*".join(filter(None, map(getitem, table, m)))
+        except IndexError:  # an exponent past the table
+            factors = "*".join(row[1] if e == 1 else f"{row[1]}^{e}"
+                               for row, e in zip(table, m) if e)
         mag = abs(c)
         if not factors:
             body = str(mag)
         elif mag == 1 and c > 0:
-            body = "*".join(factors)
+            body = factors
         else:
-            body = f"{mag} * " + "*".join(factors)
+            body = f"{mag} * {factors}"
         if not parts:
             parts.append(("-" if c < 0 else "") + body)
         else:

@@ -726,7 +726,7 @@ def _exit_code(argv) -> int:
         return exc.code
 
 
-@settings(max_examples=300, deadline=None,
+@settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_argv())
 def test_fuzzed_argv_exits_cleanly(capsys, tmp_path, argv):

@@ -9,7 +9,7 @@ from importlib.resources import files
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jacverify.inverse import mul_trunc
@@ -24,6 +24,7 @@ from jacverify.poly import (
     coefficient_of,
     determinant,
     format_poly,
+    monomial_key,
     n_vars,
     parse_poly,
     poly_determinant,
@@ -34,6 +35,7 @@ from jacverify.poly import (
     t_,
     t_layers,
     var_index,
+    var_of_index,
     x_,
 )
 
@@ -397,6 +399,51 @@ def test_parse_format_round_trip(p):
     assert parse_poly(format_poly(p), p.n) == p
 
 
+def _reference_format(p):
+    """Reference printer: one monomial_key sort, and each factor built
+    exponent by exponent, with no table."""
+    if not p.terms:
+        return "0"
+    names = [str(var_of_index(p.n, pos)) for pos in range(n_vars(p.n))]
+    parts = []
+    for m in sorted(p.terms, key=monomial_key):
+        c = p.terms[m]
+        factors = [names[pos] if e == 1 else f"{names[pos]}^{e}"
+                   for pos, e in enumerate(m) if e]
+        mag = abs(c)
+        if not factors:
+            body = str(mag)
+        elif mag == 1 and c > 0:
+            body = "*".join(factors)
+        else:
+            body = f"{mag} * " + "*".join(factors)
+        if not parts:
+            parts.append(("-" if c < 0 else "") + body)
+        else:
+            parts.append((" - " if c < 0 else " + ") + body)
+    return "".join(parts)
+
+
+@st.composite
+def _printable_polys(draw):
+    """Fraction and int coefficients, constant terms, and exponents on both
+    sides of the end of the printer's factor table."""
+    n = draw(st.integers(1, 3))
+    nv = n_vars(n)
+    exps = st.one_of(st.integers(1, 3), st.sampled_from([15, 16, 17, 300]))
+    mono = st.lists(st.tuples(st.integers(0, nv - 1), exps), max_size=3).map(
+        lambda e: tuple(dict(e).get(pos, 0) for pos in range(nv)))
+    coeff = st.one_of(st.integers(-3, 3), _COEFFS)
+    return Poly(n, dict(draw(st.lists(st.tuples(mono, coeff), max_size=8))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_printable_polys())
+def test_format_and_sorted_terms_match_the_monomial_key_reference(p):
+    assert format_poly(p) == _reference_format(p)
+    assert p.sorted_terms() == [(m, p.terms[m]) for m in sorted(p.terms, key=monomial_key)]
+
+
 @st.composite
 def _a_products(draw):
     n = draw(st.integers(1, 4))
@@ -591,6 +638,71 @@ def test_poly_determinant_matches_leibniz_reference(case):
     got = poly_determinant(PolyMatrix(len(rows), rows, ambient_n=n))
     assert got.terms == _ref_leibniz(n, rows)
     assert all(_is_stored_coefficient(c) for c in got.terms.values())
+
+
+# Exponents on both sides of one byte: sum_of_products packs each exponent
+# into a byte, so it must fall back to tuples wherever a sum could pass 255.
+_WIDE = (0, 1, 2, 127, 128, 254, 255, 256)
+
+
+@st.composite
+def _wide_polys(draw, n, max_size):
+    """Each term has at most two nonzero exponents, from 1, 2 and one drawn
+    from _WIDE per polynomial, so that both kernel paths are taken."""
+    nv = n_vars(n)
+    top = draw(st.sampled_from(_WIDE))
+    mono = st.lists(st.tuples(st.integers(0, nv - 1), st.sampled_from((1, 2, top))),
+                    max_size=2).map(lambda e: tuple(dict(e).get(pos, 0) for pos in range(nv)))
+    return Poly(n, dict(draw(st.lists(st.tuples(mono, _MIXED), max_size=max_size))))
+
+
+@st.composite
+def _wide_pairs(draw):
+    n = draw(st.integers(1, 2))
+    return n, draw(st.lists(st.tuples(_wide_polys(n, 6), _wide_polys(n, 6)), max_size=3))
+
+
+def _byte_edge(*lead):
+    """t^e for each e in lead, plus x[1] and a[1,1] terms: dimension 1, and
+    with two leads enough terms that a product of two is packed."""
+    return Poly(1, {**{(e, 0, 0): 1 for e in lead}, (0, 1, 0): 2, (0, 0, 1): -3})
+
+
+@settings(max_examples=120, deadline=None)
+@given(_wide_pairs())
+@example((1, []))
+@example((2, [(Poly.zero(2), x_(2, 1)), (t_(2), Poly.zero(2))]))
+@example((1, [(Poly.const(1, 3), Poly.one(1)), (Poly.zero(1), Poly.zero(1))]))
+@example((1, [(_byte_edge(128, 127), _byte_edge(128, 1))]))
+@example((1, [(_byte_edge(127, 1), _byte_edge(128, 2)), (_byte_edge(1, 0), _byte_edge(254, 0))]))
+def test_sum_of_products_matches_reference_across_byte_boundary(case):
+    n, pairs = case
+    expected = {}
+    for x, y in pairs:
+        expected = _ref_add(expected, _ref_mul(_ref(x.terms), _ref(y.terms)))
+    got = sum_of_products(n, pairs)
+    assert got.terms == expected
+    assert all(_is_stored_coefficient(c) for c in got.terms.values())
+    # Terms come in the order of their first product, as split_xt's callers see them.
+    first = dict.fromkeys(tuple(map(operator.add, m1, m2))
+                          for x, y in pairs for m1 in x.terms for m2 in y.terms)
+    assert list(got.terms) == [m for m in first if m in expected]
+
+
+@st.composite
+def _wide_matrices(draw):
+    n = draw(st.integers(1, 2))
+    size = draw(st.integers(0, 3))
+    return n, [[draw(_wide_polys(n, 4)) for _ in range(size)] for _ in range(size)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_wide_matrices())
+@example((1, [[_byte_edge(127, 0), _byte_edge(1, 0)], [_byte_edge(2, 0), _byte_edge(128, 0)]]))
+def test_poly_determinant_matches_leibniz_across_byte_boundary(case):
+    n, rows = case
+    assert poly_determinant(PolyMatrix(len(rows), rows, ambient_n=n)).terms == \
+        _ref_leibniz(n, rows)
 
 
 def test_kernel_rejects_mismatched_dimensions():
