@@ -9,8 +9,9 @@ the argparse namespace and checks them before any work starts.  Output is
 deterministic for a fixed command line (stable orders, canonical
 polynomial text), so repeated runs are byte identical.  Exit codes: 0
 pass/member, 1 verification failure or non-member, 2 usage or input error,
-including a sweep with no instance, a count out of range (``--workers``
-below 1, ``--numeric-trials`` below 0) and ``--numeric-trials`` at d != 1.
+including a sweep with no instance, an ``involution`` with no state, a
+count out of range (``--workers`` below 1, ``--numeric-trials`` below 0)
+and ``--numeric-trials`` at d != 1.
 A failed exact check in the library (``VerificationError``, such as a
 ``member`` certificate that does not re-multiply) prints ``error:`` only.
 
@@ -353,14 +354,20 @@ def _pairs_json(rep) -> list:
 
 
 def _run_involution(args) -> tuple:
+    from .poly import DomainError
+
     d, n, u0, un, variant = args.d, args.n, args.u0, args.un, args.variant
     alpha = _parse_comp(args.alpha, n, "alpha")
     beta = _parse_beta(args)
+    if not (1 <= u0 <= n and 1 <= un <= n):
+        raise DomainError("u0, un must lie in [1,n]")
     rep = verify_involution(d, n, alpha, u0, un, variant, beta)
     desc = (f"involution d={d} n={n} alpha=({_tuple_text(alpha)}) "
             f"u0={u0} un={un} variant={variant}")
     if beta is not None:
         desc += f" beta=({_tuple_text(beta)})"
+    if not rep.states:  # a check over no state proves nothing
+        raise DomainError(f"{desc}: no state to check")
     status = "pass" if rep.ok else "fail"
     lines = [f"{desc}: {status} (states={rep.states}, domain={rep.domain_count}, "
              f"image={rep.image_count}, pairs={len(rep.pairs)})"]

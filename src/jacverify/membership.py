@@ -4,9 +4,9 @@ The generator ideal is graded, so a homogeneous degree-D polynomial lies
 in it iff it lies in the span of (monomial times generator) products of
 degree D.  ``build_basis`` lists those products for one degree as
 (generator, multiplier) rows and row-reduces them over the rationals,
-building each product only while it is reduced and remembering how each
-reduced row combines the originals; ``membership`` then reduces a target
-against the pivots and reads off an exact certificate
+building each product only while it is reduced and keeping its steps
+(its row of L in A = LU); ``membership`` reduces a target and substitutes
+back through those steps for an exact certificate
 
     target = sum_k coeff_poly[k] * generator[k] + residual
 
@@ -63,7 +63,7 @@ class HomogeneousBasis:
     monomials: list  # the blocks' degree-D monomials, in canonical_order
     _index: dict  # monomial -> its position in monomials
     rows: list = field(default_factory=list)
-    _pivots: dict = field(default_factory=dict)  # lead index -> (index row, row combo)
+    _pivots: dict = field(default_factory=dict)  # lead -> (index row, row number, lc, steps)
 
 
 def a_monomials_of_degree(n: int, degree: int) -> list:
@@ -171,30 +171,26 @@ def build_basis(spec: DLinearSpec, degree: int, weights) -> HomogeneousBasis:
     for idx in order:
         row = basis.rows[idx]
         product = Poly(n, {row.multiplier: 1}) * gens[row.key]
-        residual, acc = _reduce({basis._index[m]: c for m, c in product.terms.items()},
-                                basis._pivots)
+        residual, steps = _reduce({basis._index[m]: c for m, c in product.terms.items()},
+                                  basis._pivots)
         if residual:
             lead = next(iter(residual))  # residual terms come in descending order
             lc = residual[lead]
             vec = {m: exact_quotient(c, lc) for m, c in residual.items()}
-            # acc only names rows reduced before this one, never idx itself.
-            combo = {idx: exact_quotient(1, lc)}
-            combo.update((i, exact_quotient(-c, lc)) for i, c in acc.items())
-            basis._pivots[lead] = (vec, combo)
+            basis._pivots[lead] = (vec, idx, lc, steps)
     return basis
 
 
 def _reduce(vec: dict, pivots: dict):
-    """Split vec as residual + sum(acc[i] * original row i) using the pivots.
+    """Split vec as residual + sum(c * pivot row at lead) over the (lead, c) steps.
 
-    vec maps monomial indices of one basis to coefficients.  Pivot rows are
-    normalized to leading coefficient 1 and each remembers its own
-    expression in original rows, so the returned decomposition is exact.
-    Lead terms come off a heap of negated indices, largest index first; a
-    monomial that cancels stays on the heap and is skipped when it
-    surfaces.  Residual terms are emitted in descending order.
+    vec maps monomial indices of one basis to coefficients; pivot rows are
+    normalized to leading coefficient 1.  Lead terms come off a heap of
+    negated indices, largest index first; a monomial that cancels stays on
+    the heap and is skipped when it surfaces.  Residual terms are emitted in
+    descending order.
     """
-    acc: dict = {}
+    steps = []
     residual: dict = {}
     heap = [-m for m in vec]
     heapify(heap)
@@ -207,8 +203,8 @@ def _reduce(vec: dict, pivots: dict):
         if hit is None:
             residual[lead] = coeff
             continue
-        rowvec, rowcombo = hit
-        for m, c in rowvec.items():
+        steps.append((lead, coeff))
+        for m, c in hit[0].items():
             if m == lead:
                 continue
             old = vec.get(m, 0)
@@ -219,13 +215,7 @@ def _reduce(vec: dict, pivots: dict):
                     heappush(heap, -m)
             elif old:
                 del vec[m]
-        for i, c in rowcombo.items():
-            s = acc.get(i, 0) + coeff * c
-            if s:
-                acc[i] = s
-            elif i in acc:
-                del acc[i]
-    return residual, acc
+    return residual, steps
 
 
 @dataclass
@@ -265,15 +255,24 @@ def membership(spec: DLinearSpec, p: Poly,
         # The missing rows could make p a member: no verdict without them.
         raise DomainError("basis lacks a weight block of the polynomial")
 
-    residual, combo = _reduce({basis._index[m]: c for m, c in p.terms.items()},
+    residual, steps = _reduce({basis._index[m]: c for m, c in p.terms.items()},
                               basis._pivots)
 
-    # Each (generator, multiplier) pair is one basis row, so a generator's
-    # coefficient polynomial has one term per row and nothing to add.
+    # A pivot is (its row - sum(c * pivot j over its steps (j, c))) / lc, each j
+    # earlier, so one pass from the last pivot back turns pivot weights into row
+    # weights.  A row is one (generator, multiplier) pair: nothing to add up.
+    weight = dict(steps)  # a reduction meets each lead at most once
     by_key: dict = {}
-    for idx, c in combo.items():
+    for lead in reversed(basis._pivots):
+        w = weight.pop(lead, 0)
+        if not w:
+            continue
+        _, idx, lc, trace = basis._pivots[lead]
+        q = exact_quotient(w, lc)
         row = basis.rows[idx]
-        by_key.setdefault(row.key, {})[row.multiplier] = c
+        by_key.setdefault(row.key, {})[row.multiplier] = q
+        for j, c in trace:
+            weight[j] = weight.get(j, 0) - q * c
     combination = [(key, Poly(n, terms)) for key, terms in sorted(by_key.items())]
     residual = Poly(n, {basis.monomials[i]: c for i, c in residual.items()})
     return MembershipCertificate(p, combination, residual)

@@ -313,6 +313,34 @@ def test_unwritable_file_exits_two(capsys, tmp_path, argv, flag):
     assert not path.parent.exists()
 
 
+@pytest.mark.parametrize("argv,message,enumerated", [
+    # beta's content exceeds alpha's, so the restriction leaves no state
+    ("--d 2 --n 2 --alpha 2,0 --u0 1 --un 2 --variant 2 --beta 2",
+     "involution d=2 n=2 alpha=(2,0) u0=1 un=2 variant=2 beta=(2): no state to check", True),
+    ("--d 3 --n 2 --alpha 4,0 --u0 1 --un 2 --variant 2 --beta 2,2",
+     "involution d=3 n=2 alpha=(4,0) u0=1 un=2 variant=2 beta=(2,2): no state to check", True),
+    ("--d 2 --n 2 --alpha 1,1 --u0 5 --un 5 --variant 1", "u0, un must lie in [1,n]", False),
+    ("--d 2 --n 2 --alpha 2,0 --u0 1 --un 0 --variant 2 --beta 1",
+     "u0, un must lie in [1,n]", False),
+])
+def test_involution_with_no_state_or_labels_out_of_range_exits_two(
+        capsys, monkeypatch, argv, message, enumerated):
+    calls = []
+    real = cli.verify_involution
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "verify_involution", counted)
+    for fmt in ("text", "json"):
+        assert main(["involution", *argv.split(), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+    assert len(calls) == (2 if enumerated else 0)
+
+
 def _assert_verification_error(capsys, argv):
     """A failed exact check exits 1 with one error line and prints no report."""
     assert main(argv) == 1

@@ -193,13 +193,17 @@ def test_computed_coefficients_are_int_or_proper_fraction():
     assert all(_stored_coefficients_are_exact(p) for p in polys)
 
 
-# -- heap-ordered reduction against the rescanning reference ---------------
+# -- heap-ordered reduction against the rescanning, eager reference -------
 
 
 def _reduce_rescan(vec, pivots):
-    """Reference reduction: rescan the whole vector for each lead term."""
+    """Reference reduction: rescan the whole vector for each lead term, and
+    merge each used pivot's expression in original rows into acc, eagerly.
+
+    pivots map lead monomials to (row vector, row combination)."""
     acc = {}
     residual = {}
+    steps = []
     while vec:
         lead = max(vec, key=monomial_key)
         coeff = vec.pop(lead)
@@ -207,6 +211,7 @@ def _reduce_rescan(vec, pivots):
         if hit is None:
             residual[lead] = coeff
             continue
+        steps.append((lead, coeff))
         rowvec, rowcombo = hit
         for m, c in rowvec.items():
             if m == lead:
@@ -222,7 +227,26 @@ def _reduce_rescan(vec, pivots):
                 acc[i] = s
             elif i in acc:
                 del acc[i]
-    return residual, acc
+    return residual, steps, acc
+
+
+def _eager_pivots(basis):
+    """Elimination on the augmented matrix [A | I]: the basis's rows reduced in
+    its order, each pivot keyed by its lead monomial and carrying its full
+    expression in original row indices."""
+    gens = generator_set(basis.spec)
+    rows = basis.rows
+    pivots = {}
+    for idx in sorted(range(len(rows)), key=lambda i: (len(gens[rows[i].key].terms), i)):
+        product = Poly(basis.spec.n, {rows[idx].multiplier: 1}) * gens[rows[idx].key]
+        residual, _, acc = _reduce_rescan(dict(product.terms), pivots)
+        if residual:
+            lead = next(iter(residual))
+            lc = Fraction(residual[lead])
+            combo = {idx: 1 / lc}
+            combo.update((i, -c / lc) for i, c in acc.items())
+            pivots[lead] = ({m: c / lc for m, c in residual.items()}, combo)
+    return pivots
 
 
 @st.composite
@@ -246,22 +270,24 @@ def _reduction_cases(draw):
 
 
 def _reduce_both_ways(basis, terms):
-    """_reduce on the basis's monomial indices, its residual mapped back to
-    exponent tuples, and the rescan on the same pivots keyed by tuples."""
+    """_reduce on the basis's monomial indices, its residual and steps mapped
+    back to exponent tuples, and the rescan on the eager pivots of the same rows."""
     mon = basis.monomials
-    tuple_pivots = {mon[lead]: ({mon[i]: c for i, c in vec.items()}, combo)
-                    for lead, (vec, combo) in basis._pivots.items()}
-    residual, acc = _reduce({basis._index[m]: c for m, c in terms.items()}, basis._pivots)
-    got = ({mon[i]: c for i, c in residual.items()}, acc)
-    return got, _reduce_rescan(dict(terms), tuple_pivots)
+    eager = _eager_pivots(basis)
+    assert list(eager) == [mon[lead] for lead in basis._pivots]
+    for lead, (vec, *_) in basis._pivots.items():
+        assert list(eager[mon[lead]][0].items()) == [(mon[i], c) for i, c in vec.items()]
+    residual, steps = _reduce({basis._index[m]: c for m, c in terms.items()}, basis._pivots)
+    got = ({mon[i]: c for i, c in residual.items()}, [(mon[j], c) for j, c in steps])
+    return got, _reduce_rescan(dict(terms), eager)[:2]
 
 
 @settings(max_examples=150, deadline=None)
 @given(_reduction_cases())
 def test_heap_reduce_matches_rescan_reference(case):
     got, want = _reduce_both_ways(*case)
-    for g, w in zip(got, want):
-        assert list(g.items()) == list(w.items())
+    assert list(got[0].items()) == list(want[0].items())
+    assert got[1] == want[1]
 
 
 def test_reduce_in_a_degree_300_slice_matches_rescan():
@@ -277,7 +303,7 @@ def test_basis_pivot_is_the_largest_monomial_of_its_row(n, degree):
     basis = _basis(2, n, degree)
     mon = basis.monomials
     assert basis._pivots
-    for lead, (vec, _) in basis._pivots.items():
+    for lead, (vec, *_) in basis._pivots.items():
         assert mon[lead] == max((mon[i] for i in vec), key=monomial_key)
         assert vec[lead] == 1
 
@@ -352,12 +378,13 @@ def test_basis_numbers_its_block_monomials_in_monomial_key_order(case):
 
 
 def _pivots_by_monomial(basis):
-    """Pivots with monomials as exponent tuples and combos keyed by
+    """Pivots with monomials as exponent tuples and each trace's row as its
     (key, multiplier), since bases of other weight sets number both apart."""
     mon, rows = basis.monomials, basis.rows
     return {mon[lead]: ([(mon[i], c) for i, c in vec.items()],
-                        {(rows[i].key, rows[i].multiplier): c for i, c in combo.items()})
-            for lead, (vec, combo) in basis._pivots.items()}
+                        (rows[idx].key, rows[idx].multiplier), lc,
+                        [(mon[j], c) for j, c in steps])
+            for lead, (vec, idx, lc, steps) in basis._pivots.items()}
 
 
 @settings(max_examples=60, deadline=None)
@@ -405,6 +432,36 @@ def test_block_certificates_equal_the_full_build(case):
     assert cert.residual == full.residual
     assert certificate_residual(spec, cert).is_zero()
 
+
+
+@st.composite
+def _block_targets(draw):
+    """A basis of some weight blocks and a target inside them: rows with
+    int or Fraction coefficients, plus stray block monomials."""
+    d, n, degree, weights = draw(_slice_and_weights())
+    spec = DLinearSpec(d, n)
+    basis = build_basis(spec, degree, weights)
+    gens = generator_set(spec)
+    coeff = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3))
+    target = Poly.zero(n)
+    for idx, c in draw(st.lists(st.tuples(st.integers(0, max(len(basis.rows) - 1, 0)), coeff),
+                                max_size=4 if basis.rows else 0)):
+        target = target + Poly(n, {basis.rows[idx].multiplier: c}) * gens[basis.rows[idx].key]
+    strays = draw(st.lists(st.tuples(st.sampled_from(basis.monomials), coeff), max_size=2))
+    return spec, basis, target + Poly(n, dict(strays))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_block_targets())
+def test_back_substitution_equals_the_eager_combination(case):
+    spec, basis, target = case
+    cert = membership(spec, target, basis)
+    got = {(key, m): c for key, coeff in cert.combination for m, c in coeff.terms.items()}
+    residual, _, acc = _reduce_rescan(dict(target.terms), _eager_pivots(basis))
+    rows = basis.rows
+    assert got == {(rows[i].key, rows[i].multiplier): c for i, c in acc.items()}
+    assert cert.residual.terms == residual
+    assert certificate_residual(spec, cert).is_zero()
 
 # -- rows read off the degree-D block listing ------------------------------
 
