@@ -9,9 +9,10 @@ the argparse namespace and checks them before any work starts.  Output is
 deterministic for a fixed command line (stable orders, canonical
 polynomial text), so repeated runs are byte identical.  Exit codes: 0
 pass/member, 1 verification failure or non-member, 2 usage or input error,
-including a sweep with no instance, an ``involution`` with no state, a
-count out of range (``--workers`` below 1, ``--numeric-trials`` below 0)
-and ``--numeric-trials`` at d != 1.
+including a sweep with no instance, ``--all`` with a flag that pins one
+instance, an ``involution`` with no state, a count out of range
+(``--workers`` below 1, ``--numeric-trials`` below 0) and
+``--numeric-trials`` at d != 1.
 A failed exact check in the library (``VerificationError``, such as a
 ``member`` certificate that does not re-multiply) prints ``error:`` only.
 
@@ -195,6 +196,15 @@ def _parse_beta(args) -> tuple | None:
     return None if args.beta is None else _parse_labels(args.beta, args.d - 1, args.n, "beta")
 
 
+def _check_sweep_flags(args, names) -> None:
+    """--all sweeps every instance, so a flag that pins one is an input error."""
+    pinned = [f"--{name}" for name in names if getattr(args, name, None) is not None]
+    if args.sweep_all and pinned:
+        from .poly import DomainError
+
+        raise DomainError(f"--all sweeps every instance and takes no {', '.join(pinned)}")
+
+
 # -- sweep workers (module level so process pools can pickle them) -------
 
 
@@ -244,6 +254,7 @@ def _run_z(args) -> tuple:
 def _run_identity(args) -> tuple:
     from .poly import DomainError
 
+    _check_sweep_flags(args, ("alpha", "u0", "un", "beta"))
     which, d, n = args.subcommand, args.d, args.n
     trials = args.numeric_trials if which == "identity1" else 0
     if args.workers < 1:
@@ -297,6 +308,7 @@ def _run_identity(args) -> tuple:
 def _run_relation(args) -> tuple:
     from .poly import DomainError
 
+    _check_sweep_flags(args, ("alpha1", "alpha2", "u"))
     d = args.d
     if args.sweep_all:
         instances = None

@@ -7,7 +7,7 @@ output derived from them is reproducible run to run.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from math import factorial
 
 from .poly import DomainError
@@ -101,17 +101,14 @@ def count_level_labelings(alpha: Composition, k: int, d: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class SubsetPermutation:
+class SubsetPermutation(namedtuple("SubsetPermutation", "S sigma cycle_count")):
     """An ordered subset S of [1,n] with a permutation of S.
 
     ``sigma`` lists images elementwise: sigma[i] is where S[i] maps.  k = 0
     gives the empty subset with zero cycles (weight sign +1).
     """
 
-    S: tuple
-    sigma: tuple
-    cycle_count: int
+    __slots__ = ()
 
     @staticmethod
     def make(S: tuple, sigma: tuple) -> "SubsetPermutation":
@@ -149,8 +146,7 @@ def enumerate_subset_permutations(n: int, k: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class LastRep:
+class LastRep(namedtuple("LastRep", "l1 l2")):
     """Indices (l1, l2) of the final repetition in a label sequence.
 
     l1 is the largest index whose value reappears later; l2 is the unique
@@ -158,8 +154,7 @@ class LastRep:
     entry after l1 to be distinct, which pins l2.
     """
 
-    l1: int
-    l2: int
+    __slots__ = ()
 
 
 def last_rep_indices(lam) -> LastRep | None:

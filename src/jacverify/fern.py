@@ -33,7 +33,7 @@ the independent oracle the level sums are tested against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .combinatorics import (
@@ -45,18 +45,13 @@ from .combinatorics import (
 from .poly import DomainError, Poly, a_monomial, poly_sum, sum_of_products
 
 
-@dataclass(frozen=True)
-class FernLabeling:
+class FernLabeling(namedtuple("FernLabeling", "d n k u0 uk nu")):
     """Root/leaf labels and level labeling of one fern."""
 
-    d: int
-    n: int
-    k: int
-    u0: int
-    uk: int
-    nu: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.d < 1 or self.n < 1 or self.k < 0:
             raise DomainError("need d, n >= 1 and k >= 0")
         if not (1 <= self.u0 <= self.n and 1 <= self.uk <= self.n):
@@ -68,6 +63,7 @@ class FernLabeling:
                 raise DomainError("every level must have width d-1")
             if any(not 1 <= e <= self.n for e in row):
                 raise DomainError("labels must lie in [1,n]")
+        return self
 
 
 def z_fern(fl: FernLabeling) -> Poly:

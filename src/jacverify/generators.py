@@ -17,7 +17,7 @@ formula.  ``cross_check_generators`` confirms the two agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .combinatorics import (
     SubsetPermutation,
@@ -31,27 +31,24 @@ from .poly import (
 )
 
 
-@dataclass(frozen=True)
-class DLinearSpec:
+class DLinearSpec(namedtuple("DLinearSpec", "d n")):
     """Degree d and dimension n of a d-linear map."""
 
-    d: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.d < 1 or self.n < 1:
             raise DomainError("d and n must be positive")
+        return self
 
 
-@dataclass(frozen=True, order=True)
-class JKey:
+class JKey(namedtuple("JKey", "k alpha")):
     """Generator key: row count k plus a composition of weight k(d-1)."""
 
-    k: int
-    alpha: tuple
+    __slots__ = ()
 
 
-@dataclass
 class GeneratorSet:
     """All generators of one map, including explicit zeros.
 
@@ -59,8 +56,8 @@ class GeneratorSet:
     a-variable polynomial, homogeneous of degree k*d (or zero).
     """
 
-    spec: DLinearSpec
-    entries: dict = field(default_factory=dict)
+    def __init__(self, spec: DLinearSpec, entries: dict):
+        self.spec, self.entries = spec, entries
 
     def keys_sorted(self) -> list:
         return sorted(self.entries)
@@ -161,11 +158,9 @@ def generator_direct(spec: DLinearSpec, key: JKey) -> Poly:
                         for nu in labelings))
 
 
-@dataclass
 class CrossCheckReport:
-    spec: DLinearSpec
-    checked: int
-    mismatches: list
+    def __init__(self, spec: DLinearSpec, checked: int, mismatches: list):
+        self.spec, self.checked, self.mismatches = spec, checked, mismatches
 
     @property
     def ok(self) -> bool:

@@ -28,7 +28,7 @@ each difference: zero, or homogeneous of degree 2d.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -48,19 +48,17 @@ def generator_set(spec: DLinearSpec):
     return extract_generators(spec)
 
 
-@dataclass(frozen=True)
-class IdentityInstance:
-    """One fully pinned-down instance of identity 1 or identity 2."""
+class IdentityInstance(namedtuple("IdentityInstance", "which d n alpha u0 un beta",
+                                  defaults=(None,))):
+    """One fully pinned-down instance of identity 1 or identity 2.
 
-    which: str  # "identity1" | "identity2"
-    d: int
-    n: int
-    alpha: tuple
-    u0: int
-    un: int
-    beta: tuple | None = None
+    ``which`` is "identity1" or "identity2"; only identity 2 takes a beta.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.which not in ("identity1", "identity2"):
             raise DomainError(f"unknown identity {self.which!r}")
         if sum(self.alpha) != self.n * (self.d - 1) or len(self.alpha) != self.n:
@@ -78,6 +76,7 @@ class IdentityInstance:
                 raise DomainError("beta labels must lie in [1,n]")
         elif self.beta is not None:
             raise DomainError("identity 1 takes no beta")
+        return self
 
 
 def identity1_lhs(inst: IdentityInstance) -> Poly:
@@ -187,21 +186,14 @@ def relation_instances(d: int):
                 yield alpha1, alpha2, u
 
 
-@dataclass
-class RelationEntry:
-    alpha1: tuple
-    alpha2: tuple
-    u: int
-    v: int
-    difference: Poly
-    is_zero: bool
-    homogeneous_2d: bool
+RelationEntry = namedtuple("RelationEntry",
+                           "alpha1 alpha2 u v difference is_zero homogeneous_2d")
 
 
-@dataclass
 class RelationReport:
-    d: int
-    entries: list = field(default_factory=list)
+    def __init__(self, d: int):
+        self.d = d
+        self.entries = []
 
     @property
     def structurally_ok(self) -> bool:
@@ -242,11 +234,10 @@ def relation_report(d: int, instances=None) -> RelationReport:
 # -- numeric Cayley-Hamilton spot check ----------------------------------
 
 
-@dataclass
 class CHNumericReport:
-    n: int
-    trials: int
-    failures: list = field(default_factory=list)
+    def __init__(self, n: int, trials: int):
+        self.n, self.trials = n, trials
+        self.failures = []
 
     @property
     def ok(self) -> bool:

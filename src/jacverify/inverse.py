@@ -25,7 +25,6 @@ checks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .combinatorics import enumerate_compositions
 from .generators import DLinearSpec, map_components
@@ -45,14 +44,12 @@ def mul_trunc(p: Poly, q: Poly, n_max: int) -> Poly:
                                  for b, y in q_layers.items() if a + b <= n_max))
 
 
-@dataclass
 class TruncatedSeries:
     """Inverse series components g_1..g_n, exact up to t-degree N_max."""
 
-    spec: DLinearSpec
-    n_max: int
-    components: list
-    _heads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, spec: DLinearSpec, n_max: int, components: list):
+        self.spec, self.n_max, self.components = spec, n_max, components
+        self._heads = {}
 
     def component(self, i: int) -> Poly:
         if not 1 <= i <= self.spec.n:
@@ -101,11 +98,9 @@ def inverse_series(spec: DLinearSpec, n_max: int) -> TruncatedSeries:
     return TruncatedSeries(spec, n_max, [poly_sum(n, layers) for layers in g])
 
 
-@dataclass
 class InverseReport:
-    spec: DLinearSpec
-    n_max: int
-    failures: list
+    def __init__(self, spec: DLinearSpec, n_max: int, failures: list):
+        self.spec, self.n_max, self.failures = spec, n_max, failures
 
     @property
     def ok(self) -> bool:

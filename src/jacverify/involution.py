@@ -35,7 +35,7 @@ the total signed sum to vanish.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .combinatorics import (
     composition_sub_or_none,
@@ -52,17 +52,10 @@ DOMAIN_SIDE = "domain"
 IMAGE_SIDE = "image"
 
 
-@dataclass(frozen=True)
-class TupleState:
+class TupleState(namedtuple("TupleState", "d n lam nu S sigma rho")):
     """One monomial index; sigma lists images aligned with the sorted S."""
 
-    d: int
-    n: int
-    lam: tuple
-    nu: tuple
-    S: tuple
-    sigma: tuple
-    rho: tuple
+    __slots__ = ()
 
     def sigma_map(self) -> dict:
         return dict(zip(self.S, self.sigma))
@@ -71,12 +64,7 @@ class TupleState:
         return labeling_content(self.nu + self.rho, self.n)
 
 
-@dataclass(frozen=True)
-class Classification:
-    h: int | None
-    l1: int | None
-    l2: int | None
-    side: str
+Classification = namedtuple("Classification", "h l1 l2 side")
 
 
 def enumerate_states(d: int, n: int, alpha: tuple, u0: int, un: int) -> list:
@@ -218,22 +206,16 @@ def tau_inverse(s: TupleState, variant: int) -> TupleState:
     return TupleState(s.d, s.n, new_lam, new_nu, new_S, new_sigma, new_rho)
 
 
-@dataclass
 class InvolutionReport:
-    d: int
-    n: int
-    alpha: tuple
-    u0: int
-    un: int
-    variant: int
-    beta: tuple | None
-    states: int = 0
-    domain_count: int = 0
-    image_count: int = 0
-    pairs: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
-    signed_sum: Poly | None = None
-    weights: dict = field(default_factory=dict)  # state -> its signed weight
+    def __init__(self, d: int, n: int, alpha: tuple, u0: int, un: int, variant: int,
+                 beta: tuple | None):
+        self.d, self.n, self.alpha, self.u0, self.un = d, n, alpha, u0, un
+        self.variant, self.beta = variant, beta
+        self.states = self.domain_count = self.image_count = 0
+        self.pairs = []
+        self.failures = []
+        self.signed_sum = None
+        self.weights = {}  # state -> its signed weight
 
     @property
     def ok(self) -> bool:

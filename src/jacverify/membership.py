@@ -4,9 +4,10 @@ The generator ideal is graded, so a homogeneous degree-D polynomial lies
 in it iff it lies in the span of (monomial times generator) products of
 degree D.  ``build_basis`` lists those products for one degree as
 (generator, multiplier) rows and row-reduces them over the rationals,
-building each product only while it is reduced and keeping its steps
-(its row of L in A = LU); ``membership`` reduces a target and substitutes
-back through those steps for an exact certificate
+reading each product off the generator by exponent shift only while it is
+reduced, and keeping its steps (its row of L in A = LU); ``membership``
+reduces a target and substitutes back through those steps for an exact
+certificate
 
     target = sum_k coeff_poly[k] * generator[k] + residual
 
@@ -33,9 +34,9 @@ the full elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from heapq import heapify, heappop, heappush
-from operator import ge, sub
+from operator import add, ge, sub
 
 from .combinatorics import enumerate_compositions
 from .fern import FernLabeling, z_fern
@@ -47,23 +48,20 @@ from .poly import (
 )
 
 
-@dataclass
-class BasisRow:
-    key: JKey
-    multiplier: tuple  # exponent tuple of the monomial factor
+# key is a JKey; multiplier is the exponent tuple of the monomial factor.
+BasisRow = namedtuple("BasisRow", "key multiplier")
 
 
-@dataclass
 class HomogeneousBasis:
     """Weight blocks of a degree slice: generator multiples plus echelon data."""
 
-    spec: DLinearSpec
-    degree: int
-    weights: frozenset  # the weight blocks built
-    monomials: list  # the blocks' degree-D monomials, in canonical_order
-    _index: dict  # monomial -> its position in monomials
-    rows: list = field(default_factory=list)
-    _pivots: dict = field(default_factory=dict)  # lead -> (index row, row number, lc, steps)
+    def __init__(self, spec: DLinearSpec, degree: int, weights: frozenset, monomials: list):
+        self.spec, self.degree = spec, degree
+        self.weights = weights  # the weight blocks built
+        self.monomials = monomials  # the blocks' degree-D monomials, in canonical_order
+        self._index = {m: i for i, m in enumerate(monomials)}  # monomial -> its position
+        self.rows = []
+        self._pivots = {}  # lead -> (index row, row number, lc, steps)
 
 
 def a_monomials_of_degree(n: int, degree: int) -> list:
@@ -150,8 +148,7 @@ def build_basis(spec: DLinearSpec, degree: int, weights) -> HomogeneousBasis:
     weights = frozenset(weights)
     blocks = [weight_block_monomials(d, n, degree, w) for w in sorted(weights)]
     monomials = canonical_order(n, (m for block in blocks for m in block))
-    basis = HomogeneousBasis(spec, degree, weights, monomials,
-                             {m: i for i, m in enumerate(monomials)})
+    basis = HomogeneousBasis(spec, degree, weights, monomials)
     for key in gens.keys_sorted():
         gen = gens[key]
         if key.k == 0 or key.k * d > degree or gen.is_zero():
@@ -165,14 +162,15 @@ def build_basis(spec: DLinearSpec, degree: int, weights) -> HomogeneousBasis:
                        for block in blocks for m in block if all(map(ge, m, e))]
 
     # A monomial times a generator has as many terms as the generator, so
-    # rows go shortest product first; each product is built only to reduce.
+    # rows go shortest product first.  u*g is an exponent shift: it puts each
+    # coefficient c of g's term e on u + e and merges no terms.
     order = sorted(range(len(basis.rows)),
                    key=lambda i: (len(gens[basis.rows[i].key].terms), i))
+    index = basis._index
     for idx in order:
-        row = basis.rows[idx]
-        product = Poly(n, {row.multiplier: 1}) * gens[row.key]
-        residual, steps = _reduce({basis._index[m]: c for m, c in product.terms.items()},
-                                  basis._pivots)
+        key, u = basis.rows[idx]
+        residual, steps = _reduce({index[tuple(map(add, u, e))]: c
+                                   for e, c in gens[key].terms.items()}, basis._pivots)
         if residual:
             lead = next(iter(residual))  # residual terms come in descending order
             lc = residual[lead]
@@ -218,13 +216,13 @@ def _reduce(vec: dict, pivots: dict):
     return residual, steps
 
 
-@dataclass
-class MembershipCertificate:
-    """target = sum of (generator coefficient) products + residual, exactly."""
+class MembershipCertificate(namedtuple("MembershipCertificate", "target combination residual")):
+    """target = sum of (generator coefficient) products + residual, exactly.
 
-    target: Poly
-    combination: list  # (JKey, Poly) pairs, zero coefficients dropped
-    residual: Poly
+    ``combination`` lists (JKey, Poly) pairs, zero coefficients dropped.
+    """
+
+    __slots__ = ()
 
     @property
     def member(self) -> bool:
@@ -288,11 +286,11 @@ def certificate_residual(spec: DLinearSpec, cert: MembershipCertificate) -> Poly
 # -- fern lemma sweep ------------------------------------------------------
 
 
-@dataclass
 class FernMembershipReport:
-    d: int
-    entries: list = field(default_factory=list)  # (u0, u2, nu, certificate)
-    failures: list = field(default_factory=list)
+    def __init__(self, d: int):
+        self.d = d
+        self.entries = []  # (u0, u2, nu, certificate)
+        self.failures = []
 
     @property
     def ok(self) -> bool:
@@ -332,22 +330,15 @@ def verify_fern_lemmas(d: int) -> FernMembershipReport:
 # -- inverse coefficient sweep ---------------------------------------------
 
 
-@dataclass
-class TheoremEntry:
-    i: int
-    alpha: tuple
-    N: int
-    exceptional: bool
-    member: bool
-    certificate: MembershipCertificate | None
+# certificate is None for a zero coefficient.
+TheoremEntry = namedtuple("TheoremEntry", "i alpha N exceptional member certificate")
 
 
-@dataclass
 class TheoremReport:
-    d: int
-    N_list: list
-    entries: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
+    def __init__(self, d: int, N_list: list):
+        self.d, self.N_list = d, N_list
+        self.entries = []
+        self.failures = []
 
     @property
     def ok(self) -> bool:

@@ -47,11 +47,10 @@ into one exponent vector instead of multiplying one-variable polynomials.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, partial
 from operator import add, getitem, itemgetter
-from typing import Mapping
 
 
 class StructuralError(ValueError):
@@ -66,17 +65,16 @@ class VerificationError(AssertionError):
     """An exact check that the toolkit expected to pass did not."""
 
 
-@dataclass(frozen=True, order=True)
-class VarId:
+class VarId(namedtuple("VarId", "kind i j", defaults=(0, 0))):
     """One ambient variable: kind 'a' (matrix entry), 'x' (coordinate) or 't'."""
 
-    kind: str
-    i: int = 0
-    j: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("a", "x", "t"):
             raise StructuralError(f"unknown variable kind {self.kind!r}")
+        return self
 
     def __str__(self):
         if self.kind == "t":
@@ -413,7 +411,6 @@ def substitute_numeric(p: Poly, assignment: Mapping[VarId, Fraction]) -> Fractio
     return sum((term(m, c) for m, c in p.terms.items()), Fraction(0))
 
 
-@dataclass
 class PolyMatrix:
     """A square grid of polynomials over one ambient ring.
 
@@ -421,22 +418,19 @@ class PolyMatrix:
     needs ``ambient_n`` spelled out so its determinant (1) has a home.
     """
 
-    size: int
-    entries: list
-    ambient_n: int = 0
-
-    def __post_init__(self):
-        if len(self.entries) != self.size or any(len(r) != self.size for r in self.entries):
+    def __init__(self, size: int, entries: list, ambient_n: int = 0):
+        if len(entries) != size or any(len(r) != size for r in entries):
             raise StructuralError("matrix entries do not form a size x size grid")
-        ns = {p.n for row in self.entries for p in row}
+        ns = {p.n for row in entries for p in row}
         if len(ns) > 1:
             raise StructuralError("entries with mismatched ambient n")
         if ns:
-            if self.ambient_n and self.ambient_n not in ns:
+            if ambient_n and ambient_n not in ns:
                 raise StructuralError("ambient_n contradicts the entries")
-            self.ambient_n = ns.pop()
-        elif not self.ambient_n:
+            ambient_n = ns.pop()
+        elif not ambient_n:
             raise StructuralError("empty matrix needs an explicit ambient_n")
+        self.size, self.entries, self.ambient_n = size, entries, ambient_n
 
 
 def poly_determinant(mat: PolyMatrix) -> Poly:

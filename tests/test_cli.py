@@ -1,6 +1,5 @@
 """Command-line surface: golden output, JSON schemas, exit codes, determinism."""
 
-import dataclasses
 import hashlib
 import importlib
 import json
@@ -355,7 +354,7 @@ def test_member_rechecks_its_certificate(capsys, monkeypatch):
     def drop_one_term(spec, target):
         cert = real(spec, target)
         assert cert.member and cert.combination
-        return dataclasses.replace(cert, combination=cert.combination[1:])
+        return type(cert)(cert.target, cert.combination[1:], cert.residual)
 
     monkeypatch.setattr(cli, "membership", drop_one_term)
     _assert_verification_error(capsys, ["member", "--d", "2", "--n", "2", "--poly",
@@ -457,12 +456,23 @@ def test_import_loads_no_process_pool():
     ("gens --d 2 --n 2", {"identities", "generators"}, {"involution", "membership", "inverse"}),
     ("identity1 --d 2 --n 2 --all", {"identities", "fern"},
      {"involution", "membership", "inverse"}),
+    ("z --d 2 --n 2 --u0 1 --uk 2 --nu 1", {"fern"},
+     {"identities", "generators", "involution", "membership", "inverse"}),
+    ("relation --d 2 --all", {"identities"}, {"involution", "membership", "inverse"}),
+    ("inverse --d 2 --n 2 --Nmax 4", {"inverse", "generators"},
+     {"identities", "involution", "membership", "fern"}),
+    ("member --d 2 --n 2 --poly 'a[1,1]^3*a[1,2] + a[1,1]*a[1,2]*a[2,1]*a[2,2]'",
+     {"membership"}, {"involution"}),
+    ("verify-theorem --d 2 --N 4", {"membership", "inverse"}, {"involution"}),
 ])
 def test_command_loads_only_the_modules_it_runs(tmp_path, argv, used, unused):
+    """No command loads dataclasses, or the inspect module that it imports."""
     code, loaded = _modules_after(shlex.split(argv) + ["--out", str(tmp_path / "out")])
-    assert code == 0
+    # relation exits 1 while no instance of the transcribed relation holds.
+    assert code == (1 if argv.startswith("relation ") else 0)
     assert {f"jacverify.{m}" for m in used} <= loaded
     assert not {f"jacverify.{m}" for m in unused} & loaded
+    assert not {"dataclasses", "inspect"} & loaded
 
 
 def test_empty_sweeps_exit_two(capsys):
@@ -514,6 +524,30 @@ def test_flags_of_other_subcommands_exit_two(capsys, argv):
         main(shlex.split(argv))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flags", [
+    ("identity1 --d 2 --n 2 --all --alpha 1,1", "--alpha"),
+    ("identity1 --d 2 --n 2 --all --u0 2 --un 1", "--u0, --un"),
+    ("identity1 --d 2 --n 2 --all --un 1 --workers 2", "--un"),
+    ("identity2 --d 2 --n 2 --all --beta 1", "--beta"),
+    ("identity2 --d 2 --n 2 --all --alpha 1,1 --u0 1 --un 2 --beta 2",
+     "--alpha, --u0, --un, --beta"),
+    ("relation --d 2 --all --alpha1 1,0", "--alpha1"),
+    ("relation --d 2 --all --alpha2 0,1 --format json", "--alpha2"),
+    ("relation --d 2 --all --u 1", "--u"),
+])
+def test_all_refuses_a_flag_that_pins_one_instance(capsys, monkeypatch, argv, flags):
+    """--all sweeps every instance: a pinning flag exits 2 before any sweep starts."""
+    def never(*args):
+        raise AssertionError("the sweep started")
+
+    for name in ("identity1_instances", "identity2_instances", "relation_report"):
+        monkeypatch.setattr(cli, name, never)
+    assert main(shlex.split(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --all sweeps every instance and takes no {flags}\n"
+    assert captured.out == ""
 
 
 def test_numeric_trials_checked_before_the_sweep(capsys, monkeypatch):
