@@ -10,11 +10,11 @@ deterministic for a fixed command line (stable orders, canonical
 polynomial text), so repeated runs are byte identical.  Exit codes: 0
 pass/member, 1 verification failure or non-member, 2 usage or input error,
 including a sweep with no instance, ``--all`` with a flag that pins one
-instance, an ``involution`` with no state, a count out of range
-(``--workers`` below 1, ``--numeric-trials`` below 0) and
-``--numeric-trials`` at d != 1.
+instance, ``inverse --coeff`` with ``--Nmax``, an ``involution`` with no
+state, a count out of range (``--workers`` below 1, ``--numeric-trials``
+below 0) and ``--numeric-trials`` at d != 1.
 A failed exact check in the library (``VerificationError``, such as a
-``member`` certificate that does not re-multiply) prints ``error:`` only.
+``membership`` certificate that does not re-multiply) prints ``error:`` only.
 
 Sweeps (``--all``) run the library's instance enumerations
 (``identity1_instances``, ``identity2_instances``, ``relation_instances``
@@ -61,7 +61,6 @@ coefficient_c = _deferred("coefficient_c")
 inverse_series = _deferred("inverse_series")
 verify_involution = _deferred("verify_involution")
 membership = _deferred("membership")
-certificate_residual = _deferred("certificate_residual")
 verify_main_theorem = _deferred("verify_main_theorem")
 Poly = _deferred("Poly")
 format_poly = _deferred("format_poly")
@@ -406,6 +405,8 @@ def _run_inverse(args) -> tuple:
 
     d, n = args.d, args.n
     if args.coeff is not None:
+        if args.n_max is not None:
+            raise DomainError("--coeff reads one coefficient and takes no --Nmax")
         parts = _parse_ints(args.coeff, "--coeff")
         if len(parts) != n + 2:
             raise DomainError(f"--coeff needs i,alpha({n} parts),N")
@@ -432,12 +433,7 @@ def _run_inverse(args) -> tuple:
 
 
 def _run_member(args) -> tuple:
-    from .poly import VerificationError
-
-    spec = DLinearSpec(args.d, args.n)
-    cert = membership(spec, parse_poly(args.poly, args.n))
-    if not certificate_residual(spec, cert).is_zero():
-        raise VerificationError("the certificate does not re-multiply to the target")
+    cert = membership(DLinearSpec(args.d, args.n), parse_poly(args.poly, args.n))
     body = _certificate_json(cert)
     lines = ["member" if body["member"] else "non-member"]
     for item in body["combination"]:

@@ -1,4 +1,5 @@
-"""Compositions, level labelings, subset permutations, last-rep indices.
+"""Compositions, level labelings, subset permutations, last-rep indices,
+and the a-index pairs of a stack of levels.
 
 All enumerations return tuples in a fixed deterministic order so that any
 output derived from them is reproducible run to run.
@@ -99,6 +100,17 @@ def count_level_labelings(alpha: Composition, k: int, d: int) -> int:
     for p in alpha:
         total //= factorial(p)
     return total
+
+
+def level_entries(heads, tails, rows) -> list:
+    """The a-index pairs (i, j) of a stack of levels: each head i meets its
+    tail j and every label of its row.  A fern path gives (lam, lam[1:], nu),
+    a generator term (S, sigma, nu)."""
+    entries = []
+    for i, j, row in zip(heads, tails, rows):
+        entries.append((i, j))
+        entries.extend((i, lab) for lab in row)
+    return entries
 
 
 class SubsetPermutation(namedtuple("SubsetPermutation", "S sigma cycle_count")):

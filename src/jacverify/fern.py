@@ -41,6 +41,7 @@ from .combinatorics import (
     count_level_labelings,
     enumerate_compositions,
     labeling_content,
+    level_entries,
 )
 from .poly import DomainError, Poly, a_monomial, poly_sum, sum_of_products
 
@@ -78,11 +79,7 @@ def _path_sum(d: int, n: int, u0: int, uk: int, nu) -> Poly:
 
     def weight(interior):
         lam = (u0,) + interior + (uk,)
-        entries = []
-        for i in range(1, k + 1):
-            entries.append((lam[i - 1], lam[i]))
-            entries.extend((lam[i - 1], lab) for lab in nu[i - 1])
-        return a_monomial(n, entries)
+        return a_monomial(n, level_entries(lam, lam[1:], nu))
 
     return poly_sum(n, map(weight, itertools.product(range(1, n + 1), repeat=k - 1)))
 

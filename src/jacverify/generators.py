@@ -24,6 +24,7 @@ from .combinatorics import (
     enumerate_compositions,
     enumerate_level_labelings,
     enumerate_subset_permutations,
+    level_entries,
 )
 from .poly import (
     DomainError, Poly, PolyMatrix, VerificationError, a_, a_monomial, poly_determinant, poly_sum,
@@ -140,11 +141,7 @@ def weight_w(spec: DLinearSpec, ssig: SubsetPermutation, nu) -> Poly:
         raise DomainError(f"labeling has {len(nu)} levels, S has order {k}")
     if any(len(row) != d - 1 for row in nu):
         raise DomainError("every level must have width d-1")
-    entries = []
-    for s, image, row in zip(ssig.S, ssig.sigma, nu):
-        entries.append((s, image))
-        entries.extend((s, lab) for lab in row)
-    return a_monomial(n, entries, (-1) ** ssig.cycle_count)
+    return a_monomial(n, level_entries(ssig.S, ssig.sigma, nu), (-1) ** ssig.cycle_count)
 
 
 def generator_direct(spec: DLinearSpec, key: JKey) -> Poly:

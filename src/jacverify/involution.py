@@ -21,12 +21,13 @@ lies in S and (l1, l2) the last-rep indices of lam:
     domain:  (l1, l2) exists and h is absent or h < l1
     image:   h exists and (l1, l2) is absent or h > l1
 
-The transfer maps tau_1 and tau_2 cut the repeated stretch of lam out of
-the path, adjoin it to sigma as a new cycle, and move the matching nu
-rows into rho.  They differ only in which copy of the repeated label
-stays on the path: tau_1 removes positions l1..l2-1, tau_2 removes
-l1+1..l2.  Either way each transferred vertex carries the nu row attached
-to the edge leaving it, and every surviving subset element keeps its rho
+The transfer maps cut l2 - l1 slots out of the path, adjoin their labels
+to sigma as a new cycle (each to the next path label), and move the nu
+rows of the cut slots into rho.  The variants differ by one cut offset,
+o = v - 1 (o = 0 when l2 is the last slot): tau_v cuts slots l1+o..l2-1+o,
+and as lam[l1] = lam[l2] both cuts take the same labels.  tau_inverse
+splices the sigma cycle through lam[h], rotated by o, back in at slot h + o
+(o = 0 when h is the last slot); every other subset element keeps its rho
 row.  Both maps flip the sign (one extra cycle), preserve the monomial,
 and are bijections from the domain side onto the image side, which forces
 the total signed sum to vanish.
@@ -45,6 +46,7 @@ from .combinatorics import (
     enumerate_subset_permutations,
     labeling_content,
     last_rep_indices,
+    level_entries,
 )
 from .poly import DomainError, Poly, VerificationError, a_monomial, poly_sum
 
@@ -56,9 +58,6 @@ class TupleState(namedtuple("TupleState", "d n lam nu S sigma rho")):
     """One monomial index; sigma lists images aligned with the sorted S."""
 
     __slots__ = ()
-
-    def sigma_map(self) -> dict:
-        return dict(zip(self.S, self.sigma))
 
     def content(self) -> tuple:
         return labeling_content(self.nu + self.rho, self.n)
@@ -101,14 +100,8 @@ def enumerate_states(d: int, n: int, alpha: tuple, u0: int, un: int) -> list:
 
 
 def state_weight(s: TupleState) -> Poly:
-    """Signed monomial weight of one state."""
-    entries = []
-    for i in range(1, len(s.lam)):
-        entries.append((s.lam[i - 1], s.lam[i]))
-        entries.extend((s.lam[i - 1], lab) for lab in s.nu[i - 1])
-    for i, elem in enumerate(s.S):
-        entries.append((elem, s.sigma[i]))
-        entries.extend((elem, lab) for lab in s.rho[i])
+    """Signed monomial weight of one state: its fern levels, then its generator levels."""
+    entries = level_entries(s.lam, s.lam[1:], s.nu) + level_entries(s.S, s.sigma, s.rho)
     return a_monomial(s.n, entries, (-1) ** cycle_count(s.S, s.sigma))
 
 
@@ -129,18 +122,6 @@ def classify(s: TupleState) -> Classification:
     return Classification(h, l1, l2, DOMAIN_SIDE if is_domain else IMAGE_SIDE)
 
 
-def _rebuild_subset(old_S, old_sigma, old_rho, cycle_map, carried_rows):
-    """Merge a new cycle into sigma and align rho rows to the sorted set."""
-    mapping = dict(zip(old_S, old_sigma))
-    mapping.update(cycle_map)
-    rows = {elem: old_rho[i] for i, elem in enumerate(old_S)}
-    rows.update(carried_rows)
-    new_S = tuple(sorted(mapping))
-    new_sigma = tuple(mapping[e] for e in new_S)
-    new_rho = tuple(rows[e] for e in new_S)
-    return new_S, new_sigma, new_rho
-
-
 def tau(s: TupleState, variant: int) -> TupleState:
     """Transfer the repeated stretch of lam into sigma (domain side only)."""
     if variant not in (1, 2):
@@ -149,23 +130,15 @@ def tau(s: TupleState, variant: int) -> TupleState:
     if cls.side != DOMAIN_SIDE:
         raise DomainError("tau applies on the domain side")
     l1, l2 = cls.l1, cls.l2
-    last = len(s.lam) - 1
-
-    if variant == 2 and l2 == last:
-        variant = 1  # the two transfers coincide at the path end
-
-    cycle_map = {s.lam[i]: s.lam[i + 1] for i in range(l1, l2)}
-    if variant == 1:
-        new_lam = s.lam[:l1] + s.lam[l2:]
-        new_nu = s.nu[:l1] + s.nu[l2:]
-        carried = {s.lam[j]: s.nu[j] for j in range(l1, l2)}
-    else:
-        new_lam = s.lam[: l1 + 1] + s.lam[l2 + 1:]
-        new_nu = s.nu[: l1 + 1] + s.nu[l2 + 1:]
-        carried = {s.lam[j]: s.nu[j] for j in range(l1 + 1, l2 + 1)}
-
-    new_S, new_sigma, new_rho = _rebuild_subset(s.S, s.sigma, s.rho, cycle_map, carried)
-    return TupleState(s.d, s.n, new_lam, new_nu, new_S, new_sigma, new_rho)
+    offset = int(variant == 2 and l2 < len(s.lam) - 1)  # the cut offset o
+    lo, hi = l1 + offset, l2 + offset
+    sigma = dict(zip(s.S, s.sigma))
+    sigma.update(zip(s.lam[l1:l2], s.lam[l1 + 1:l2 + 1]))
+    rows = dict(zip(s.S, s.rho))
+    rows.update(zip(s.lam[lo:hi], s.nu[lo:hi]))
+    S = tuple(sorted(sigma))
+    return TupleState(s.d, s.n, s.lam[:lo] + s.lam[hi:], s.nu[:lo] + s.nu[hi:],
+                      S, tuple(sigma[e] for e in S), tuple(rows[e] for e in S))
 
 
 def tau_inverse(s: TupleState, variant: int) -> TupleState:
@@ -176,34 +149,19 @@ def tau_inverse(s: TupleState, variant: int) -> TupleState:
     if cls.side != IMAGE_SIDE:
         raise DomainError("tau_inverse applies on the image side")
     h = cls.h
-    b = s.lam[h]
-    last = len(s.lam) - 1
-
-    mapping = s.sigma_map()
-    cyc = [b]
-    cur = mapping[b]
-    while cur != b:
-        cyc.append(cur)
-        cur = mapping[cur]
-
-    rows = {elem: s.rho[i] for i, elem in enumerate(s.S)}
-    keep = [e for e in s.S if e not in set(cyc)]
-    new_S = tuple(keep)
-    new_sigma = tuple(mapping[e] for e in keep)
-    new_rho = tuple(rows[e] for e in keep)
-
-    if variant == 2 and h == last:
-        variant = 1  # unique reinsertion when b closes the path
-
-    if variant == 1:
-        new_lam = s.lam[:h] + tuple(cyc) + s.lam[h:]
-        new_nu = s.nu[:h] + tuple(rows[e] for e in cyc) + s.nu[h:]
-    else:
-        rotated = cyc[1:] + cyc[:1]
-        new_lam = s.lam[: h + 1] + tuple(rotated) + s.lam[h + 1:]
-        new_nu = s.nu[: h + 1] + tuple(rows[e] for e in rotated) + s.nu[h + 1:]
-
-    return TupleState(s.d, s.n, new_lam, new_nu, new_S, new_sigma, new_rho)
+    sigma = dict(zip(s.S, s.sigma))
+    rows = dict(zip(s.S, s.rho))
+    cyc = [s.lam[h]]
+    while sigma[cyc[-1]] != cyc[0]:
+        cyc.append(sigma[cyc[-1]])
+    on_cycle = set(cyc)
+    S = tuple(e for e in s.S if e not in on_cycle)
+    offset = int(variant == 2 and h < len(s.lam) - 1)  # the insertion offset o
+    cyc = tuple(cyc[offset:] + cyc[:offset])
+    h += offset
+    return TupleState(s.d, s.n, s.lam[:h] + cyc + s.lam[h:],
+                      s.nu[:h] + tuple(rows[e] for e in cyc) + s.nu[h:],
+                      S, tuple(sigma[e] for e in S), tuple(rows[e] for e in S))
 
 
 class InvolutionReport:
@@ -230,6 +188,8 @@ def verify_involution(d, n, alpha, u0, un, variant, restricted_beta=None) -> Inv
     the restricted set, which is what makes the pinned-first-row identity
     follow from the same pairing.
     """
+    if variant not in (1, 2):
+        raise DomainError("variant must be 1 or 2")
     report = InvolutionReport(d, n, tuple(alpha), u0, un, variant, restricted_beta)
     if restricted_beta is not None:
         if variant != 2:
@@ -266,11 +226,7 @@ def verify_involution(d, n, alpha, u0, un, variant, restricted_beta=None) -> Inv
 
     seen_images = set()
     for s in domain_states:
-        try:
-            img = tau(s, variant)
-        except DomainError as exc:
-            report.failures.append({"kind": "transfer", "state": s, "detail": str(exc)})
-            continue
+        img = tau(s, variant)
         if img not in weights:
             report.failures.append({"kind": "closure", "state": s, "partner": img})
             continue

@@ -349,14 +349,16 @@ def _assert_verification_error(capsys, argv):
 
 
 def test_member_rechecks_its_certificate(capsys, monkeypatch):
-    real = cli.membership
+    """The library re-multiplies the certificate it builds, so a term lost on
+    the way out of the elimination is an error, not a wrong report."""
+    membership = importlib.import_module("jacverify.membership")
+    real = membership.MembershipCertificate
 
-    def drop_one_term(spec, target):
-        cert = real(spec, target)
-        assert cert.member and cert.combination
-        return type(cert)(cert.target, cert.combination[1:], cert.residual)
+    def drop_one_term(target, combination, residual):
+        assert combination
+        return real(target, combination[1:], residual)
 
-    monkeypatch.setattr(cli, "membership", drop_one_term)
+    monkeypatch.setattr(membership, "MembershipCertificate", drop_one_term)
     _assert_verification_error(capsys, ["member", "--d", "2", "--n", "2", "--poly",
                                         "a[1,1]^3*a[1,2] + a[1,1]*a[1,2]*a[2,1]*a[2,2]"])
 
@@ -585,6 +587,21 @@ def test_inverse_degree_above_cutoff_is_the_identity(capsys, flags):
         resource.setrlimit(resource.RLIMIT_AS, limits)
     assert code == 0
     assert out == ("g[1] N=0 alpha=(1): 1\n" if flags[0] == "--Nmax" else "1\n")
+
+
+def test_inverse_coeff_with_nmax_exits_two(capsys, monkeypatch):
+    """--coeff reads one coefficient, so an --Nmax beside it is an input error,
+    reported before any series is built."""
+    def never(*args):
+        raise AssertionError("a series was built before the flags were checked")
+
+    monkeypatch.setattr(cli, "coefficient_c", never)
+    monkeypatch.setattr(cli, "inverse_series", never)
+    assert main(["inverse", "--d", "2", "--n", "2", "--coeff", "1,1,1,2", "--Nmax", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--Nmax" in captured.err
 
 
 def test_negative_numeric_trials_exit_two(capsys):

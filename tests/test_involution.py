@@ -151,12 +151,71 @@ def test_round_trip_sampled_states():
 
 
 def test_involutivity_on_every_state():
-    for d, n, alpha in [(1, 2, (0, 0)), (2, 2, (1, 1))]:
-        for u0, un in [(1, 1), (1, 2), (2, 1)]:
-            for s in enumerate_states(d, n, alpha, u0, un):
-                for variant in (1, 2):
-                    once = apply_involution(s, variant)
-                    assert apply_involution(once, variant) == s
+    """Every state of every instance up to (2,3) and (3,2), both variants: the
+    map is an involution that changes side and flips the weight's sign."""
+    counts = {}
+    for d, n in [(1, 2), (2, 2), (2, 3), (3, 2)]:
+        counts[d, n] = 0
+        for alpha in enumerate_compositions(n * (d - 1), n):
+            for u0 in range(1, n + 1):
+                for un in range(1, n + 1):
+                    for s in enumerate_states(d, n, alpha, u0, un):
+                        counts[d, n] += 1
+                        for variant in (1, 2):
+                            once = apply_involution(s, variant)
+                            assert apply_involution(once, variant) == s
+                            assert classify(once).side != classify(s).side
+                            assert state_weight(once) == -state_weight(s)
+    assert counts[2, 3] == 6318 and counts[3, 2] == 320
+
+
+def _product_weight(s: TupleState) -> Poly:
+    """The state weight as a product of a_ polynomials, one per path edge, leaf
+    label, sigma image and rho label, signed by (-1)^cycles = (-1)^(k + inversions)."""
+    w = Poly.one(s.n)
+    for i in range(len(s.lam) - 1):
+        w = w * a_(s.n, s.lam[i], s.lam[i + 1])
+        for lab in s.nu[i]:
+            w = w * a_(s.n, s.lam[i], lab)
+    for elem, image, row in zip(s.S, s.sigma, s.rho):
+        w = w * a_(s.n, elem, image)
+        for lab in row:
+            w = w * a_(s.n, elem, lab)
+    pos = [s.S.index(image) for image in s.sigma]
+    inversions = sum(pos[i] > pos[j] for i in range(len(pos)) for j in range(i + 1, len(pos)))
+    return w if (len(s.S) + inversions) % 2 == 0 else -w
+
+
+def test_state_weight_equals_the_factor_product():
+    checked = 0
+    instances = [(2, 2, alpha) for alpha in enumerate_compositions(2, 2)]
+    instances.append((2, 3, (1, 1, 1)))
+    for d, n, alpha in instances:
+        for u0 in range(1, n + 1):
+            for un in range(1, n + 1):
+                for s in enumerate_states(d, n, alpha, u0, un):
+                    assert state_weight(s) == _product_weight(s), s
+                    checked += 1
+    assert checked == 1484
+
+
+def test_bad_variant_is_an_input_error(monkeypatch):
+    """A variant other than 1 or 2 is rejected before any state is built or
+    classified, instead of reading as a failed pairing."""
+    import jacverify.involution as inv
+
+    def never(*args):
+        raise AssertionError("work started before the variant was checked")
+
+    monkeypatch.setattr(inv, "enumerate_states", never)
+    monkeypatch.setattr(inv, "classify", never)
+    with pytest.raises(DomainError, match=r"^variant must be 1 or 2$"):
+        verify_involution(2, 2, (1, 1), 1, 2, 3)
+    s = TupleState(1, 2, (1, 1), ((),), (), (), ())
+    for fn in (tau, tau_inverse):
+        for variant in (0, 3):
+            with pytest.raises(DomainError, match=r"^variant must be 1 or 2$"):
+                fn(s, variant)
 
 
 def test_verify_involution_passes_and_matches_identity1():
