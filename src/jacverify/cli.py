@@ -15,6 +15,11 @@ state, a count out of range (``--workers`` below 1, ``--numeric-trials``
 below 0) and ``--numeric-trials`` at d != 1.
 A failed exact check in the library (``VerificationError``, such as a
 ``membership`` certificate that does not re-multiply) prints ``error:`` only.
+A report is written only once its command has finished, so a command that
+fails writes nothing to stdout; a stdout that refuses the write (a closed
+pipe, a full device) exits 2 with one ``error:`` line and no traceback, as
+an unwritable ``--out`` or ``--dump`` file does.  JSON goes out in batches
+from ``jsonout.write_json``, which only JSON output loads.
 
 Sweeps (``--all``) run the library's instance enumerations
 (``identity1_instances``, ``identity2_instances``, ``relation_instances``
@@ -67,70 +72,33 @@ format_poly = _deferred("format_poly")
 parse_poly = _deferred("parse_poly")
 
 
-def _json_text(obj) -> str:
-    """The text of ``json.dumps(obj, indent=2)``, for which json never uses its C encoder,
-    from str, int, bool, None, list, tuple and str-keyed dict values; others raise TypeError."""
-    from json.encoder import encode_basestring_ascii
-
-    chunks = []  # joined once, so no string is copied per nesting level
-    append = chunks.append
-    levels = []  # per depth, built once: open [, open {, separator, close ], close }, keys
-
-    def emit(o, depth):
-        if isinstance(o, str):
-            append(encode_basestring_ascii(o))
-        elif o is None or o is True or o is False:
-            append("null" if o is None else "true" if o else "false")
-        elif isinstance(o, int):
-            append(int.__repr__(o))
-        elif not isinstance(o, (list, tuple, dict)):
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-        else:
-            if depth == len(levels):
-                pad, ind = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
-                levels.append(("[" + ind, "{" + ind, "," + ind, pad + "]", pad + "}", {}))
-            open_list, open_dict, sep, close_list, close_dict, keys = levels[depth]
-            if isinstance(o, dict):
-                for at, (k, v) in enumerate(o.items()):
-                    if k not in keys:  # encode_basestring_ascii rejects a non-str key
-                        name = encode_basestring_ascii(k) + ": "
-                        keys[k] = (open_dict + name, sep + name)  # first item, later item
-                    append(keys[k][at > 0])
-                    emit(v, depth + 1)
-                append(close_dict if o else "{}")
-            elif o and all(type(v) is int for v in o):  # type, not isinstance: bools differ
-                append(open_list + sep.join(map(int.__repr__, o)) + close_list)
-            else:
-                for at, v in enumerate(o):
-                    append(sep if at else open_list)
-                    emit(v, depth + 1)
-                append(close_list if o else "[]")
-
-    emit(obj, 0)
-    return "".join(chunks)
-
-
 class Report:
-    """What one dispatch prints: a JSON body and the text lines."""
+    """What one dispatch prints: a JSON body and the text lines.  Each render
+    method passes the whole output, final newline included, to ``write``."""
 
     def __init__(self, body: dict, lines: list):
         self.body = body
         self.lines = lines
 
-    def to_json(self) -> str:
-        return _json_text(self.body)
+    def to_json(self, write) -> None:
+        from .jsonout import write_json
 
-    def to_text(self) -> str:
-        return "\n".join(self.lines)
+        write_json(self.body, write)
+        write("\n")
+
+    def to_text(self, write) -> None:
+        write("\n".join(self.lines))
+        write("\n")
 
 
-def _write(path: str, text: str) -> None:
-    """Write an --out or --dump file; a path that cannot be written is an input error."""
+def _write(path: str, render) -> None:
+    """Fill an --out or --dump file through ``render(write)``; a path that cannot be
+    written is an input error."""
     from .poly import DomainError
 
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            render(fh.write)
     except OSError as exc:
         raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -345,7 +313,7 @@ def _run_relation(args) -> tuple:
 
 
 def _state_json(s) -> dict:
-    # _json_text writes tuples as arrays, so the state's own tuples serve as is.
+    # write_json writes tuples as arrays, so the state's own tuples serve as is.
     return {"lambda": s.lam, "nu": s.nu, "S": s.S,
             "sigma": tuple(zip(s.S, s.sigma)), "rho": s.rho}
 
@@ -394,7 +362,9 @@ def _run_involution(args) -> tuple:
         "failures": [str(f) for f in rep.failures],
     }
     if args.dump:
-        _write(args.dump, _json_text(pairs_json))
+        from .jsonout import write_json
+
+        _write(args.dump, lambda write: write_json(pairs_json, write))
         lines.append(f"pairs written to {args.dump}")
     counts = {"checked": rep.states, "failures": len(rep.failures)}
     return _verdict(status, counts, payload, lines), 0 if rep.ok else 1
@@ -565,14 +535,23 @@ def main(argv=None) -> int:
 
     try:
         report, code = dispatch(args)
-        text = report.to_json() if args.format == "json" else report.to_text()
+        render = report.to_json if args.format == "json" else report.to_text
         if args.out:
-            _write(args.out, text + "\n")
+            _write(args.out, render)
     except (DomainError, StructuralError, VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, VerificationError) else 2
     if not args.out:
-        print(text)
+        try:
+            render(sys.stdout.write)
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe or a full device
+            # Python flushes stdout again at exit: point it at devnull to keep that quiet.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     return code
 
 

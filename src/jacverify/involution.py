@@ -13,7 +13,8 @@ per rho entry; ``state_weight`` writes that product straight into one
 exponent vector with ``poly.a_monomial``.  ``verify_involution`` builds
 each weight once, keeps it on the report (``InvolutionReport.weights``),
 sums the weights with ``poly.poly_sum`` and compares every pair by the
-stored weights.
+stored weights; it classifies each state once and hands that
+classification to ``tau`` or ``tau_inverse``.
 
 States split into two sides.  With h the greatest path index whose label
 lies in S and (l1, l2) the last-rep indices of lam:
@@ -122,11 +123,14 @@ def classify(s: TupleState) -> Classification:
     return Classification(h, l1, l2, DOMAIN_SIDE if is_domain else IMAGE_SIDE)
 
 
-def tau(s: TupleState, variant: int) -> TupleState:
-    """Transfer the repeated stretch of lam into sigma (domain side only)."""
+def tau(s: TupleState, variant: int, cls: Classification | None = None) -> TupleState:
+    """Transfer the repeated stretch of lam into sigma (domain side only).
+
+    ``cls`` is ``classify(s)`` when the caller has it; None classifies here."""
     if variant not in (1, 2):
         raise DomainError("variant must be 1 or 2")
-    cls = classify(s)
+    if cls is None:
+        cls = classify(s)
     if cls.side != DOMAIN_SIDE:
         raise DomainError("tau applies on the domain side")
     l1, l2 = cls.l1, cls.l2
@@ -141,11 +145,13 @@ def tau(s: TupleState, variant: int) -> TupleState:
                       S, tuple(sigma[e] for e in S), tuple(rows[e] for e in S))
 
 
-def tau_inverse(s: TupleState, variant: int) -> TupleState:
-    """Splice the sigma cycle through the deepest path label back into lam."""
+def tau_inverse(s: TupleState, variant: int, cls: Classification | None = None) -> TupleState:
+    """Splice the sigma cycle through the deepest path label back into lam
+    (image side only); ``cls`` as for ``tau``."""
     if variant not in (1, 2):
         raise DomainError("variant must be 1 or 2")
-    cls = classify(s)
+    if cls is None:
+        cls = classify(s)
     if cls.side != IMAGE_SIDE:
         raise DomainError("tau_inverse applies on the image side")
     h = cls.h
@@ -207,26 +213,26 @@ def verify_involution(d, n, alpha, u0, un, variant, restricted_beta=None) -> Inv
     report.states = len(states)
 
     weights = report.weights
-    domain_states = []
-    image_states = set()
+    domain_states = []  # (state, its classification), handed on to tau
+    image_states = {}  # state -> its classification, handed on to tau_inverse
     for s in states:
         weights[s] = state_weight(s)
         try:
-            side = classify(s).side
+            cls = classify(s)
         except VerificationError as exc:
             report.failures.append({"kind": "partition", "state": s, "detail": str(exc)})
             continue
-        if side == DOMAIN_SIDE:
-            domain_states.append(s)
+        if cls.side == DOMAIN_SIDE:
+            domain_states.append((s, cls))
         else:
-            image_states.add(s)
+            image_states[s] = cls
     report.domain_count = len(domain_states)
     report.image_count = len(image_states)
     report.signed_sum = poly_sum(n, (weights[s] for s in states))
 
     seen_images = set()
-    for s in domain_states:
-        img = tau(s, variant)
+    for s, cls in domain_states:
+        img = tau(s, variant, cls)
         if img not in weights:
             report.failures.append({"kind": "closure", "state": s, "partner": img})
             continue
@@ -238,20 +244,20 @@ def verify_involution(d, n, alpha, u0, un, variant, restricted_beta=None) -> Inv
             continue
         seen_images.add(img)
         w, wi = weights[s], weights[img]
-        if w + wi != Poly.zero(n):
+        if w.terms != {m: -c for m, c in wi.terms.items()}:  # terms hold no zero
             report.failures.append(
                 {"kind": "weight", "state": s, "partner": img,
                  "weights": (str(w), str(wi))}
             )
             continue
-        back = tau_inverse(img, variant)
+        back = tau_inverse(img, variant, image_states[img])
         if back != s:
             report.failures.append({"kind": "round-trip", "state": s, "partner": img})
             continue
         report.pairs.append((s, img))
-    if seen_images != image_states:
+    if seen_images != image_states.keys():
         missed = sorted(
-            image_states - seen_images,
+            image_states.keys() - seen_images,
             key=lambda s: (len(s.S), s.lam, s.nu, s.S, s.sigma, s.rho),
         )
         for s in missed:

@@ -1,0 +1,90 @@
+"""Indent-2 JSON for the CLI's reports, streamed to a writer in batches.
+
+Only JSON output (``--format json`` and ``--dump``) loads this module, and
+with it ``json.encoder``.  json runs its C encoder only when ``indent`` is
+None, so ``json.dumps(obj, indent=2)`` would take the pure-Python encoder
+and build the whole document before anything is written.
+"""
+
+from json.encoder import encode_basestring_ascii as _string
+
+BATCH = 4096  # pending chunks joined into one write, after the dict that reaches it
+_KINDS = (str, int, dict, list, tuple)
+_only_ints = {int}.issuperset  # over the item types: bools and other subclasses fail it
+
+
+def write_json(obj, write) -> None:
+    """Pass ``write`` the text of ``json.dumps(obj, indent=2)``, in a few large pieces.
+
+    ``obj`` is built from str, int, bool, None, list, tuple and str-keyed dict
+    values (a subclass is written as its base type); anything else raises
+    TypeError.  Chunks are appended to one list, which is joined and written
+    after a closed dict once BATCH chunks are pending, so the whole document
+    never sits in memory.  Each depth builds its brackets and separator once,
+    and each key its two ``"key": `` chunks (first item, later item), so
+    indentation is shared, never rebuilt.
+    """
+    chunks = []
+    append = chunks.append
+    levels = []  # per depth: open [, open {, separator, close ], close }, key chunks
+
+    def emit(o, depth):
+        kind = type(o)
+        if kind not in _KINDS:
+            if o is None or o is True or o is False:
+                append("null" if o is None else "true" if o else "false")
+                return
+            kind = next((k for k in _KINDS if isinstance(o, k)), None)
+            if kind is None:
+                raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        if kind is str:
+            append(_string(o))
+        elif kind is int:
+            append(int.__repr__(o))
+        elif not o:
+            append("{}" if kind is dict else "[]")
+        else:
+            while len(levels) < depth + 2:  # this depth and the next, for inline rows
+                pad, ind = "\n" + "  " * len(levels), "\n" + "  " * (len(levels) + 1)
+                levels.append(("[" + ind, "{" + ind, "," + ind, pad + "]", pad + "}", {}))
+            open_list, open_dict, sep, close_list, close_dict, keys = levels[depth]
+            if kind is dict:
+                lead = 0
+                for k, v in o.items():
+                    if k not in keys:  # encode_basestring_ascii rejects a non-str key
+                        name = _string(k) + ": "
+                        keys[k] = (open_dict + name, sep + name)
+                    append(keys[k][lead])
+                    lead = 1
+                    kind = type(v)
+                    if kind is str:
+                        append(_string(v))
+                    elif kind is int:
+                        append(int.__repr__(v))
+                    else:
+                        emit(v, depth + 1)
+                append(close_dict)
+                if len(chunks) >= BATCH:
+                    write("".join(chunks))
+                    chunks.clear()
+            elif _only_ints(map(type, o)):
+                append(open_list)
+                append(sep.join(map(int.__repr__, o)))
+                append(close_list)
+            else:
+                row_open, _, row_sep, row_close, _, _ = levels[depth + 1]
+                lead = open_list
+                for v in o:
+                    append(lead)
+                    lead = sep
+                    kind = type(v)
+                    if (kind is list or kind is tuple) and v and _only_ints(map(type, v)):
+                        append(row_open)  # a row of ints, such as one of nu, sigma or rho
+                        append(row_sep.join(map(int.__repr__, v)))
+                        append(row_close)
+                    else:
+                        emit(v, depth + 1)
+                append(close_list)
+
+    emit(obj, 0)
+    write("".join(chunks))

@@ -1,5 +1,7 @@
 """Command-line surface: golden output, JSON schemas, exit codes, determinism."""
 
+import collections
+import enum
 import hashlib
 import importlib
 import json
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 import jacverify.cli as cli
 import jacverify.involution as involution
+import jacverify.jsonout as jsonout
 from jacverify.cli import main
 from jacverify.poly import a_, t_, x_
 
@@ -428,18 +431,25 @@ def test_pool_is_no_larger_than_the_instances_or_the_cpus(monkeypatch, capsys,
     assert sizes == ([] if size is None else [size])
 
 
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports this jacverify."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _modules_after(argv) -> tuple:
     """(exit code, loaded modules) of a fresh interpreter that imports the CLI and,
     given argv, runs it; pytest itself has long since imported every module."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = ("import sys, jacverify.cli\n"
-             "code = jacverify.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-             "print(code, *sys.modules)")
-    done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+             "try:\n"
+             "    code = jacverify.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+             "except SystemExit as exc:\n"  # --help
+             "    code = exc.code\n"
+             "print(code, *sys.modules, file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env=_child_env(),
                           capture_output=True, text=True, timeout=60, check=True)
-    code, *loaded = done.stdout.split()
+    code, *loaded = done.stderr.splitlines()[-1].split()
     return int(code), set(loaded)
 
 
@@ -452,8 +462,19 @@ def test_import_loads_no_process_pool():
         "concurrent", "multiprocessing", "dataclasses", "json"}
 
 
+_EMITTER = {"json", "jacverify.jsonout"}
+
+
+def test_help_loads_no_library_module_nor_json():
+    code, loaded = _modules_after(["--help"])
+    assert code == 0
+    assert {m for m in loaded if m.startswith("jacverify")} == {"jacverify", "jacverify.cli"}
+    assert not _EMITTER & loaded
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("argv,used,unused", [
-    ("involution --d 2 --n 2 --alpha 1,1 --u0 1 --un 2 --variant 1 --format json",
+    ("involution --d 2 --n 2 --alpha 1,1 --u0 1 --un 2 --variant 1",
      {"involution", "poly"}, {"identities", "membership", "inverse", "fern", "generators"}),
     ("gens --d 2 --n 2", {"identities", "generators"}, {"involution", "membership", "inverse"}),
     ("identity1 --d 2 --n 2 --all", {"identities", "fern"},
@@ -467,14 +488,17 @@ def test_import_loads_no_process_pool():
      {"membership"}, {"involution"}),
     ("verify-theorem --d 2 --N 4", {"membership", "inverse"}, {"involution"}),
 ])
-def test_command_loads_only_the_modules_it_runs(tmp_path, argv, used, unused):
-    """No command loads dataclasses, or the inspect module that it imports."""
-    code, loaded = _modules_after(shlex.split(argv) + ["--out", str(tmp_path / "out")])
+def test_command_loads_only_the_modules_it_runs(tmp_path, argv, used, unused, fmt):
+    """No command loads dataclasses, or the inspect module that it imports, and
+    only JSON output loads json and the emitter module."""
+    out = str(tmp_path / "out")
+    code, loaded = _modules_after(shlex.split(argv) + ["--format", fmt, "--out", out])
     # relation exits 1 while no instance of the transcribed relation holds.
     assert code == (1 if argv.startswith("relation ") else 0)
     assert {f"jacverify.{m}" for m in used} <= loaded
     assert not {f"jacverify.{m}" for m in unused} & loaded
     assert not {"dataclasses", "inspect"} & loaded
+    assert _EMITTER <= loaded if fmt == "json" else not _EMITTER & loaded
 
 
 def test_empty_sweeps_exit_two(capsys):
@@ -655,7 +679,8 @@ def test_involution_text_formats_only_the_signed_sum(capsys, monkeypatch, tmp_pa
 
 # -- report encoder -----------------------------------------------------------
 #
-# ``cli._json_text`` must write exactly what ``json.dumps(indent=2)`` writes.
+# ``jsonout.write_json`` must write exactly what ``json.dumps(indent=2)`` writes,
+# in batches, so that no report is held in memory whole.
 
 _JSON_STR = st.text(st.one_of(st.sampled_from('"\\\x00\n\x1f\x7f\u2028\u2029\xe9\U0001f600'),
                               st.characters()), max_size=8)
@@ -667,8 +692,15 @@ _JSON_VALUE = st.recursive(
         st.lists(inner, max_size=4).map(tuple),
         st.lists(st.one_of(st.integers(-10**60, 10**60), st.booleans()), max_size=4),
         st.lists(st.integers(-9, 9), max_size=4).map(tuple),
+        st.lists(st.lists(st.integers(-9, 9), max_size=3), max_size=3),
         st.dictionaries(_JSON_KEY, inner, max_size=4)),
     max_leaves=24)
+
+
+def _json_writes(value) -> list:
+    writes = []
+    jsonout.write_json(value, writes.append)
+    return writes
 
 
 @settings(max_examples=400, deadline=None)
@@ -676,13 +708,102 @@ _JSON_VALUE = st.recursive(
 def test_json_text_equals_json_dumps(value):
     # Wrapping puts the value at depth 4 and the key "k" at two depths.
     for v in (value, {"k": [value, {"k": (value, [])}, {}], "": value}):
-        assert cli._json_text(v) == json.dumps(v, indent=2)
+        assert "".join(_json_writes(v)) == json.dumps(v, indent=2)
 
 
 @pytest.mark.parametrize("value", [1.5, {"k": [0.0]}, {1: "v"}, [{"k": {2: 3}}], {1, 2}])
 def test_json_text_rejects_what_reports_never_hold(value):
     with pytest.raises(TypeError):
-        cli._json_text(value)
+        _json_writes(value)
+
+
+def test_json_writes_a_subclass_as_its_base():
+    Pair = collections.namedtuple("Pair", "a b")
+    value = {"pairs": [Pair(1, (2, 3)), Pair(True, "x")],
+             "sorted": collections.OrderedDict(k=[1]), "flag": enum.IntEnum("E", "A").A}
+    assert "".join(_json_writes(value)) == json.dumps(value, indent=2)
+
+
+def test_json_flushes_batches_that_join_to_json_dumps():
+    value = [{"i": i, "rows": [[i, i + 1], [], [i % 7]], "pair": {"s": (i, -i)}}
+             for i in range(3000)]
+    writes = _json_writes(value)
+    assert len(writes) > 3
+    assert "".join(writes) == json.dumps(value, indent=2)
+
+
+class _Recorder:
+    """A stdout that records the length of every write."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_involution_json_reaches_stdout_in_bounded_writes(monkeypatch):
+    """A batch is about 4,096 chunks of a few dozen bytes at most, so no write of this
+    68,106-byte report exceeds 64 KiB, and the report takes more than one."""
+    stdout = _Recorder()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["involution", "--d", "2", "--n", "3", "--alpha", "1,1,1", "--u0", "1",
+                 "--un", "2", "--variant", "1", "--format", "json"]) == 0
+    assert sum(stdout.sizes) == 68106
+    assert len([size for size in stdout.sizes if size > 1]) > 1
+    assert max(stdout.sizes) <= 64 * 1024
+
+
+@pytest.mark.parametrize("argv", [
+    "gens --d 2 --n 3 --format json",
+    "gens --d 2 --n 3",
+    "involution --d 2 --n 3 --alpha 1,1,1 --u0 1 --un 2 --variant 2 --format json",
+])
+def test_out_and_dump_files_hold_the_stdout_bytes(capsys, tmp_path, argv):
+    argv = shlex.split(argv)
+    code, out = _run(capsys, argv)
+    target = tmp_path / "out"
+    assert main(argv + ["--out", str(target)]) == code
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == out.encode()
+    if argv[0] == "involution":
+        dumps = [tmp_path / "stdout.pairs", tmp_path / "out.pairs"]
+        code, out = _run(capsys, argv + ["--dump", str(dumps[0])])
+        assert main(argv + ["--dump", str(dumps[1]), "--out", str(target)]) == code
+        assert target.read_bytes() == out.encode()
+        pairs = json.dumps(json.loads(out)["payload"]["pairs"], indent=2).encode()
+        assert dumps[0].read_bytes() == dumps[1].read_bytes() == pairs
+
+
+def _run_with_stdout(argv, stdout) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "jacverify.cli", *shlex.split(argv)],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=_child_env(),
+                          timeout=60)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", ["gens --d 2 --n 3 --format json", "gens --d 2 --n 3"])
+def test_stdout_on_a_full_device_exits_two(argv):
+    with open("/dev/full", "w") as full:
+        done = _run_with_stdout(argv, full)
+    assert done.returncode == 2
+    assert done.stderr == "error: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.parametrize("argv", ["gens --d 2 --n 3 --format json", "gens --d 2 --n 3"])
+def test_stdout_on_a_closed_pipe_exits_two(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _run_with_stdout(argv, write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr == "error: cannot write stdout: Broken pipe\n"
 
 
 # -- argv fuzzing -------------------------------------------------------------

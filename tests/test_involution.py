@@ -1,7 +1,5 @@
 """State enumeration, classification, the transfer maps and their inverses."""
 
-from random import Random
-
 import pytest
 
 from jacverify.combinatorics import enumerate_compositions
@@ -133,40 +131,62 @@ def test_tau_side_preconditions():
         tau_inverse(domain, 1)
 
 
-def test_round_trip_sampled_states():
-    rng = Random(23)
-    pool = []
-    for d, n in [(1, 2), (2, 2), (3, 2), (2, 3)]:
-        for alpha in enumerate_compositions(n * (d - 1), n):
-            for u0 in range(1, n + 1):
-                for un in range(1, n + 1):
-                    pool.extend(enumerate_states(d, n, alpha, u0, un))
-    domain_pool = [s for s in pool if classify(s).side == DOMAIN_SIDE]
-    assert len(domain_pool) >= 1000
-    for s in rng.sample(domain_pool, 1000):
-        for variant in (1, 2):
-            img = tau(s, variant)
-            assert tau_inverse(img, variant) == s
-            assert state_weight(img) == -state_weight(s)
+def _every_state(d: int, n: int):
+    """Every state of every instance at (d, n)."""
+    for alpha in enumerate_compositions(n * (d - 1), n):
+        for u0 in range(1, n + 1):
+            for un in range(1, n + 1):
+                yield from enumerate_states(d, n, alpha, u0, un)
 
 
 def test_involutivity_on_every_state():
     """Every state of every instance up to (2,3) and (3,2), both variants: the
-    map is an involution that changes side and flips the weight's sign."""
+    map is an involution that changes side and flips the weight's sign.  Handed
+    the state's classification, a map gives the image of its two-argument call,
+    and a classification of the other side is still refused."""
     counts = {}
     for d, n in [(1, 2), (2, 2), (2, 3), (3, 2)]:
         counts[d, n] = 0
-        for alpha in enumerate_compositions(n * (d - 1), n):
-            for u0 in range(1, n + 1):
-                for un in range(1, n + 1):
-                    for s in enumerate_states(d, n, alpha, u0, un):
-                        counts[d, n] += 1
-                        for variant in (1, 2):
-                            once = apply_involution(s, variant)
-                            assert apply_involution(once, variant) == s
-                            assert classify(once).side != classify(s).side
-                            assert state_weight(once) == -state_weight(s)
+        for s in _every_state(d, n):
+            counts[d, n] += 1
+            cls = classify(s)
+            domain = cls.side == DOMAIN_SIDE
+            fn, other = (tau, tau_inverse) if domain else (tau_inverse, tau)
+            flipped = cls._replace(side=IMAGE_SIDE if domain else DOMAIN_SIDE)
+            for variant in (1, 2):
+                once = fn(s, variant, cls)
+                assert once == fn(s, variant)
+                with pytest.raises(DomainError, match="applies on the"):
+                    fn(s, variant, flipped)
+                with pytest.raises(DomainError, match="applies on the"):
+                    other(s, variant, cls)
+                assert apply_involution(once, variant) == s
+                assert classify(once).side != cls.side
+                assert state_weight(once) == -state_weight(s)
     assert counts[2, 3] == 6318 and counts[3, 2] == 320
+
+
+@pytest.mark.parametrize("tamper", ["sign", "exponent"])
+def test_a_tampered_weight_is_a_weight_failure(monkeypatch, tamper):
+    """The pair check compares the stored weights term for term: one state whose
+    weight has one sign or one exponent changed fails it."""
+    import jacverify.involution as inv
+
+    honest = inv.state_weight
+    victim = verify_involution(2, 3, (1, 1, 1), 1, 2, 1).pairs[5][0]
+
+    def tampered(s):
+        w = honest(s)
+        if s != victim:
+            return w
+        (m, c), = w.terms.items()
+        if tamper == "sign":
+            return Poly(s.n, {m: -c})
+        return Poly(s.n, {m[:-1] + (m[-1] + 1,): c})
+
+    monkeypatch.setattr(inv, "state_weight", tampered)
+    rep = verify_involution(2, 3, (1, 1, 1), 1, 2, 1)
+    assert [f["state"] for f in rep.failures if f["kind"] == "weight"] == [victim]
 
 
 def _product_weight(s: TupleState) -> Poly:
