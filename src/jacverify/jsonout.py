@@ -3,12 +3,16 @@
 Only JSON output (``--format json`` and ``--dump``) loads this module, and
 with it ``json.encoder``.  json runs its C encoder only when ``indent`` is
 None, so ``json.dumps(obj, indent=2)`` would take the pure-Python encoder
-and build the whole document before anything is written.
+and build the whole document before anything is written.  A batch ends
+after the dict that brings it to BATCH chunks or to BOUND characters of
+strings (64 KiB), so a report made of a few long strings, such as the
+polynomials of ``gens``, is written in pieces too.
 """
 
 from json.encoder import encode_basestring_ascii as _string
 
-BATCH = 4096  # pending chunks joined into one write, after the dict that reaches it
+BATCH = 4096  # pending chunks joined into one write, after the dict that reaches it,
+BOUND = 1 << 16  # or pending characters of strings, whichever comes first
 _KINDS = (str, int, dict, list, tuple)
 _only_ints = {int}.issuperset  # over the item types: bools and other subclasses fail it
 
@@ -19,16 +23,20 @@ def write_json(obj, write) -> None:
     ``obj`` is built from str, int, bool, None, list, tuple and str-keyed dict
     values (a subclass is written as its base type); anything else raises
     TypeError.  Chunks are appended to one list, which is joined and written
-    after a closed dict once BATCH chunks are pending, so the whole document
-    never sits in memory.  Each depth builds its brackets and separator once,
-    and each key its two ``"key": `` chunks (first item, later item), so
-    indentation is shared, never rebuilt.
+    after a closed dict once BATCH chunks or BOUND characters of strings are
+    pending, so the whole document never sits in memory.  In a report only a
+    string makes a long chunk, so only strings are counted, as they are
+    appended.  Each depth builds its brackets and separator once, and each
+    key its two ``"key": `` chunks (first item, later item), so indentation
+    is shared, never rebuilt.
     """
     chunks = []
     append = chunks.append
+    pending = 0  # characters of the strings in chunks
     levels = []  # per depth: open [, open {, separator, close ], close }, key chunks
 
     def emit(o, depth):
+        nonlocal pending
         kind = type(o)
         if kind not in _KINDS:
             if o is None or o is True or o is False:
@@ -38,7 +46,9 @@ def write_json(obj, write) -> None:
             if kind is None:
                 raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
         if kind is str:
-            append(_string(o))
+            o = _string(o)
+            append(o)
+            pending += len(o)
         elif kind is int:
             append(int.__repr__(o))
         elif not o:
@@ -58,15 +68,18 @@ def write_json(obj, write) -> None:
                     lead = 1
                     kind = type(v)
                     if kind is str:
-                        append(_string(v))
+                        v = _string(v)
+                        append(v)
+                        pending += len(v)
                     elif kind is int:
                         append(int.__repr__(v))
                     else:
                         emit(v, depth + 1)
                 append(close_dict)
-                if len(chunks) >= BATCH:
+                if len(chunks) >= BATCH or pending >= BOUND:
                     write("".join(chunks))
                     chunks.clear()
+                    pending = 0
             elif _only_ints(map(type, o)):
                 append(open_list)
                 append(sep.join(map(int.__repr__, o)))

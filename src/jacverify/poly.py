@@ -20,28 +20,33 @@ terms in ascending canonical order, which makes every printed polynomial
 byte-reproducible; ``parse_poly`` reads the same grammar back, accepting
 text by one regular expression built from the grammar's rules.
 
-The kernel has two loops that multiply (``_mul_into`` and a packed one),
-one that sums (``poly_sum``) and one normalization (``_canonical_terms``:
-zeros dropped, integral Fractions stored as int, floats refused), which the
-constructor also uses.  ``sum_of_products`` (the sum of x * y over pairs)
-accumulates every product into one dict and normalizes it once (the
-accumulate-then-normalize kernel of Monagan & Pearce); ``Poly * Poly`` is
-its one-pair case.  Inside it each exponent tuple is packed into an int,
-one byte per variable, so a monomial product is one int add, and each
-output term is unpacked once; the tuple loop runs instead when an exponent
-sum could pass 255 (by total degree) or the products are few beside the
-terms to pack.  ``poly_sum`` keeps its dict canonical as each term is
-folded in; ``+`` and ``-`` are its two-summand cases.  Only this module
-touches the canonical form.  ``t_layers`` splits a polynomial by t-degree,
-so that truncated products pair only the layers below a cutoff.
+The kernel has two loops that multiply (``_mul_into`` on exponent tuples
+and ``_packed_dot`` on packed keys), one that sums (``poly_sum``) and
+one normalization (``_canonical_terms``: zeros dropped, integral Fractions
+stored as int, floats refused), which the constructor also uses.
+``sum_of_products`` (the sum of x * y over pairs) accumulates every
+product into one dict and normalizes it once (the accumulate-then-normalize
+kernel of Monagan & Pearce); ``Poly * Poly`` is its one-pair case.  Inside
+it each exponent tuple is packed into an int, one byte per variable with t
+the lowest, so a monomial product is one int add, and each output term is
+unpacked once; the tuple loop runs instead when an exponent sum could pass
+255 (by total degree) or the products are few beside the terms to pack.
+``poly_sum`` keeps its dict canonical as each term is folded in; ``+`` and
+``-`` are its two-summand cases.  Only this module touches the canonical
+form, and packed keys never leave it.  ``t_layers`` splits a polynomial by
+t-degree, so that truncated products pair only the layers below a cutoff.
 
 Signed products of a-variables (fern paths, state and generator weights,
 tree weights) are built by ``a_monomial``, which writes the whole product
 into one exponent vector instead of multiplying one-variable polynomials.
-``split_xt`` is the one place that reads off the a-coefficient of each
-(t, x) monomial, and ``determinant`` the one cofactor expansion, over
-``Poly`` or ``Fraction`` entries: it sums each level through the ring's
-``dot`` (``sum_of_products`` for ``Poly``), with no running total.
+``split_xt`` reads off the a-coefficient of each (t, x) monomial, and
+``determinant`` is the one cofactor expansion, over ``Poly``, ``Fraction``
+or packed entries: it sums each level through the ring's ``dot``, with no
+running total.  ``poly_determinant`` packs each entry once and keeps every
+level packed, under the same two rules as ``sum_of_products`` taken over
+the whole matrix; ``determinant_by_head`` splits that packed expansion by
+(t, x) head in the same pass that divides each part exactly, reading each
+head with a mask and unpacking only the a-parts.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, partial
+from math import prod
 from operator import add, getitem, itemgetter
 
 
@@ -300,6 +306,30 @@ def _mul_into(out: dict, p: dict, q: dict) -> None:
             out[m] = get(m, 0) + c1 * c2
 
 
+def _packed_dot(pairs) -> dict:
+    """The canonical sum of p * q over pairs of packed term dicts: each
+    monomial product is one int add."""
+    out: dict = {}
+    get = out.get
+    for p, q in pairs:
+        q_terms = list(q.items())
+        for k1, c1 in p.items():
+            for k2, c2 in q_terms:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+    return _canonical_terms(out)
+
+
+def _packed(terms: dict) -> dict:
+    """terms keyed by packed monomials: one byte per variable, t the lowest."""
+    return {int.from_bytes(bytes(m), "little"): c for m, c in terms.items()}
+
+
+def _unpacked(n: int, terms: dict) -> dict:
+    width = n_vars(n)
+    return {tuple(k.to_bytes(width, "little")): c for k, c in terms.items()}
+
+
 def sum_of_products(n: int, pairs) -> Poly:
     """sum x * y over an iterable of (x, y) pairs of dimension-n polynomials."""
     live = []
@@ -317,17 +347,7 @@ def sum_of_products(n: int, pairs) -> Poly:
         for p, q in live:
             _mul_into(out, p, q)
         return Poly._of(n, _canonical_terms(out))
-    get = out.get
-    for p, q in live:
-        q_keys = [(int.from_bytes(bytes(m), "little"), c) for m, c in q.items()]
-        for m1, c1 in p.items():
-            k1 = int.from_bytes(bytes(m1), "little")
-            for k2, c2 in q_keys:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-    out = _canonical_terms(out)
-    width = n_vars(n)
-    return Poly._of(n, {tuple(k.to_bytes(width, "little")): c for k, c in out.items()})
+    return Poly._of(n, _unpacked(n, _packed_dot((_packed(p), _packed(q)) for p, q in live)))
 
 
 def poly_sum(n: int, polys) -> Poly:
@@ -433,10 +453,68 @@ class PolyMatrix:
         self.size, self.entries, self.ambient_n = size, entries, ambient_n
 
 
+class _Packed(dict):
+    """A packed term dict that negates, as ``determinant`` needs of an entry."""
+
+    __slots__ = ()
+
+    def __neg__(self):
+        return _Packed({k: -c for k, c in self.items()})
+
+
+def _expansion(mat: PolyMatrix) -> tuple:
+    """The canonical term dict of det(mat), and whether its keys are packed.
+
+    Entries are packed once and stay packed through every level, unless the
+    rows' largest total degrees add up past 255 or the product of the rows'
+    term counts is below twice their sum; then ``sum_of_products`` runs each level.
+    """
+    rows = mat.entries
+    sizes = [sum(len(p.terms) for p in row) for row in rows]
+    if (sum(max(p.total_degree() for p in row) for row in rows) > 255
+            or prod(sizes) < 2 * sum(sizes)):
+        n = mat.ambient_n
+        return determinant(rows, Poly.one(n), partial(sum_of_products, n)).terms, False
+    return determinant([[_Packed(_packed(p.terms)) for p in row] for row in rows],
+                       {0: 1}, _packed_dot), True
+
+
 def poly_determinant(mat: PolyMatrix) -> Poly:
     """Exact determinant by first-column cofactor expansion."""
+    terms, packed = _expansion(mat)
+    return Poly._of(mat.ambient_n, _unpacked(mat.ambient_n, terms) if packed else terms)
+
+
+def determinant_by_head(mat: PolyMatrix, scale) -> dict:
+    """``split_xt(poly_determinant(mat))``, each part divided exactly, in one pass.
+
+    Maps each (t, x) head, in the determinant's term order, to the Poly of
+    its a-parts divided by ``scale(head)`` (a generator head's d^k), which
+    is called once per head and may raise; a coefficient that it does not
+    divide raises VerificationError.  A mask reads each packed head, and
+    only the a-part of a term is unpacked.
+    """
     n = mat.ambient_n
-    return determinant(mat.entries, Poly.one(n), partial(sum_of_products, n))
+    cut, width = 1 + n, n_vars(n)
+    mask, zero_head = (1 << 8 * cut) - 1, (0,) * cut
+    terms, packed = _expansion(mat)
+    parts: dict = {}
+    for m, c in terms.items():
+        if packed:
+            h = m & mask
+            rest = tuple((m ^ h).to_bytes(width, "little"))
+        else:
+            h, rest = m[:cut], zero_head + m[cut:]
+        if h not in parts:
+            head = tuple(h.to_bytes(cut, "little")) if packed else h
+            parts[h] = ({}, scale(head), head)
+        part, s, head = parts[h]
+        q, r = divmod(c, s)
+        if r:
+            raise VerificationError(
+                f"coefficient {c} at t^{head[0]} x^{head[1:]} is not divisible by d^k = {s}")
+        part[rest] = q
+    return {head: Poly._of(n, part) for part, _, head in parts.values()}
 
 
 def determinant(rows, one, dot):

@@ -20,7 +20,7 @@ import jacverify.cli as cli
 import jacverify.involution as involution
 import jacverify.jsonout as jsonout
 from jacverify.cli import main
-from jacverify.poly import a_, t_, x_
+from jacverify.poly import PolyMatrix, a_, poly_determinant, t_, x_
 
 SCHEMAS = files("jacverify") / "schemas"
 
@@ -349,6 +349,7 @@ def _assert_verification_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
 
 
 def test_member_rechecks_its_certificate(capsys, monkeypatch):
@@ -367,14 +368,26 @@ def test_member_rechecks_its_certificate(capsys, monkeypatch):
 
 
 def test_gens_with_a_broken_determinant_exits_one(capsys, monkeypatch):
-    """The stray term of tests/test_generators.py, reached through the CLI."""
+    """The stray term of tests/test_generators.py, reached through the CLI: the
+    differential becomes one entry, the real determinant plus the stray term."""
     generators = importlib.import_module("jacverify.generators")
     n = 2
     stray = t_(n) ** 2 * x_(n, 1) * a_(n, 1, 1) ** 2
-    real = generators.poly_determinant
-    monkeypatch.setattr(generators, "poly_determinant", lambda mat: real(mat) + stray)
+    real = generators.differential_matrix
+    monkeypatch.setattr(generators, "differential_matrix",
+                        lambda spec: PolyMatrix(1, [[poly_determinant(real(spec)) + stray]]))
     importlib.import_module("jacverify.identities").generator_set.cache_clear()
-    _assert_verification_error(capsys, ["gens", "--d", "2", "--n", str(n)])
+    assert _assert_verification_error(capsys, ["gens", "--d", "2", "--n", str(n)]) == \
+        "error: coefficient -1 at t^2 x^(1, 0) is not divisible by d^k = 2\n"
+
+
+def test_gens_past_one_byte_of_exponent(capsys):
+    """At d = 130 the t exponent reaches 260, so the expansion must not pack
+    exponents into bytes; this output was recorded before it could."""
+    code, out = _run(capsys, ["gens", "--d", "130", "--n", "2"])
+    assert (code, len(out)) == (0, 1_709_675)
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "a74910511b9935733b4b7d9bf7c3f27cc6f3eb7273e03c1b924721875de87f9a"
 
 
 def test_repeated_runs_byte_identical(capsys):
@@ -732,14 +745,24 @@ def test_json_flushes_batches_that_join_to_json_dumps():
     assert "".join(writes) == json.dumps(value, indent=2)
 
 
+def test_json_flushes_after_the_dict_that_brings_its_strings_past_the_bound():
+    value = [{"s": "x" * 40_000, "i": i} for i in range(5)]
+    writes = _json_writes(value)
+    assert "".join(writes) == json.dumps(value, indent=2)
+    assert len(writes) == 3  # after the second dict, the fourth, and at the end
+    assert max(map(len, writes)) <= jsonout.BOUND + 40_100
+
+
 class _Recorder:
-    """A stdout that records the length of every write."""
+    """A stdout that records the length of every write and the digest of them all."""
 
     def __init__(self):
         self.sizes = []
+        self.digest = hashlib.sha256()
 
     def write(self, text):
         self.sizes.append(len(text))
+        self.digest.update(text.encode())
         return len(text)
 
     def flush(self):
@@ -747,8 +770,9 @@ class _Recorder:
 
 
 def test_involution_json_reaches_stdout_in_bounded_writes(monkeypatch):
-    """A batch is about 4,096 chunks of a few dozen bytes at most, so no write of this
-    68,106-byte report exceeds 64 KiB, and the report takes more than one."""
+    """A batch ends after the dict that brings it to 4,096 chunks or to 64 KiB of
+    strings; this 68,106-byte report's chunks are a few dozen bytes at most, so it
+    takes more than one write and none exceeds 64 KiB."""
     stdout = _Recorder()
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main(["involution", "--d", "2", "--n", "3", "--alpha", "1,1,1", "--u0", "1",
@@ -756,6 +780,21 @@ def test_involution_json_reaches_stdout_in_bounded_writes(monkeypatch):
     assert sum(stdout.sizes) == 68106
     assert len([size for size in stdout.sizes if size > 1]) > 1
     assert max(stdout.sizes) <= 64 * 1024
+
+
+def test_gens_json_reaches_stdout_in_bounded_writes(monkeypatch):
+    """Few chunks but long ones: 2.94 MB whose longest polynomial string has 46,605
+    characters.  A batch ends after the generator entry that brings its strings
+    past the bound, so no write exceeds the bound by more than one entry."""
+    stdout = _Recorder()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["gens", "--d", "7", "--n", "3", "--format", "json"]) == 0
+    assert stdout.digest.hexdigest() == \
+        "856eb5703f60ca77c3501100487d66877a46f08911f5e93c27a903d2c136c7d1"
+    assert sum(stdout.sizes) == 2_943_198
+    assert len([size for size in stdout.sizes if size > 1]) > 1
+    # Beside its polynomial, an entry's keys, numbers and indentation take under 100.
+    assert max(stdout.sizes) <= jsonout.BOUND + 46_605 + 100
 
 
 @pytest.mark.parametrize("argv", [

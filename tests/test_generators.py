@@ -2,15 +2,19 @@
 
 import itertools
 from fractions import Fraction
+from functools import partial
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from jacverify import generators
+from jacverify import generators, poly
 from jacverify.combinatorics import SubsetPermutation, enumerate_compositions
 from jacverify.generators import (
     DLinearSpec,
     JKey,
+    all_keys,
     cross_check_generators,
     differential_matrix,
     extract_generators,
@@ -20,12 +24,17 @@ from jacverify.generators import (
 from jacverify.poly import (
     DomainError,
     Poly,
+    PolyMatrix,
     VarId,
     VerificationError,
     a_,
+    determinant,
+    determinant_by_head,
     n_vars,
     poly_determinant,
+    split_xt,
     substitute_numeric,
+    sum_of_products,
     t_,
     x_,
 )
@@ -159,11 +168,71 @@ def test_zero_generators_materialized():
             assert JKey(k, alpha) in gens.entries
 
 
+def _with_stray_term(monkeypatch, stray):
+    """Make the differential a 1 x 1 matrix whose one entry is the real
+    determinant plus ``stray``, so that extraction expands and splits that sum."""
+    real = generators.differential_matrix
+    monkeypatch.setattr(generators, "differential_matrix",
+                        lambda spec: PolyMatrix(1, [[poly_determinant(real(spec)) + stray]]))
+
+
 def test_extract_rejects_coefficient_not_divisible_by_d_power(monkeypatch):
     """A t^(dk) x^alpha coefficient that d^k does not divide is an error."""
     n = 2
-    stray = t_(n) ** 2 * x_(n, 1) * a_(n, 1, 1) ** 2
-    real = generators.poly_determinant
-    monkeypatch.setattr(generators, "poly_determinant", lambda mat: real(mat) + stray)
+    _with_stray_term(monkeypatch, t_(n) ** 2 * x_(n, 1) * a_(n, 1, 1) ** 2)
     with pytest.raises(VerificationError, match="not divisible by d\\^k = 2"):
         extract_generators(DLinearSpec(2, n))
+
+
+@pytest.mark.parametrize("stray,message", [
+    (t_(2) ** 3 * x_(2, 1) * a_(2, 1, 1) ** 3, "stray t-degree 3 in determinant"),
+    (t_(2) ** 2 * x_(2, 1) * x_(2, 2) * a_(2, 1, 1) ** 2,
+     "head t\\^2 x\\^\\(1, 1\\) violates the t,x pattern"),
+])
+def test_extract_rejects_a_head_outside_the_pattern(monkeypatch, stray, message):
+    """A t-degree that d does not divide, or an x-degree other than k(d-1)."""
+    _with_stray_term(monkeypatch, stray)
+    with pytest.raises(VerificationError, match=message):
+        extract_generators(DLinearSpec(2, 2))
+
+
+def test_split_by_head_rejects_an_indivisible_coefficient_when_packed():
+    mat = differential_matrix(DLinearSpec(2, 2))
+    assert poly._expansion(mat)[1]  # the expansion ran on packed keys
+    with pytest.raises(VerificationError, match="is not divisible by d\\^k = 3"):
+        determinant_by_head(mat, lambda head: 3)
+
+
+def _extract_by_split(spec: DLinearSpec) -> dict:
+    """The extraction route before the one-pass split, as the reference: a
+    level-by-level expansion over Poly entries, ``split_xt``, a divmod per
+    coefficient, and each part normalized again by the Poly constructor."""
+    d, n = spec.d, spec.n
+    det = determinant(differential_matrix(spec).entries, Poly.one(n), partial(sum_of_products, n))
+    entries = {key: Poly.zero(n) for key in all_keys(spec)}
+    for head, coeff in split_xt(det).items():
+        t_deg, alpha = head[0], head[1:]
+        assert t_deg % d == 0
+        k = t_deg // d
+        assert sum(alpha) == k * (d - 1) and k <= n
+        scaled = {}
+        for m, c in coeff.items():
+            q, r = divmod(c, d ** k)
+            assert not r
+            scaled[m] = q
+        entries[JKey(k, alpha)] = Poly(n, scaled)
+    return entries
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 3))
+@example(42, 2)  # rows of total degree 125, summing to 250: packed
+@example(43, 2)  # 128 each, summing to 256: the tuple expansion
+def test_extract_matches_the_split_route(d, n):
+    spec = DLinearSpec(d, n)
+    got = extract_generators(spec).entries
+    expected = _extract_by_split(spec)
+    assert list(got) == list(expected)
+    for key, p in expected.items():
+        assert got[key].terms == p.terms
+        assert list(got[key].terms) == list(p.terms)

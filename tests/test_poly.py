@@ -23,6 +23,7 @@ from jacverify.poly import (
     a_monomial,
     coefficient_of,
     determinant,
+    determinant_by_head,
     format_poly,
     monomial_key,
     n_vars,
@@ -699,10 +700,21 @@ def _wide_matrices(draw):
 @settings(max_examples=80, deadline=None)
 @given(_wide_matrices())
 @example((1, [[_byte_edge(127, 0), _byte_edge(1, 0)], [_byte_edge(2, 0), _byte_edge(128, 0)]]))
+@example((1, [[_byte_edge(128, 0), _byte_edge(1, 0)], [_byte_edge(2, 0), _byte_edge(128, 0)]]))
 def test_poly_determinant_matches_leibniz_across_byte_boundary(case):
+    """The first example packs the whole expansion (its rows reach degree 255),
+    the second must not (256)."""
     n, rows = case
-    assert poly_determinant(PolyMatrix(len(rows), rows, ambient_n=n)).terms == \
-        _ref_leibniz(n, rows)
+    mat = PolyMatrix(len(rows), rows, ambient_n=n)
+    got = poly_determinant(mat)
+    assert got.terms == _ref_leibniz(n, rows)
+    # The one-pass split reads the same heads and a-parts off the same expansion.
+    if all(type(c) is int for c in got.terms.values()):
+        heads = determinant_by_head(mat, lambda head: 1)
+        split = split_xt(got)
+        assert {h: p.terms for h, p in heads.items()} == split
+        assert [(h, list(p.terms)) for h, p in heads.items()] == \
+            [(h, list(part)) for h, part in split.items()]
 
 
 def test_kernel_rejects_mismatched_dimensions():
