@@ -38,7 +38,8 @@ _HOMES = {
                    "verify_main_theorem"),
     "poly": ("DomainError", "Poly", "PolyMatrix", "StructuralError", "VarId",
              "VerificationError", "coefficient_of", "determinant", "format_poly",
-             "parse_poly", "poly_determinant", "split_xt", "substitute_numeric"),
+             "poly_determinant", "split_xt", "substitute_numeric"),
+    "polyparse": ("parse_poly",),
 }
 _EXPORTS = {name: module for module, names in _HOMES.items() for name in names}
 __all__ = list(_EXPORTS)

@@ -26,11 +26,9 @@ from .combinatorics import (
     enumerate_subset_permutations,
     level_entries,
 )
-# poly_determinant is not called here.  It stays bound because perfbench/traced.py
-# wraps generators.poly_determinant, and CI fails on a tracer hook with no target.
 from .poly import (
     DomainError, Poly, PolyMatrix, VerificationError, a_, a_monomial, determinant_by_head,
-    poly_determinant, poly_sum, sum_of_products, t_, x_,
+    poly_sum, sum_of_products, t_, x_,
 )
 
 

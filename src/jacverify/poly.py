@@ -17,8 +17,7 @@ share across threads or processes.
 The canonical term order is graded lexicographic with t the least
 significant variable and a[n,n] the most significant.  Text output lists
 terms in ascending canonical order, which makes every printed polynomial
-byte-reproducible; ``parse_poly`` reads the same grammar back, accepting
-text by one regular expression built from the grammar's rules.
+byte-reproducible; ``polyparse.parse_poly`` reads the same grammar back.
 
 The kernel has two loops that multiply (``_mul_into`` on exponent tuples
 and ``_packed_dot`` on packed keys), one that sums (``poly_sum``) and
@@ -43,19 +42,17 @@ into one exponent vector instead of multiplying one-variable polynomials.
 ``determinant`` is the one cofactor expansion, over ``Poly``, ``Fraction``
 or packed entries: it sums each level through the ring's ``dot``, with no
 running total.  ``poly_determinant`` packs each entry once and keeps every
-level packed, under the same two rules as ``sum_of_products`` taken over
-the whole matrix; ``determinant_by_head`` splits that packed expansion by
-(t, x) head in the same pass that divides each part exactly, reading each
-head with a mask and unpacking only the a-parts.
+level packed, unless the rows' largest total degrees add up past 255;
+``determinant_by_head`` splits that packed expansion by (t, x) head in the
+same pass that divides each part exactly, reading each head with a mask
+and unpacking only the a-parts.
 """
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, partial
-from math import prod
 from operator import add, getitem, itemgetter
 
 
@@ -466,14 +463,12 @@ def _expansion(mat: PolyMatrix) -> tuple:
     """The canonical term dict of det(mat), and whether its keys are packed.
 
     Entries are packed once and stay packed through every level, unless the
-    rows' largest total degrees add up past 255 or the product of the rows'
-    term counts is below twice their sum; then ``sum_of_products`` runs each level.
+    rows' largest total degrees add up past 255, so that an exponent of the
+    expansion could carry out of its byte; then ``sum_of_products`` runs
+    each level, under its own rules.
     """
-    rows = mat.entries
-    sizes = [sum(len(p.terms) for p in row) for row in rows]
-    if (sum(max(p.total_degree() for p in row) for row in rows) > 255
-            or prod(sizes) < 2 * sum(sizes)):
-        n = mat.ambient_n
+    rows, n = mat.entries, mat.ambient_n
+    if sum(max(p.total_degree() for p in row) for row in rows) > 255:
         return determinant(rows, Poly.one(n), partial(sum_of_products, n)).terms, False
     return determinant([[_Packed(_packed(p.terms)) for p in row] for row in rows],
                        {0: 1}, _packed_dot), True
@@ -492,11 +487,11 @@ def determinant_by_head(mat: PolyMatrix, scale) -> dict:
     its a-parts divided by ``scale(head)`` (a generator head's d^k), which
     is called once per head and may raise; a coefficient that it does not
     divide raises VerificationError.  A mask reads each packed head, and
-    only the a-part of a term is unpacked.
+    only the a-part of a term is unpacked, with the head cleared.
     """
     n = mat.ambient_n
     cut, width = 1 + n, n_vars(n)
-    mask, zero_head = (1 << 8 * cut) - 1, (0,) * cut
+    mask = (1 << 8 * cut) - 1
     terms, packed = _expansion(mat)
     parts: dict = {}
     for m, c in terms.items():
@@ -504,7 +499,7 @@ def determinant_by_head(mat: PolyMatrix, scale) -> dict:
             h = m & mask
             rest = tuple((m ^ h).to_bytes(width, "little"))
         else:
-            h, rest = m[:cut], zero_head + m[cut:]
+            h, rest = m[:cut], (0,) * cut + m[cut:]
         if h not in parts:
             head = tuple(h.to_bytes(cut, "little")) if packed else h
             parts[h] = ({}, scale(head), head)
@@ -534,29 +529,11 @@ def determinant(rows, one, dot):
                for i in range(k) if rows[i][0])
 
 
-# -- text grammar ------------------------------------------------------
+# -- text output ---------------------------------------------------------
 #
-# poly   := '0' | ['-'] term (('+'|'-') term)*
-# term   := coeff | [coeff '*'] factor ('*' factor)*
-# coeff  := INT | INT '/' INT        (positive; sign comes from the separator)
-# factor := ('a[i,j]' | 'x[i]' | 't') ['^' INT]
-#
-# Blanks may separate the tokens but not split a factor or a coefficient.
-# A coefficient of exactly 1 on a proper term is omitted.  Terms appear in
-# ascending canonical order and factors in ascending variable order.
-#
-# The grammar has no nesting, so the regular expressions below state it
-# once, rule by rule.  A term tries its product form before a bare
-# coefficient, so that ``2 * a[1,1]`` is never read as two terms.  The
-# numbers of coeff and factor are captured, so ``_ATOM`` reads one
-# coefficient or factor of an accepted term.
-
-_COEFF = r"(\d+)(?:/(\d+))?"
-_FACTOR = r"(?:a\[(\d+),(\d+)\]|x\[(\d+)\]|t)(?:\^(\d+))?"
-_TERM = rf"(?:(?:{_COEFF}\s*\*\s*)?{_FACTOR}(?:\s*\*\s*{_FACTOR})*|{_COEFF})"
-_POLY = re.compile(rf"\s*(?:0|(?P<terms>(?:-\s*)?{_TERM}(?:\s*[+-]\s*{_TERM})*))\s*")
-_SIGNED_TERM = re.compile(rf"\s*(?P<sign>[+-]?)\s*(?P<term>{_TERM})")
-_ATOM = re.compile(f"{_COEFF}|{_FACTOR}")
+# format_poly writes the grammar that polyparse.parse_poly reads back (it is
+# stated there): terms in ascending canonical order, factors in ascending
+# variable order, and no coefficient of exactly 1 on a proper term.
 
 
 @cache
@@ -589,43 +566,6 @@ def format_poly(p: Poly) -> str:
         else:
             parts.append((" - " if c < 0 else " + ") + body)
     return "".join(parts)
-
-
-def _int(digits: str) -> int:
-    try:
-        return int(digits)
-    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
-        raise StructuralError(f"a number of {len(digits)} digits is too long to read") from None
-
-
-def parse_poly(text: str, n: int) -> Poly:
-    """Parse exactly the text grammar above; anything else is a StructuralError.
-
-    Terms may come in any order and repeat; like terms are combined.
-    """
-    m = _POLY.fullmatch(text)
-    if m is None:
-        raise StructuralError(f"polynomial text outside the grammar: {text!r}")
-    if m["terms"] is None:
-        return Poly.zero(n)
-    terms: dict = {}
-    for signed in _SIGNED_TERM.finditer(m["terms"]):
-        term = signed["term"]
-        coeff = 1
-        exps = [0] * n_vars(n)
-        for num, den, i, j, xi, exp in _ATOM.findall(term):
-            if num:
-                if den and not _int(den):
-                    raise StructuralError(f"zero denominator in {term!r}")
-                coeff = Fraction(_int(num), _int(den or "1"))
-                if not coeff:
-                    raise StructuralError(f"zero coefficient in {term!r}")
-                continue
-            v = VarId("a", _int(i), _int(j)) if i else VarId("x", _int(xi)) if xi else VarId("t")
-            exps[var_index(n, v)] += _int(exp or "1")
-        mono = tuple(exps)
-        terms[mono] = terms.get(mono, 0) + (-coeff if signed["sign"] == "-" else coeff)
-    return Poly(n, terms)
 
 
 # convenience builders used throughout the package

@@ -20,7 +20,7 @@ import jacverify.cli as cli
 import jacverify.involution as involution
 import jacverify.jsonout as jsonout
 from jacverify.cli import main
-from jacverify.poly import PolyMatrix, a_, poly_determinant, t_, x_
+from jacverify.poly import Poly, PolyMatrix, a_, poly_determinant, t_, x_
 
 SCHEMAS = files("jacverify") / "schemas"
 
@@ -369,13 +369,14 @@ def test_member_rechecks_its_certificate(capsys, monkeypatch):
 
 def test_gens_with_a_broken_determinant_exits_one(capsys, monkeypatch):
     """The stray term of tests/test_generators.py, reached through the CLI: the
-    differential becomes one entry, the real determinant plus the stray term."""
+    differential becomes the diagonal matrix of the real determinant plus the
+    stray term, and 1."""
     generators = importlib.import_module("jacverify.generators")
     n = 2
     stray = t_(n) ** 2 * x_(n, 1) * a_(n, 1, 1) ** 2
     real = generators.differential_matrix
-    monkeypatch.setattr(generators, "differential_matrix",
-                        lambda spec: PolyMatrix(1, [[poly_determinant(real(spec)) + stray]]))
+    monkeypatch.setattr(generators, "differential_matrix", lambda spec: PolyMatrix(
+        2, [[poly_determinant(real(spec)) + stray, Poly.zero(n)], [Poly.zero(n), Poly.one(n)]]))
     importlib.import_module("jacverify.identities").generator_set.cache_clear()
     assert _assert_verification_error(capsys, ["gens", "--d", "2", "--n", str(n)]) == \
         "error: coefficient -1 at t^2 x^(1, 0) is not divisible by d^k = 2\n"
@@ -488,8 +489,10 @@ def test_help_loads_no_library_module_nor_json():
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("argv,used,unused", [
     ("involution --d 2 --n 2 --alpha 1,1 --u0 1 --un 2 --variant 1",
-     {"involution", "poly"}, {"identities", "membership", "inverse", "fern", "generators"}),
-    ("gens --d 2 --n 2", {"identities", "generators"}, {"involution", "membership", "inverse"}),
+     {"involution", "poly"},
+     {"identities", "membership", "inverse", "fern", "generators", "polyparse"}),
+    ("gens --d 2 --n 2", {"identities", "generators"},
+     {"involution", "membership", "inverse", "polyparse"}),
     ("identity1 --d 2 --n 2 --all", {"identities", "fern"},
      {"involution", "membership", "inverse"}),
     ("z --d 2 --n 2 --u0 1 --uk 2 --nu 1", {"fern"},
@@ -498,8 +501,8 @@ def test_help_loads_no_library_module_nor_json():
     ("inverse --d 2 --n 2 --Nmax 4", {"inverse", "generators"},
      {"identities", "involution", "membership", "fern"}),
     ("member --d 2 --n 2 --poly 'a[1,1]^3*a[1,2] + a[1,1]*a[1,2]*a[2,1]*a[2,2]'",
-     {"membership"}, {"involution"}),
-    ("verify-theorem --d 2 --N 4", {"membership", "inverse"}, {"involution"}),
+     {"membership", "polyparse"}, {"involution"}),
+    ("verify-theorem --d 2 --N 4", {"membership", "inverse"}, {"involution", "polyparse"}),
 ])
 def test_command_loads_only_the_modules_it_runs(tmp_path, argv, used, unused, fmt):
     """No command loads dataclasses, or the inspect module that it imports, and

@@ -168,12 +168,24 @@ def test_zero_generators_materialized():
             assert JKey(k, alpha) in gens.entries
 
 
-def _with_stray_term(monkeypatch, stray):
-    """Make the differential a 1 x 1 matrix whose one entry is the real
-    determinant plus ``stray``, so that extraction expands and splits that sum."""
+def _stray_differential(stray):
+    """A stand-in for ``differential_matrix``: the 2 x 2 diagonal matrix of the
+    real determinant plus ``stray``, and 1.  Its expansion runs one packed dot,
+    as the real differential's does, and extraction splits that sum."""
     real = generators.differential_matrix
-    monkeypatch.setattr(generators, "differential_matrix",
-                        lambda spec: PolyMatrix(1, [[poly_determinant(real(spec)) + stray]]))
+
+    def matrix(spec):
+        zero = Poly.zero(spec.n)
+        mat = PolyMatrix(2, [[poly_determinant(real(spec)) + stray, zero],
+                             [zero, Poly.one(spec.n)]])
+        assert poly._expansion(mat)[1]  # on packed keys
+        return mat
+
+    return matrix
+
+
+def _with_stray_term(monkeypatch, stray):
+    monkeypatch.setattr(generators, "differential_matrix", _stray_differential(stray))
 
 
 def test_extract_rejects_coefficient_not_divisible_by_d_power(monkeypatch):

@@ -27,7 +27,6 @@ from jacverify.poly import (
     format_poly,
     monomial_key,
     n_vars,
-    parse_poly,
     poly_determinant,
     poly_sum,
     split_xt,
@@ -39,6 +38,7 @@ from jacverify.poly import (
     var_of_index,
     x_,
 )
+from jacverify.polyparse import parse_poly
 
 N = 2
 
