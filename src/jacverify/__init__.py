@@ -37,9 +37,9 @@ _HOMES = {
                    "certificate_residual", "membership", "verify_fern_lemmas",
                    "verify_main_theorem"),
     "poly": ("DomainError", "Poly", "PolyMatrix", "StructuralError", "VarId",
-             "VerificationError", "coefficient_of", "determinant", "format_poly",
-             "poly_determinant", "split_xt", "substitute_numeric"),
-    "polyparse": ("parse_poly",),
+             "VerificationError", "coefficient_of", "determinant", "poly_determinant",
+             "split_xt", "substitute_numeric"),
+    "polytext": ("format_poly", "parse_poly"),
 }
 _EXPORTS = {name: module for module, names in _HOMES.items() for name in names}
 __all__ = list(_EXPORTS)

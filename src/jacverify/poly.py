@@ -17,7 +17,8 @@ share across threads or processes.
 The canonical term order is graded lexicographic with t the least
 significant variable and a[n,n] the most significant.  Text output lists
 terms in ascending canonical order, which makes every printed polynomial
-byte-reproducible; ``polyparse.parse_poly`` reads the same grammar back.
+byte-reproducible.  That text form, written by ``format_poly`` and read
+back by ``parse_poly``, lives in ``polytext``.
 
 The kernel has two loops that multiply (``_mul_into`` on exponent tuples
 and ``_packed_dot`` on packed keys), one that sums (``poly_sum``) and
@@ -53,7 +54,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, partial
-from operator import add, getitem, itemgetter
+from operator import add, itemgetter
 
 
 class StructuralError(ValueError):
@@ -260,9 +261,11 @@ class Poly:
         return bool(self.terms)
 
     def __repr__(self):
-        return f"Poly({self.n}, {format_poly(self)!r})"
+        return f"Poly({self.n}, {str(self)!r})"
 
     def __str__(self):
+        from .polytext import format_poly  # polytext imports this module
+
         return format_poly(self)
 
     # -- queries -------------------------------------------------------
@@ -527,45 +530,6 @@ def determinant(rows, one, dot):
     return dot((-rows[i][0] if i % 2 else rows[i][0],
                 determinant([r[1:] for j, r in enumerate(rows) if j != i], one, dot))
                for i in range(k) if rows[i][0])
-
-
-# -- text output ---------------------------------------------------------
-#
-# format_poly writes the grammar that polyparse.parse_poly reads back (it is
-# stated there): terms in ascending canonical order, factors in ascending
-# variable order, and no coefficient of exactly 1 on a proper term.
-
-
-@cache
-def _factor_table(n: int) -> tuple:
-    """Per exponent position, the printed factor for exponents 0 to 15."""
-    names = (str(var_of_index(n, pos)) for pos in range(n_vars(n)))
-    return tuple(("", name) + tuple(f"{name}^{e}" for e in range(2, 16)) for name in names)
-
-
-def format_poly(p: Poly) -> str:
-    if not p.terms:
-        return "0"
-    table = _factor_table(p.n)
-    parts = []
-    for m, c in p.sorted_terms():
-        try:
-            factors = "*".join(filter(None, map(getitem, table, m)))
-        except IndexError:  # an exponent past the table
-            factors = "*".join(row[1] if e == 1 else f"{row[1]}^{e}"
-                               for row, e in zip(table, m) if e)
-        mag = abs(c)
-        if not factors:
-            body = str(mag)
-        elif mag == 1 and c > 0:
-            body = factors
-        else:
-            body = f"{mag} * {factors}"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append((" - " if c < 0 else " + ") + body)
-    return "".join(parts)
 
 
 # convenience builders used throughout the package

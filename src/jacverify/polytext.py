@@ -1,6 +1,6 @@
-"""Polynomial text read back: ``parse_poly``, the inverse of ``format_poly``.
+"""The text form of a polynomial: ``format_poly`` writes it, ``parse_poly`` reads it.
 
-The text grammar:
+The grammar:
 
     poly   := '0' | ['-'] term (('+'|'-') term)*
     term   := coeff | [coeff '*'] factor ('*' factor)*
@@ -9,8 +9,9 @@ The text grammar:
 
 Blanks may separate the tokens but not split a factor or a coefficient.
 ``format_poly`` omits a coefficient of exactly 1 on a proper term and
-writes terms in ascending canonical order and factors in ascending
-variable order; the parser takes terms in any order.
+writes terms in ascending canonical order (so every printed polynomial is
+byte-reproducible) and factors in ascending variable order; ``parse_poly``
+takes terms in any order.
 
 The grammar has no nesting, so the regular expressions below state it
 once, rule by rule.  A term tries its product form before a bare
@@ -18,14 +19,17 @@ coefficient, so that ``2 * a[1,1]`` is never read as two terms.  The
 numbers of coeff and factor are captured, so ``_ATOM`` reads one
 coefficient or factor of an accepted term.
 
-Only commands that read a polynomial (``member``) load this module, and
-with it the compiled grammar.
+The ring and its kernel are in ``poly``, which this module imports and
+``Poly.__str__`` calls back.  Keeping the text form apart keeps ``poly.py``
+small to compile, which every command does when no bytecode is cached.
 """
 
 import re
 from fractions import Fraction
+from functools import cache
+from operator import getitem
 
-from .poly import Poly, StructuralError, VarId, n_vars, var_index
+from .poly import Poly, StructuralError, VarId, n_vars, var_index, var_of_index
 
 _COEFF = r"(\d+)(?:/(\d+))?"
 _FACTOR = r"(?:a\[(\d+),(\d+)\]|x\[(\d+)\]|t)(?:\^(\d+))?"
@@ -33,6 +37,38 @@ _TERM = rf"(?:(?:{_COEFF}\s*\*\s*)?{_FACTOR}(?:\s*\*\s*{_FACTOR})*|{_COEFF})"
 _POLY = re.compile(rf"\s*(?:0|(?P<terms>(?:-\s*)?{_TERM}(?:\s*[+-]\s*{_TERM})*))\s*")
 _SIGNED_TERM = re.compile(rf"\s*(?P<sign>[+-]?)\s*(?P<term>{_TERM})")
 _ATOM = re.compile(f"{_COEFF}|{_FACTOR}")
+
+
+@cache
+def _factor_table(n: int) -> tuple:
+    """Per exponent position, the printed factor for exponents 0 to 15."""
+    names = (str(var_of_index(n, pos)) for pos in range(n_vars(n)))
+    return tuple(("", name) + tuple(f"{name}^{e}" for e in range(2, 16)) for name in names)
+
+
+def format_poly(p: Poly) -> str:
+    if not p.terms:
+        return "0"
+    table = _factor_table(p.n)
+    parts = []
+    for m, c in p.sorted_terms():
+        try:
+            factors = "*".join(filter(None, map(getitem, table, m)))
+        except IndexError:  # an exponent past the table
+            factors = "*".join(row[1] if e == 1 else f"{row[1]}^{e}"
+                               for row, e in zip(table, m) if e)
+        mag = abs(c)
+        if not factors:
+            body = str(mag)
+        elif mag == 1 and c > 0:
+            body = factors
+        else:
+            body = f"{mag} * {factors}"
+        if not parts:
+            parts.append(("-" if c < 0 else "") + body)
+        else:
+            parts.append((" - " if c < 0 else " + ") + body)
+    return "".join(parts)
 
 
 def _int(digits: str) -> int:

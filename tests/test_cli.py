@@ -489,10 +489,8 @@ def test_help_loads_no_library_module_nor_json():
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("argv,used,unused", [
     ("involution --d 2 --n 2 --alpha 1,1 --u0 1 --un 2 --variant 1",
-     {"involution", "poly"},
-     {"identities", "membership", "inverse", "fern", "generators", "polyparse"}),
-    ("gens --d 2 --n 2", {"identities", "generators"},
-     {"involution", "membership", "inverse", "polyparse"}),
+     {"involution", "poly"}, {"identities", "membership", "inverse", "fern", "generators"}),
+    ("gens --d 2 --n 2", {"identities", "generators"}, {"involution", "membership", "inverse"}),
     ("identity1 --d 2 --n 2 --all", {"identities", "fern"},
      {"involution", "membership", "inverse"}),
     ("z --d 2 --n 2 --u0 1 --uk 2 --nu 1", {"fern"},
@@ -501,8 +499,8 @@ def test_help_loads_no_library_module_nor_json():
     ("inverse --d 2 --n 2 --Nmax 4", {"inverse", "generators"},
      {"identities", "involution", "membership", "fern"}),
     ("member --d 2 --n 2 --poly 'a[1,1]^3*a[1,2] + a[1,1]*a[1,2]*a[2,1]*a[2,2]'",
-     {"membership", "polyparse"}, {"involution"}),
-    ("verify-theorem --d 2 --N 4", {"membership", "inverse"}, {"involution", "polyparse"}),
+     {"membership"}, {"involution"}),
+    ("verify-theorem --d 2 --N 4", {"membership", "inverse"}, {"involution"}),
 ])
 def test_command_loads_only_the_modules_it_runs(tmp_path, argv, used, unused, fmt):
     """No command loads dataclasses, or the inspect module that it imports, and

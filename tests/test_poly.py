@@ -24,7 +24,6 @@ from jacverify.poly import (
     coefficient_of,
     determinant,
     determinant_by_head,
-    format_poly,
     monomial_key,
     n_vars,
     poly_determinant,
@@ -38,7 +37,7 @@ from jacverify.poly import (
     var_of_index,
     x_,
 )
-from jacverify.polyparse import parse_poly
+from jacverify.polytext import format_poly, parse_poly
 
 N = 2
 

@@ -13,7 +13,7 @@ from jacverify.identities import IdentityInstance, RelationEntry
 from jacverify.involution import Classification, TupleState
 from jacverify.membership import BasisRow, MembershipCertificate, TheoremEntry
 from jacverify.poly import DomainError, Poly, StructuralError, VarId
-from jacverify.polyparse import parse_poly
+from jacverify.polytext import parse_poly
 
 P = parse_poly("a[1,1]*a[2,2] - 1/2*a[1,2]^2", 2)
 
