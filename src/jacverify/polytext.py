@@ -16,7 +16,7 @@ takes terms in any order.
 The grammar has no nesting, so the regular expressions below state it
 once, rule by rule.  A term tries its product form before a bare
 coefficient, so that ``2 * a[1,1]`` is never read as two terms.  The
-numbers of coeff and factor are captured, so ``_ATOM`` reads one
+numbers of coeff and factor are captured, so the atom pattern reads one
 coefficient or factor of an accepted term.
 
 The ring and its kernel are in ``poly``, which this module imports and
@@ -34,9 +34,15 @@ from .poly import Poly, StructuralError, VarId, n_vars, var_index, var_of_index
 _COEFF = r"(\d+)(?:/(\d+))?"
 _FACTOR = r"(?:a\[(\d+),(\d+)\]|x\[(\d+)\]|t)(?:\^(\d+))?"
 _TERM = rf"(?:(?:{_COEFF}\s*\*\s*)?{_FACTOR}(?:\s*\*\s*{_FACTOR})*|{_COEFF})"
-_POLY = re.compile(rf"\s*(?:0|(?P<terms>(?:-\s*)?{_TERM}(?:\s*[+-]\s*{_TERM})*))\s*")
-_SIGNED_TERM = re.compile(rf"\s*(?P<sign>[+-]?)\s*(?P<term>{_TERM})")
-_ATOM = re.compile(f"{_COEFF}|{_FACTOR}")
+
+
+@cache
+def _patterns() -> tuple:
+    """The whole text, one signed term and one atom, compiled on the first
+    parse: most commands only print."""
+    return (re.compile(rf"\s*(?:0|(?P<terms>(?:-\s*)?{_TERM}(?:\s*[+-]\s*{_TERM})*))\s*"),
+            re.compile(rf"\s*(?P<sign>[+-]?)\s*(?P<term>{_TERM})"),
+            re.compile(f"{_COEFF}|{_FACTOR}"))
 
 
 @cache
@@ -83,17 +89,18 @@ def parse_poly(text: str, n: int) -> Poly:
 
     Terms may come in any order and repeat; like terms are combined.
     """
-    m = _POLY.fullmatch(text)
+    whole, signed_term, atom = _patterns()
+    m = whole.fullmatch(text)
     if m is None:
         raise StructuralError(f"polynomial text outside the grammar: {text!r}")
     if m["terms"] is None:
         return Poly.zero(n)
     terms: dict = {}
-    for signed in _SIGNED_TERM.finditer(m["terms"]):
+    for signed in signed_term.finditer(m["terms"]):
         term = signed["term"]
         coeff = 1
         exps = [0] * n_vars(n)
-        for num, den, i, j, xi, exp in _ATOM.findall(term):
+        for num, den, i, j, xi, exp in atom.findall(term):
             if num:
                 if den and not _int(den):
                     raise StructuralError(f"zero denominator in {term!r}")
