@@ -168,10 +168,10 @@ def test_zero_generators_materialized():
             assert JKey(k, alpha) in gens.entries
 
 
-def _stray_differential(stray):
-    """A stand-in for ``differential_matrix``: the 2 x 2 diagonal matrix of the
-    real determinant plus ``stray``, and 1.  Its expansion runs one packed dot,
-    as the real differential's does, and extraction splits that sum."""
+def _with_stray_term(monkeypatch, stray):
+    """Make the differential the 2 x 2 diagonal matrix of the real determinant
+    plus ``stray``, and 1.  Its expansion runs one packed dot, as the real
+    differential's does, and extraction splits that sum."""
     real = generators.differential_matrix
 
     def matrix(spec):
@@ -181,11 +181,7 @@ def _stray_differential(stray):
         assert poly._expansion(mat)[1]  # on packed keys
         return mat
 
-    return matrix
-
-
-def _with_stray_term(monkeypatch, stray):
-    monkeypatch.setattr(generators, "differential_matrix", _stray_differential(stray))
+    monkeypatch.setattr(generators, "differential_matrix", matrix)
 
 
 def test_extract_rejects_coefficient_not_divisible_by_d_power(monkeypatch):
