@@ -74,7 +74,8 @@ parse_poly = _deferred("parse_poly")
 
 class Report:
     """What one dispatch prints: a JSON body and the text lines, an iterable read
-    once.  Each render method passes the whole output, final newline included, to ``write``."""
+    once.  Each render method passes its output, final newline included, to ``write``
+    piece by piece."""
 
     def __init__(self, body: dict, lines):
         self.body = body
@@ -87,7 +88,12 @@ class Report:
         write("\n")
 
     def to_text(self, write) -> None:
-        write("\n".join(self.lines))
+        # Line by line, so no joined copy of the text is held; no lines print one "\n".
+        lines = iter(self.lines)
+        write(next(lines, ""))
+        for line in lines:
+            write("\n")
+            write(line)
         write("\n")
 
 

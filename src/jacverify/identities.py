@@ -8,13 +8,30 @@ labels u0, un, the sum over k of fern weights against generators,
 
 is the zero polynomial.  Identity 2 fixes the first level row to a chosen
 tuple beta, requires u0 != un, and stops the sum at k = n-1; it also
-vanishes.  Both are assembled by row content: the inner sum over nu is one
-entry of the cached level-sum matrix ``fern.level_sum`` (for identity 2,
-the row matrix of beta's content times the level sum of the remaining
-rows), so each generator is multiplied once per (k, alpha1), not once per
-labeling.  At d = 1 identity 1 is the Cayley-Hamilton theorem written
-entrywise, which ``cayley_hamilton_numeric`` spot checks on random
-rational matrices.
+vanishes.
+
+Both are assembled by Horner's rule.  The sum over nu is an entry of the
+level sum S(n-k, alpha - alpha1), and S(m, rem) = sum_c multinom(c) *
+M(c) * S(m-1, rem-c) with S(0, 0) = I (see ``fern``).  Split the partial
+sums T(m, gamma) = sum_{k<=m} sum_{alpha1} S(m-k, gamma-alpha1) * G[(k, alpha1)]
+into the k = m term, G[(m, gamma)] * I, and the rest; expanding each
+S(m-k, .) there by its first level and distributing gives
+
+    T(m, gamma) = sum_c multinom(c) * M(c) * T(m-1, gamma-c) + G[(m, gamma)] * I,
+
+T(0, 0) = I.  Identity 1 is the (u0, un) entry of T(n, alpha).  Identity
+2 pins the first row to beta (one labeling of content c = content(beta))
+and has no k = n term, so it is that entry of M(c) * T(n-1, alpha-c).
+``_partial_sum`` builds an entry of either kind as one ``sum_of_products``
+of monomials (entries of M) against cached entries of T(m-1, .), so no
+power of M is formed and no length-n matrix is held; ``_partial_sums``
+caches T per generator set, so another or a patched set never meets
+stale partial sums.  With M(x) = diag(L_i(x)^(d-1)) * A the level sums are
+the x-coefficients of M(x)^m and G_k(x) = (-1)^k e_k(M(x)), so T is the
+Horner evaluation of sum_k M(x)^(n-k) * G_k(x), which the Cayley-Hamilton
+theorem makes zero at m = n.  At d = 1, M(x) = A and identity 1 is that
+theorem written entrywise, which ``cayley_hamilton_numeric`` spot checks
+on random rational matrices.
 
 The two-ones relation expresses one fern weight through three generators
 with binomial denominators.  Its printed source leaves one label unbound,
@@ -34,8 +51,10 @@ from functools import cache
 from math import comb
 from operator import mul
 
-from .combinatorics import composition_sub_or_none, enumerate_compositions
-from .fern import _path_sum, level_sum
+from .combinatorics import (
+    composition_sub_or_none, count_level_labelings, enumerate_compositions, labeling_content,
+)
+from .fern import _path_sum, _row_matrix
 from .generators import DLinearSpec, JKey, extract_generators
 from .poly import (
     DomainError, Poly, VarId, a_monomial, determinant, substitute_numeric, sum_of_products,
@@ -83,30 +102,51 @@ def identity1_lhs(inst: IdentityInstance) -> Poly:
     """Assemble the identity-1 sum; a correct build returns the zero poly."""
     if inst.which != "identity1":
         raise DomainError("instance is not identity 1")
-    return _assemble(inst, k_max=inst.n, beta=None)
+    gens = generator_set(DLinearSpec(inst.d, inst.n))
+    return _partial_sum(gens, inst.n, tuple(inst.alpha), inst.u0, inst.un)
 
 
 def identity2_lhs(inst: IdentityInstance) -> Poly:
     """Assemble the identity-2 sum (first level pinned to beta, k < n)."""
     if inst.which != "identity2":
         raise DomainError("instance is not identity 2")
-    return _assemble(inst, k_max=inst.n - 1, beta=inst.beta)
+    gens = generator_set(DLinearSpec(inst.d, inst.n))
+    return _partial_sum(gens, inst.n, tuple(inst.alpha), inst.u0, inst.un, inst.beta)
 
 
-def _assemble(inst, k_max, beta) -> Poly:
-    d, n = inst.d, inst.n
-    gens = generator_set(DLinearSpec(d, n))
-    pairs = []
-    for k in range(k_max + 1):
-        for alpha1 in enumerate_compositions(k * (d - 1), n):
-            rem = composition_sub_or_none(inst.alpha, alpha1)
-            if rem is None:
-                continue
-            gen = gens[JKey(k, alpha1)]
-            if gen:
-                z = level_sum(d, n, n - k, rem, inst.u0, inst.un, first_row=beta)
-                pairs.append((z, gen))
+@cache
+def _levels(d: int, n: int) -> tuple:
+    """(c, multinom(c) * M(c)) for every content c of one level row."""
+    return tuple((c, tuple(tuple(count_level_labelings(c, 1, d) * x for x in row)
+                           for row in _row_matrix(n, c)))
+                 for c in enumerate_compositions(d - 1, n))
+
+
+def _partial_sum(gens, m: int, gamma: tuple, u: int, v: int, beta=None) -> Poly:
+    """Entry (u, v) of T(m, gamma), or with ``beta`` of M(c) * T(m-1, gamma - c)
+    for c = content(beta), which is zero at m = 0."""
+    d, n = gens.spec
+    if beta is None:
+        levels = _levels(d, n) if m else ()
+        pairs = [(gens[JKey(m, gamma)], Poly.one(n))] if u == v else []
+    else:
+        c = labeling_content((beta,), n)
+        levels = ((c, _row_matrix(n, c)),) if m else ()
+        pairs = []
+    for c, M in levels:
+        rest = composition_sub_or_none(gamma, c)
+        if rest is not None:
+            tail = _partial_sums(gens, m - 1, rest)
+            pairs.extend(zip(M[u - 1], (row[v - 1] for row in tail)))
     return sum_of_products(n, pairs)
+
+
+@cache
+def _partial_sums(gens, m: int, gamma: tuple) -> tuple:
+    """The matrix T(m, gamma) of the generator set ``gens``, cached per set."""
+    n = gens.spec.n
+    return tuple(tuple(_partial_sum(gens, m, gamma, u, v) for v in range(1, n + 1))
+                 for u in range(1, n + 1))
 
 
 def identity1_instances(d: int, n: int):

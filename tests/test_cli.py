@@ -798,6 +798,25 @@ def test_gens_json_reaches_stdout_in_bounded_writes(monkeypatch):
     assert max(stdout.sizes) <= jsonout.BOUND + 46_605 + 100
 
 
+@pytest.mark.parametrize("lines", [[], ["zero"], ["k=0 alpha=(0,0): 1", "", "pass: 2 checked"]])
+@pytest.mark.parametrize("as_generator", [False, True])
+def test_text_report_writes_the_joined_lines(lines, as_generator):
+    """Written line by line, the text is still the joined lines and one final newline,
+    so a report with no lines prints a lone newline."""
+    writes = []
+    cli.Report({}, (line for line in lines) if as_generator else lines).to_text(writes.append)
+    assert "".join(writes) == "\n".join(lines) + "\n"
+
+
+def test_gens_text_reaches_stdout_in_several_writes(capsys, monkeypatch):
+    code, out = _run(capsys, ["gens", "--d", "2", "--n", "3"])
+    stdout = _Recorder()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["gens", "--d", "2", "--n", "3"]) == code == 0
+    assert stdout.digest.hexdigest() == hashlib.sha256(out.encode()).hexdigest()
+    assert len([size for size in stdout.sizes if size > 1]) > 1
+
+
 @pytest.mark.parametrize("argv", [
     "gens --d 2 --n 3 --format json",
     "gens --d 2 --n 3",

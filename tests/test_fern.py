@@ -15,12 +15,11 @@ from jacverify.combinatorics import (
 from jacverify.fern import (
     FernLabeling,
     _path_sum,
-    level_sum,
     z_fern,
     z_fern_is_homogeneous,
 )
 from jacverify.generators import DLinearSpec, JKey
-from jacverify.identities import generator_set
+from jacverify.identities import _levels, _partial_sum, _partial_sums, generator_set
 from jacverify.poly import DomainError, Poly, a_
 
 
@@ -107,58 +106,61 @@ def test_pinned_first_row_term_is_binomial_times_fern(d):
 
 
 @st.composite
-def _level_sum_cases(draw):
+def _partial_sum_cases(draw):
     d = draw(st.integers(1, 3))
     n = draw(st.integers(1, 3))
-    m = draw(st.integers(0, 3))
-    rem = draw(st.sampled_from(enumerate_compositions(m * (d - 1), n)))
-    u0 = draw(st.integers(1, n))
-    uk = draw(st.integers(1, n))
+    m = draw(st.integers(0, n))
+    gamma = draw(st.sampled_from(enumerate_compositions(m * (d - 1), n)))
+    u = draw(st.integers(1, n))
+    v = draw(st.integers(1, n))
     beta = tuple(draw(st.lists(st.integers(1, n), min_size=d - 1, max_size=d - 1)))
-    return d, n, m, rem, u0, uk, beta
+    return d, n, m, gamma, u, v, beta
 
 
 @settings(max_examples=60, deadline=None)
-@given(_level_sum_cases())
-def test_level_sum_matches_path_sums(case):
-    """Each level sum equals the per-labeling path sums it replaces."""
-    d, n, m, rem, u0, uk, beta = case
-    labelings = enumerate_level_labelings(rem, m, d)
-    total = sum((_path_sum(d, n, u0, uk, nu) for nu in labelings), Poly.zero(n))
-    assert level_sum(d, n, m, rem, u0, uk) == total
-    pinned = sum((_path_sum(d, n, u0, uk, nu) for nu in labelings if nu[:1] == (beta,)),
-                 Poly.zero(n))
-    assert level_sum(d, n, m, rem, u0, uk, first_row=beta) == pinned
+@given(_partial_sum_cases())
+def test_partial_sums_match_path_sums(case):
+    """Each entry of T(m, gamma) equals the per-labeling path sums against
+    generators that the recursion replaces; pinned to a first row beta, it
+    drops the k = m term and every labeling that starts with another row."""
+    d, n, m, gamma, u, v, beta = case
+    gens = generator_set(DLinearSpec(d, n))
+    full = pinned = Poly.zero(n)
+    for k in range(m + 1):
+        for alpha1 in enumerate_compositions(k * (d - 1), n):
+            rem = composition_sub_or_none(gamma, alpha1)
+            if rem is None:
+                continue
+            gen = gens[JKey(k, alpha1)]
+            for nu in enumerate_level_labelings(rem, m - k, d):
+                term = _path_sum(d, n, u, v, nu) * gen
+                full = full + term
+                if k < m and nu[0] == beta:
+                    pinned = pinned + term
+    assert _partial_sums(gens, m, gamma)[u - 1][v - 1] == full
+    assert _partial_sum(gens, m, gamma, u, v) == full
+    assert _partial_sum(gens, m, gamma, u, v, beta) == pinned
 
 
 @pytest.mark.parametrize("d,n", [(1, 3), (2, 2), (2, 3), (3, 2)])
 def test_partial_assembly_is_minus_top_generator(d, n):
-    """The k < n part of identity 1 from level sums is -G[(n, alpha)] on the
-    diagonal and 0 off it, so a level sum that is wrongly zero cannot pass
-    as a vanishing identity."""
+    """Without its G[(n, alpha)] term, the top entry of the recursion is
+    -G[(n, alpha)] on the diagonal and 0 off it, so a partial sum that is
+    wrongly zero cannot pass as a vanishing identity."""
     gens = generator_set(DLinearSpec(d, n))
     nonzero = 0
     for alpha in enumerate_compositions(n * (d - 1), n):
         for u0 in range(1, n + 1):
             for un in range(1, n + 1):
                 partial = Poly.zero(n)
-                for k in range(n):
-                    for alpha1 in enumerate_compositions(k * (d - 1), n):
-                        rem = composition_sub_or_none(alpha, alpha1)
-                        if rem is None:
-                            continue
-                        z = level_sum(d, n, n - k, rem, u0, un)
-                        partial = partial + z * gens[JKey(k, alpha1)]
+                for c, M in _levels(d, n):
+                    rest = composition_sub_or_none(alpha, c)
+                    if rest is None:
+                        continue
+                    tail = _partial_sums(gens, n - 1, rest)
+                    for t in range(n):
+                        partial = partial + M[u0 - 1][t] * tail[t][un - 1]
                 top = gens[JKey(n, alpha)]
                 assert partial == (-top if u0 == un else Poly.zero(n))
                 nonzero += not partial.is_zero()
     assert nonzero > 0
-
-
-def test_level_sum_rejects_bad_content():
-    with pytest.raises(DomainError):
-        level_sum(2, 2, 2, (1, 0), 1, 2)  # weight 1 != m(d-1) = 2
-    with pytest.raises(DomainError):
-        level_sum(2, 2, 1, (1, 0), 1, 3)  # leaf label outside [1,n]
-    with pytest.raises(DomainError):
-        level_sum(3, 2, 1, (1, 1), 1, 2, first_row=(1,))  # short first row

@@ -9,19 +9,24 @@ from jacverify.combinatorics import (
     enumerate_compositions,
     enumerate_level_labelings,
 )
-from jacverify.fern import FernLabeling, z_fern
-from jacverify.generators import DLinearSpec, JKey
+import jacverify.identities as identities
+from jacverify.cli import main
+from jacverify.fern import FernLabeling, _path_sum, z_fern
+from jacverify.generators import DLinearSpec, GeneratorSet, JKey
 from jacverify.identities import (
     IdentityInstance,
     cayley_hamilton_numeric,
     check_relation_2_1s,
     generator_set,
+    identity1_instances,
     identity1_lhs,
+    identity2_instances,
     identity2_lhs,
     relation_instances,
     relation_report,
 )
 from jacverify.poly import DomainError, Poly, a_
+from jacverify.polytext import format_poly
 
 
 def _fern(d, n, u0, un, nu):
@@ -97,6 +102,59 @@ def test_identity2_preconditions():
         IdentityInstance("identity2", 2, 2, (2, 0), 1, 2, None)
     with pytest.raises(DomainError):
         IdentityInstance("identity1", 2, 2, (1, 0), 1, 1)
+
+
+def _oracle_sum(inst, gens):
+    """The identity's sum over every labeling, one fern path sum at a time."""
+    d, n = inst.d, inst.n
+    total = Poly.zero(n)
+    for k in range(n + 1 if inst.beta is None else n):
+        for alpha1 in enumerate_compositions(k * (d - 1), n):
+            rem = composition_sub_or_none(inst.alpha, alpha1)
+            if rem is None:
+                continue
+            for nu in enumerate_level_labelings(rem, n - k, d):
+                if inst.beta is None or nu[0] == inst.beta:
+                    total = total + _path_sum(d, n, inst.u0, inst.un, nu) * gens[JKey(k, alpha1)]
+    return total
+
+
+def test_sweeps_report_a_patched_generator(capsys, monkeypatch):
+    """With one coefficient of G[(1, (1,0))] at (2,2) changed, each sweep exits 1 and
+    prints NONZERO with the oracle's sum on exactly the instances where that sum
+    is nonzero.  The unpatched sweeps pass before and after in the same process,
+    so the partial sums cached for one generator set never serve another."""
+    d, n = 2, 2
+    spec = DLinearSpec(d, n)
+    real = generator_set(spec)
+    key = JKey(1, (1, 0))
+    mono = real[key].sorted_terms()[0][0]
+    patched = GeneratorSet(spec, {**real.entries, key: real[key] + Poly(n, {mono: 1})})
+    sweeps = {"identity1": identity1_instances, "identity2": identity2_instances}
+    argv = lambda which: [which, "--d", str(d), "--n", str(n), "--all"]
+
+    for which in sweeps:
+        assert main(argv(which)) == 0
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.setattr(identities, "generator_set", lambda s: patched)
+        for which, instances in sweeps.items():
+            lines = []
+            for inst in instances(d, n):
+                oracle = _oracle_sum(inst, patched)
+                desc = f"alpha=({inst.alpha[0]},{inst.alpha[1]}) u0={inst.u0} un={inst.un}"
+                if inst.beta is not None:
+                    desc += f" beta=({inst.beta[0]})"
+                lines.append(f"{which} d={d} n={n} {desc}: "
+                             + ("zero" if oracle.is_zero() else f"NONZERO {format_poly(oracle)}"))
+            failures = sum("NONZERO" in line for line in lines)
+            assert 0 < failures < len(lines)
+            lines.append(f"fail: {len(lines)} checked, {failures} failures")
+            assert main(argv(which)) == 1
+            assert capsys.readouterr().out == "\n".join(lines) + "\n"
+    for which in sweeps:
+        assert main(argv(which)) == 0
+        assert "NONZERO" not in capsys.readouterr().out
 
 
 def test_identity1_summands_homogeneous():
