@@ -18,10 +18,10 @@ from types import ModuleType
 __version__ = "0.1.0"
 
 _HOMES = {
-    "combinatorics": ("LastRep", "SubsetPermutation", "composition_sub",
-                      "enumerate_compositions", "enumerate_level_labelings",
-                      "enumerate_subset_permutations", "last_rep_indices"),
-    "fern": ("FernLabeling", "z_fern", "z_fern_is_homogeneous"),
+    "combinatorics": ("LastRep", "SubsetPermutation", "enumerate_compositions",
+                      "enumerate_level_labelings", "enumerate_subset_permutations",
+                      "last_rep_indices"),
+    "fern": ("FernLabeling", "z_fern"),
     "generators": ("DLinearSpec", "GeneratorSet", "JKey", "cross_check_generators",
                    "differential_matrix", "extract_generators", "generator_direct",
                    "weight_w"),
@@ -36,9 +36,8 @@ _HOMES = {
     "membership": ("HomogeneousBasis", "MembershipCertificate", "build_basis",
                    "certificate_residual", "membership", "verify_fern_lemmas",
                    "verify_main_theorem"),
-    "poly": ("DomainError", "Poly", "PolyMatrix", "StructuralError", "VarId",
-             "VerificationError", "coefficient_of", "determinant", "poly_determinant",
-             "split_xt", "substitute_numeric"),
+    "poly": ("DomainError", "Poly", "StructuralError", "VarId", "VerificationError",
+             "determinant", "split_xt", "substitute_numeric"),
     "polytext": ("format_poly", "parse_poly"),
 }
 _EXPORTS = {name: module for module, names in _HOMES.items() for name in names}

@@ -17,10 +17,6 @@ Composition = tuple  # n nonnegative parts
 LevelLabeling = tuple  # k rows, each a (d-1)-tuple of labels in [1,n]
 
 
-def composition_weight(alpha: Composition) -> int:
-    return sum(alpha)
-
-
 def enumerate_compositions(m: int, n: int) -> list:
     """All compositions of m into n nonnegative parts, lexicographically
     decreasing, so (m, 0, ..., 0) comes first."""
@@ -35,14 +31,6 @@ def enumerate_compositions(m: int, n: int) -> list:
         for rest in enumerate_compositions(m - first, n - 1):
             out.append((first,) + rest)
     return out
-
-
-def composition_sub(alpha: Composition, alpha1: Composition) -> Composition:
-    """Pointwise difference; parts may not go negative."""
-    diff = composition_sub_or_none(alpha, alpha1)
-    if diff is None:
-        raise DomainError(f"{alpha1} is not dominated by {alpha}")
-    return diff
 
 
 def composition_sub_or_none(alpha: Composition, alpha1: Composition):
@@ -70,10 +58,8 @@ def enumerate_level_labelings(alpha: Composition, k: int, d: int) -> list:
     """
     n = len(alpha)
     length = k * (d - 1)
-    if composition_weight(alpha) != length:
-        raise DomainError(
-            f"content weight {composition_weight(alpha)} != k(d-1) = {length}"
-        )
+    if sum(alpha) != length:
+        raise DomainError(f"content weight {sum(alpha)} != k(d-1) = {length}")
     rows_of = lambda seq: tuple(seq[i * (d - 1):(i + 1) * (d - 1)] for i in range(k))
     out = []
     counts = list(alpha)

@@ -17,17 +17,8 @@ The weight sees each level row only through its content c (how often each
 label occurs), so z is the (u0, uk) entry of the product of row-content
 transfer matrices M(c)[r,s] = a[r,s] * prod_l a[r,l]^c_l, one per level
 (the transfer-matrix method, Stanley EC1 section 4.7), built by
-``_row_matrix``.  Summed over every m-level labeling of a content rem, the
-weights form the level sum S(m, rem), the matrix
-
-    S(0, 0) = I,
-    S(m, rem) = sum_{c <= rem} multinom(c) * M(c) * S(m-1, rem-c)
-
-with c running over compositions of d-1 into n parts, since multinom(c)
-rows of width d-1 have content c.  With L_i(x) = sum_j a[i,j] x_j these
-are the x-coefficients of M(x)^m, M(x) = diag(L_i(x)^(d-1)) * A.
-``identities`` folds this recursion into its Horner assembly of both
-identities and never forms S itself.
+``_row_matrix``.  ``identities`` assembles both identities from these
+matrices by Horner's rule.
 ``_path_sum`` enumerates the interior paths of one labeling directly; it
 is the independent oracle that assembly is tested against.
 """
@@ -89,11 +80,3 @@ def _row_matrix(n: int, c: tuple) -> tuple:
         rows.append(tuple(a_monomial(n, leaves + [(r, s)]) for s in range(1, n + 1)))
     return tuple(rows)
 
-
-def z_fern_is_homogeneous(fl: FernLabeling) -> bool:
-    """True iff the fern weight is zero or homogeneous of a-degree k*d."""
-    z = z_fern(fl)
-    if z.is_zero():
-        return True
-    degs = {sum(m) for m in z.terms}
-    return degs == {fl.k * fl.d} and z.is_homogeneous_in_a()

@@ -10,7 +10,9 @@ coefficients G[(k, alpha)] generate the ideal of interest; they are keyed
 by (k, alpha) rather than alpha alone because for d = 1 every k shares the
 empty composition and only the t-grading separates them.
 
-``extract_generators`` reads them off the expanded determinant;
+``differential_matrix`` writes the differential as plain rows, and
+``extract_generators`` reads the generators off its determinant, expanded
+and split by (t, x) head in one pass by ``poly.determinant_by_head``;
 ``generator_direct`` builds each one from the closed subset-permutation
 formula.  ``cross_check_generators`` confirms the two agree.
 """
@@ -27,8 +29,8 @@ from .combinatorics import (
     level_entries,
 )
 from .poly import (
-    DomainError, Poly, PolyMatrix, VerificationError, a_, a_monomial, determinant_by_head,
-    poly_sum, sum_of_products, t_, x_,
+    DomainError, Poly, VerificationError, a_, a_monomial, determinant_by_head, poly_sum,
+    sum_of_products, t_, x_,
 )
 
 
@@ -80,8 +82,8 @@ def map_components(spec: DLinearSpec) -> list:
     return [x_(n, i) - (t * linear_form(spec, i)) ** spec.d for i in range(1, n + 1)]
 
 
-def differential_matrix(spec: DLinearSpec) -> PolyMatrix:
-    """Matrix of partial derivatives d f_i / d x_j, written directly."""
+def differential_matrix(spec: DLinearSpec) -> list:
+    """Rows of partial derivatives d f_i / d x_j, written directly."""
     d, n = spec.d, spec.n
     t = t_(n)
     entries = []
@@ -94,7 +96,7 @@ def differential_matrix(spec: DLinearSpec) -> PolyMatrix:
                 e = e + 1
             row.append(e)
         entries.append(row)
-    return PolyMatrix(n, entries)
+    return entries
 
 
 def all_keys(spec: DLinearSpec) -> list:
@@ -124,7 +126,7 @@ def extract_generators(spec: DLinearSpec) -> GeneratorSet:
         return d ** k
 
     entries = {key: Poly.zero(n) for key in all_keys(spec)}
-    for head, part in determinant_by_head(differential_matrix(spec), scale).items():
+    for head, part in determinant_by_head(differential_matrix(spec), n, scale).items():
         entries[JKey(head[0] // d, head[1:])] = part
     return GeneratorSet(spec, entries)
 

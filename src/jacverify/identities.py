@@ -11,9 +11,14 @@ tuple beta, requires u0 != un, and stops the sum at k = n-1; it also
 vanishes.
 
 Both are assembled by Horner's rule.  The sum over nu is an entry of the
-level sum S(n-k, alpha - alpha1), and S(m, rem) = sum_c multinom(c) *
-M(c) * S(m-1, rem-c) with S(0, 0) = I (see ``fern``).  Split the partial
-sums T(m, gamma) = sum_{k<=m} sum_{alpha1} S(m-k, gamma-alpha1) * G[(k, alpha1)]
+level sum S(n-k, alpha - alpha1), where S(m, rem) sums the product of
+``fern``'s row-content matrices M(c) over every m-level labeling of
+content rem.  So S(0, 0) = I and S(m, rem) = sum_c multinom(c) * M(c) *
+S(m-1, rem-c), c running over compositions of d-1 into n parts, since
+multinom(c) rows of width d-1 have content c.  Split the partial sums
+
+    T(m, gamma) = sum_{k<=m} sum_{alpha1} S(m-k, gamma-alpha1) * G[(k, alpha1)]
+
 into the k = m term, G[(m, gamma)] * I, and the rest; expanding each
 S(m-k, .) there by its first level and distributing gives
 
@@ -257,9 +262,13 @@ class RelationReport:
 
 
 def relation_report(d: int, instances=None) -> RelationReport:
-    """Both leaf labels on each (alpha1, alpha2, u); every instance by default."""
-    if instances is None:
-        instances = relation_instances(d)
+    """Both leaf labels on each (alpha1, alpha2, u); every instance by default.
+
+    A sweep over no instance would hold vacuously, so it is a DomainError.
+    """
+    instances = list(relation_instances(d) if instances is None else instances)
+    if not instances:
+        raise DomainError("the relation sweep has no instance")
     report = RelationReport(d)
     for alpha1, alpha2, u in instances:
         for v in (1, 2):

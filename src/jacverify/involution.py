@@ -45,7 +45,6 @@ from .combinatorics import (
     enumerate_compositions,
     enumerate_level_labelings,
     enumerate_subset_permutations,
-    labeling_content,
     last_rep_indices,
     level_entries,
 )
@@ -59,9 +58,6 @@ class TupleState(namedtuple("TupleState", "d n lam nu S sigma rho")):
     """One monomial index; sigma lists images aligned with the sorted S."""
 
     __slots__ = ()
-
-    def content(self) -> tuple:
-        return labeling_content(self.nu + self.rho, self.n)
 
 
 Classification = namedtuple("Classification", "h l1 l2 side")

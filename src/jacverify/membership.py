@@ -41,7 +41,7 @@ from operator import add, ge, sub
 
 from .combinatorics import enumerate_compositions
 from .fern import FernLabeling, z_fern
-from .generators import DLinearSpec, JKey
+from .generators import DLinearSpec
 from .identities import generator_set
 from .inverse import coefficient_c, inverse_series
 from .poly import (
@@ -356,11 +356,14 @@ def verify_main_theorem(d: int, N_list) -> TheoremReport:
 
     Orders below 2d come only from height-one trees and form the expected
     exceptional set: they are reported with their actual status but never
-    asserted.  Orders 2d and above must all be members.
+    asserted.  Orders 2d and above must all be members.  An empty list of
+    orders would pass vacuously, so it is a DomainError.
     """
     n = 2
     spec = DLinearSpec(d, n)
     N_list = sorted(set(N_list))
+    if not N_list:
+        raise DomainError("the theorem sweep has no order")
     for N in N_list:
         if N < d or N % d != 0:
             raise DomainError(f"order {N} is not a positive multiple of d")

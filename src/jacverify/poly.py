@@ -42,11 +42,11 @@ into one exponent vector instead of multiplying one-variable polynomials.
 ``split_xt`` reads off the a-coefficient of each (t, x) monomial, and
 ``determinant`` is the one cofactor expansion, over ``Poly``, ``Fraction``
 or packed entries: it sums each level through the ring's ``dot``, with no
-running total.  ``poly_determinant`` packs each entry once and keeps every
-level packed, unless the rows' largest total degrees add up past 255;
-``determinant_by_head`` splits that packed expansion by (t, x) head in the
-same pass that divides each part exactly, reading each head with a mask
-and unpacking only the a-parts.
+running total.  ``determinant_by_head`` expands plain rows of polynomials
+with each entry packed once and every level kept packed, unless the rows'
+largest total degrees add up past 255, and splits the result by (t, x)
+head in the same pass that divides each part exactly, reading each head
+with a mask and unpacking only the a-parts.
 """
 
 from __future__ import annotations
@@ -396,23 +396,6 @@ def split_xt(p: Poly) -> dict:
     return out
 
 
-def coefficient_of(p: Poly, xt_monomial: Poly) -> Poly:
-    """Extract the a-variable polynomial multiplying a monic x,t-monomial.
-
-    ``xt_monomial`` must be a single monomial with coefficient 1 involving
-    only the t and x variables.  An absent monomial yields zero.
-    """
-    if len(xt_monomial.terms) != 1:
-        raise StructuralError("selector must be a single monomial")
-    (sel, c), = xt_monomial.terms.items()
-    if c != 1:
-        raise StructuralError("selector must be monic")
-    n = p.n
-    if any(sel[1 + n:]):
-        raise StructuralError("selector may involve only x and t")
-    return Poly(n, split_xt(p).get(sel[: 1 + n], {}))
-
-
 def substitute_numeric(p: Poly, assignment: Mapping[VarId, Fraction]) -> Fraction:
     """Exactly evaluate p at a full rational assignment of its variables."""
     n = p.n
@@ -431,28 +414,6 @@ def substitute_numeric(p: Poly, assignment: Mapping[VarId, Fraction]) -> Fractio
     return sum((term(m, c) for m, c in p.terms.items()), Fraction(0))
 
 
-class PolyMatrix:
-    """A square grid of polynomials over one ambient ring.
-
-    The grid size is independent of the ambient dimension; an empty matrix
-    needs ``ambient_n`` spelled out so its determinant (1) has a home.
-    """
-
-    def __init__(self, size: int, entries: list, ambient_n: int = 0):
-        if len(entries) != size or any(len(r) != size for r in entries):
-            raise StructuralError("matrix entries do not form a size x size grid")
-        ns = {p.n for row in entries for p in row}
-        if len(ns) > 1:
-            raise StructuralError("entries with mismatched ambient n")
-        if ns:
-            if ambient_n and ambient_n not in ns:
-                raise StructuralError("ambient_n contradicts the entries")
-            ambient_n = ns.pop()
-        elif not ambient_n:
-            raise StructuralError("empty matrix needs an explicit ambient_n")
-        self.size, self.entries, self.ambient_n = size, entries, ambient_n
-
-
 class _Packed(dict):
     """A packed term dict that negates, as ``determinant`` needs of an entry."""
 
@@ -462,40 +423,28 @@ class _Packed(dict):
         return _Packed({k: -c for k, c in self.items()})
 
 
-def _expansion(mat: PolyMatrix) -> tuple:
-    """The canonical term dict of det(mat), and whether its keys are packed.
-
-    Entries are packed once and stay packed through every level, unless the
-    rows' largest total degrees add up past 255, so that an exponent of the
-    expansion could carry out of its byte; then ``sum_of_products`` runs
-    each level, under its own rules.
-    """
-    rows, n = mat.entries, mat.ambient_n
-    if sum(max(p.total_degree() for p in row) for row in rows) > 255:
-        return determinant(rows, Poly.one(n), partial(sum_of_products, n)).terms, False
-    return determinant([[_Packed(_packed(p.terms)) for p in row] for row in rows],
-                       {0: 1}, _packed_dot), True
-
-
-def poly_determinant(mat: PolyMatrix) -> Poly:
-    """Exact determinant by first-column cofactor expansion."""
-    terms, packed = _expansion(mat)
-    return Poly._of(mat.ambient_n, _unpacked(mat.ambient_n, terms) if packed else terms)
-
-
-def determinant_by_head(mat: PolyMatrix, scale) -> dict:
-    """``split_xt(poly_determinant(mat))``, each part divided exactly, in one pass.
+def determinant_by_head(rows, n: int, scale) -> dict:
+    """``split_xt`` of the determinant of a square grid of dimension-n
+    polynomials, each part divided exactly, in one pass.
 
     Maps each (t, x) head, in the determinant's term order, to the Poly of
     its a-parts divided by ``scale(head)`` (a generator head's d^k), which
     is called once per head and may raise; a coefficient that it does not
-    divide raises VerificationError.  A mask reads each packed head, and
-    only the a-part of a term is unpacked, with the head cleared.
+    divide raises VerificationError.  Entries are packed once and stay
+    packed through every level, unless the rows' largest total degrees add
+    up past 255, so that an exponent of the expansion could carry out of
+    its byte; then ``sum_of_products`` runs each level, under its own
+    rules.  A mask reads each packed head, and only the a-part of a term is
+    unpacked, with the head cleared.
     """
-    n = mat.ambient_n
     cut, width = 1 + n, n_vars(n)
     mask = (1 << 8 * cut) - 1
-    terms, packed = _expansion(mat)
+    packed = sum(max(p.total_degree() for p in row) for row in rows) <= 255
+    if packed:
+        terms = determinant([[_Packed(_packed(p.terms)) for p in row] for row in rows],
+                            {0: 1}, _packed_dot)
+    else:
+        terms = determinant(rows, Poly.one(n), partial(sum_of_products, n)).terms
     parts: dict = {}
     for m, c in terms.items():
         if packed:

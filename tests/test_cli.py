@@ -9,6 +9,7 @@ import os
 import shlex
 import subprocess
 import sys
+from functools import partial
 from importlib.resources import files
 
 import jsonschema
@@ -20,7 +21,7 @@ import jacverify.cli as cli
 import jacverify.involution as involution
 import jacverify.jsonout as jsonout
 from jacverify.cli import main
-from jacverify.poly import Poly, PolyMatrix, a_, poly_determinant, t_, x_
+from jacverify.poly import Poly, a_, determinant, sum_of_products, t_, x_
 
 SCHEMAS = files("jacverify") / "schemas"
 
@@ -375,8 +376,9 @@ def test_gens_with_a_broken_determinant_exits_one(capsys, monkeypatch):
     n = 2
     stray = t_(n) ** 2 * x_(n, 1) * a_(n, 1, 1) ** 2
     real = generators.differential_matrix
-    monkeypatch.setattr(generators, "differential_matrix", lambda spec: PolyMatrix(
-        2, [[poly_determinant(real(spec)) + stray, Poly.zero(n)], [Poly.zero(n), Poly.one(n)]]))
+    det = partial(determinant, one=Poly.one(n), dot=partial(sum_of_products, n))
+    monkeypatch.setattr(generators, "differential_matrix", lambda spec: [
+        [det(real(spec)) + stray, Poly.zero(n)], [Poly.zero(n), Poly.one(n)]])
     importlib.import_module("jacverify.identities").generator_set.cache_clear()
     assert _assert_verification_error(capsys, ["gens", "--d", "2", "--n", str(n)]) == \
         "error: coefficient -1 at t^2 x^(1, 0) is not divisible by d^k = 2\n"

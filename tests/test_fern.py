@@ -16,11 +16,10 @@ from jacverify.fern import (
     FernLabeling,
     _path_sum,
     z_fern,
-    z_fern_is_homogeneous,
 )
 from jacverify.generators import DLinearSpec, JKey
 from jacverify.identities import _levels, _partial_sum, _partial_sums, generator_set
-from jacverify.poly import DomainError, Poly, a_
+from jacverify.poly import DomainError, Poly, a_, a_monomial, split_xt, x_
 
 
 def test_length_two_fern_reference_value():
@@ -58,11 +57,12 @@ def test_degree_one_ferns_are_matrix_powers():
 
 
 def test_homogeneity():
-    assert z_fern_is_homogeneous(FernLabeling(2, 2, 2, 1, 1, ((2,), (1,))))
-    z = z_fern(FernLabeling(2, 2, 2, 1, 1, ((2,), (1,))))
-    assert {sum(m) for m in z.terms} == {4}
-    assert z_fern_is_homogeneous(FernLabeling(2, 2, 0, 2, 2, ()))
-    assert z_fern_is_homogeneous(FernLabeling(1, 2, 3, 1, 2, ((), (), ())))
+    """A fern weight of length k is homogeneous of a-degree k*d, in a only."""
+    for d, k, u0, uk, nu in [(2, 2, 1, 1, ((2,), (1,))), (2, 0, 2, 2, ()),
+                             (1, 3, 1, 2, ((), (), ()))]:
+        z = z_fern(FernLabeling(d, 2, k, u0, uk, nu))
+        assert z.is_homogeneous_in_a()
+        assert {sum(m) for m in z.terms} == {k * d}
 
 
 def test_row_order_invariance_d3():
@@ -140,6 +140,64 @@ def test_partial_sums_match_path_sums(case):
     assert _partial_sums(gens, m, gamma)[u - 1][v - 1] == full
     assert _partial_sum(gens, m, gamma, u, v) == full
     assert _partial_sum(gens, m, gamma, u, v, beta) == pinned
+
+
+def _matmul(n, P, Q):
+    size = range(len(P))
+    return [[sum((P[i][r] * Q[r][j] for r in size), Poly.zero(n)) for j in size] for i in size]
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_partial_sums_are_matrix_power_coefficients(d, n):
+    """T(m, gamma) is the x^gamma coefficient of sum_{k<=m} M(x)^(m-k) * G_k(x),
+    with M(x) = diag(L_i(x)^(d-1)) * A and G_k(x) = sum_alpha G[(k, alpha)] x^alpha,
+    built here from plain matrix powers; the beta-pinned entry is that of
+    x^beta * M_beta * (the sum at m-1), with M_beta[r,s] = a[r,s] * prod_b a[r,b];
+    and the Cayley-Hamilton sum vanishes at m = n."""
+    gens = generator_set(DLinearSpec(d, n))
+    labels = range(1, n + 1)
+    forms = [sum((a_(n, i, j) * x_(n, j) for j in labels), Poly.zero(n)) for i in labels]
+    M = [[forms[i - 1] ** (d - 1) * a_(n, i, j) for j in labels] for i in labels]
+    powers = [[[Poly.one(n) if i == j else Poly.zero(n) for j in labels] for i in labels]]
+    for _ in range(n):
+        powers.append(_matmul(n, powers[-1], M))
+
+    def x_power(alpha):
+        out = Poly.one(n)
+        for i, e in zip(labels, alpha):
+            out = out * x_(n, i) ** e
+        return out
+
+    G = [sum((gens[JKey(k, alpha)] * x_power(alpha)
+              for alpha in enumerate_compositions(k * (d - 1), n)), Poly.zero(n))
+         for k in range(n + 1)]
+    sums = [[[sum((powers[m - k][u][v] * G[k] for k in range(m + 1)), Poly.zero(n))
+              for v in range(n)] for u in range(n)] for m in range(n + 1)]
+    assert all(entry.is_zero() for row in sums[n] for entry in row)
+    betas = list(itertools.product(labels, repeat=d - 1))
+    for m in range(n + 1):
+        gammas = enumerate_compositions(m * (d - 1), n)
+        heads = {(0,) + gamma for gamma in gammas}
+        pinned = {}
+        for beta in betas:
+            if m:
+                x_beta = x_power([beta.count(i) for i in labels])
+                M_beta = [[x_beta * a_monomial(n, [(r, s)] + [(r, b) for b in beta])
+                           for s in labels] for r in labels]
+                pinned[beta] = _matmul(n, M_beta, sums[m - 1])
+        for u in labels:
+            for v in labels:
+                entry = split_xt(sums[m][u - 1][v - 1])
+                assert set(entry) <= heads
+                for gamma in gammas:
+                    want = Poly(n, entry.get((0,) + gamma, {}))
+                    assert _partial_sum(gens, m, gamma, u, v) == want
+                    for beta in betas:
+                        want = Poly.zero(n)
+                        if m:
+                            shifted = split_xt(pinned[beta][u - 1][v - 1])
+                            want = Poly(n, shifted.get((0,) + gamma, {}))
+                        assert _partial_sum(gens, m, gamma, u, v, beta) == want
 
 
 @pytest.mark.parametrize("d,n", [(1, 3), (2, 2), (2, 3), (3, 2)])

@@ -24,20 +24,23 @@ from jacverify.generators import (
 from jacverify.poly import (
     DomainError,
     Poly,
-    PolyMatrix,
     VarId,
     VerificationError,
     a_,
     determinant,
     determinant_by_head,
     n_vars,
-    poly_determinant,
     split_xt,
     substitute_numeric,
     sum_of_products,
     t_,
     x_,
 )
+
+
+def _poly_det(n, rows):
+    """The determinant of rows of dimension-n polynomials, level by level."""
+    return determinant(rows, Poly.one(n), partial(sum_of_products, n))
 
 
 def test_differential_d1_is_identity_minus_ta():
@@ -48,15 +51,15 @@ def test_differential_d1_is_identity_minus_ta():
             expected = -t * a_(2, i, j)
             if i == j:
                 expected = expected + 1
-            assert mat.entries[i - 1][j - 1] == expected
+            assert mat[i - 1][j - 1] == expected
 
 
 def test_differential_d2_entries():
     mat = differential_matrix(DLinearSpec(2, 2))
     t, n = t_(2), 2
     form1 = a_(n, 1, 1) * x_(n, 1) + a_(n, 1, 2) * x_(n, 2)
-    assert mat.entries[0][0] == 1 - 2 * t ** 2 * a_(n, 1, 1) * form1
-    assert mat.entries[0][1] == -2 * t ** 2 * a_(n, 1, 2) * form1
+    assert mat[0][0] == 1 - 2 * t ** 2 * a_(n, 1, 1) * form1
+    assert mat[0][1] == -2 * t ** 2 * a_(n, 1, 2) * form1
 
 
 def test_extract_d1_trace_and_determinant():
@@ -121,7 +124,7 @@ def test_generator_homogeneity_and_row_degrees():
 def test_determinant_reconstructs_from_generators():
     for d, n in [(1, 2), (2, 2), (3, 2)]:
         spec = DLinearSpec(d, n)
-        det = poly_determinant(differential_matrix(spec))
+        det = _poly_det(n, differential_matrix(spec))
         gens = extract_generators(spec)
         rebuilt = Poly.zero(n)
         for key, poly in gens.entries.items():
@@ -168,28 +171,44 @@ def test_zero_generators_materialized():
             assert JKey(k, alpha) in gens.entries
 
 
+def _count_packed_entries(monkeypatch) -> list:
+    """Record each entry that a later ``determinant_by_head`` packs, so a
+    test can tell that its expansion ran on packed keys."""
+    packed = []
+
+    class Counted(poly._Packed):
+        __slots__ = ()
+
+        def __init__(self, terms):
+            packed.append(terms)
+            super().__init__(terms)
+
+    monkeypatch.setattr(poly, "_Packed", Counted)
+    return packed
+
+
 def _with_stray_term(monkeypatch, stray):
     """Make the differential the 2 x 2 diagonal matrix of the real determinant
     plus ``stray``, and 1.  Its expansion runs one packed dot, as the real
     differential's does, and extraction splits that sum."""
     real = generators.differential_matrix
+    packed = _count_packed_entries(monkeypatch)
 
     def matrix(spec):
         zero = Poly.zero(spec.n)
-        mat = PolyMatrix(2, [[poly_determinant(real(spec)) + stray, zero],
-                             [zero, Poly.one(spec.n)]])
-        assert poly._expansion(mat)[1]  # on packed keys
-        return mat
+        return [[_poly_det(spec.n, real(spec)) + stray, zero], [zero, Poly.one(spec.n)]]
 
     monkeypatch.setattr(generators, "differential_matrix", matrix)
+    return packed
 
 
 def test_extract_rejects_coefficient_not_divisible_by_d_power(monkeypatch):
     """A t^(dk) x^alpha coefficient that d^k does not divide is an error."""
     n = 2
-    _with_stray_term(monkeypatch, t_(n) ** 2 * x_(n, 1) * a_(n, 1, 1) ** 2)
+    packed = _with_stray_term(monkeypatch, t_(n) ** 2 * x_(n, 1) * a_(n, 1, 1) ** 2)
     with pytest.raises(VerificationError, match="not divisible by d\\^k = 2"):
         extract_generators(DLinearSpec(2, n))
+    assert packed
 
 
 @pytest.mark.parametrize("stray,message", [
@@ -199,16 +218,18 @@ def test_extract_rejects_coefficient_not_divisible_by_d_power(monkeypatch):
 ])
 def test_extract_rejects_a_head_outside_the_pattern(monkeypatch, stray, message):
     """A t-degree that d does not divide, or an x-degree other than k(d-1)."""
-    _with_stray_term(monkeypatch, stray)
+    packed = _with_stray_term(monkeypatch, stray)
     with pytest.raises(VerificationError, match=message):
         extract_generators(DLinearSpec(2, 2))
+    assert packed
 
 
-def test_split_by_head_rejects_an_indivisible_coefficient_when_packed():
-    mat = differential_matrix(DLinearSpec(2, 2))
-    assert poly._expansion(mat)[1]  # the expansion ran on packed keys
+def test_split_by_head_rejects_an_indivisible_coefficient_when_packed(monkeypatch):
+    rows = differential_matrix(DLinearSpec(2, 2))
+    packed = _count_packed_entries(monkeypatch)
     with pytest.raises(VerificationError, match="is not divisible by d\\^k = 3"):
-        determinant_by_head(mat, lambda head: 3)
+        determinant_by_head(rows, 2, lambda head: 3)
+    assert packed
 
 
 def _extract_by_split(spec: DLinearSpec) -> dict:
@@ -216,7 +237,7 @@ def _extract_by_split(spec: DLinearSpec) -> dict:
     level-by-level expansion over Poly entries, ``split_xt``, a divmod per
     coefficient, and each part normalized again by the Poly constructor."""
     d, n = spec.d, spec.n
-    det = determinant(differential_matrix(spec).entries, Poly.one(n), partial(sum_of_products, n))
+    det = _poly_det(n, differential_matrix(spec))
     entries = {key: Poly.zero(n) for key in all_keys(spec)}
     for head, coeff in split_xt(det).items():
         t_deg, alpha = head[0], head[1:]

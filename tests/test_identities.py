@@ -197,6 +197,12 @@ def test_relation_sweep_needs_d_at_least_two():
         list(relation_instances(1))
 
 
+def test_relation_report_refuses_an_empty_instance_list():
+    """A sweep over no instance would report 0 unsatisfied: refused, not passed."""
+    with pytest.raises(DomainError, match="no instance"):
+        relation_report(2, [])
+
+
 def test_relation_report_of_one_instance():
     report = relation_report(3, [((1, 1), (2, 0), 2)])
     assert [(e.alpha1, e.alpha2, e.u, e.v) for e in report.entries] == [

@@ -2,7 +2,7 @@
 
 import pytest
 
-from jacverify.combinatorics import enumerate_compositions
+from jacverify.combinatorics import enumerate_compositions, labeling_content
 from jacverify.identities import IdentityInstance, identity1_lhs, identity2_lhs
 from jacverify.involution import (
     DOMAIN_SIDE,
@@ -44,7 +44,7 @@ def test_full_subset_states_need_equal_endpoints():
 
 def test_states_respect_content_constraint():
     for s in enumerate_states(2, 2, (2, 0), 1, 1):
-        assert s.content() == (2, 0)
+        assert labeling_content(s.nu + s.rho, s.n) == (2, 0)
 
 
 def test_state_weight_signs():

@@ -155,6 +155,12 @@ def test_main_theorem_rejects_bad_orders():
         verify_main_theorem(2, [0])
 
 
+def test_main_theorem_refuses_an_empty_list_of_orders():
+    """A sweep over no order would pass vacuously: an input error, not a pass."""
+    with pytest.raises(DomainError, match="no order"):
+        verify_main_theorem(2, [])
+
+
 def test_main_theorem_splits_each_series_component_once(monkeypatch):
     calls = []
     real = inverse.split_xt

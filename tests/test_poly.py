@@ -5,6 +5,7 @@ import itertools
 import operator
 import re
 from fractions import Fraction
+from functools import partial
 from importlib.resources import files
 from random import Random
 
@@ -16,17 +17,14 @@ from jacverify.inverse import mul_trunc
 from jacverify.poly import (
     DomainError,
     Poly,
-    PolyMatrix,
     StructuralError,
     VarId,
     a_,
     a_monomial,
-    coefficient_of,
     determinant,
     determinant_by_head,
     monomial_key,
     n_vars,
-    poly_determinant,
     poly_sum,
     split_xt,
     substitute_numeric,
@@ -88,43 +86,47 @@ def test_pow_negative_rejected():
         x_(N, 1) ** -1
 
 
+def _poly_det(n, rows):
+    """The determinant of rows of dimension-n polynomials, level by level."""
+    return determinant(rows, Poly.one(n), partial(sum_of_products, n))
+
+
+def _joined(heads):
+    """The term dict that ``determinant_by_head`` split by head, rejoined."""
+    return {head + m[len(head):]: c for head, p in heads.items() for m, c in p.terms.items()}
+
+
 def test_determinant_small():
     p = a_(N, 1, 1) + 2
-    assert poly_determinant(PolyMatrix(1, [[p]])) == p
-    assert poly_determinant(PolyMatrix(0, [], ambient_n=N)) == Poly.one(N)
     q, r, s = x_(N, 1), a_(N, 2, 2), t_(N)
-    got = poly_determinant(PolyMatrix(2, [[p, q], [r, s]]))
-    assert got == p * s - q * r
+    for rows, expected in [([[p]], p), ([], Poly.one(N)), ([[p, q], [r, s]], p * s - q * r)]:
+        assert _poly_det(N, rows) == expected
+        assert _joined(determinant_by_head(rows, N, lambda head: 1)) == expected.terms
 
 
 def test_determinant_identity_minus_ta():
     # expected value from the 2x2 cofactor rule, written out by hand
     t = t_(N)
-    mat = PolyMatrix(2, [
+    rows = [
         [1 - t * a_(N, 1, 1), -t * a_(N, 1, 2)],
         [-t * a_(N, 2, 1), 1 - t * a_(N, 2, 2)],
-    ])
+    ]
     expected = (
         1
         - t * (a_(N, 1, 1) + a_(N, 2, 2))
         + t ** 2 * (a_(N, 1, 1) * a_(N, 2, 2) - a_(N, 1, 2) * a_(N, 2, 1))
     )
-    assert poly_determinant(mat) == expected
+    assert _poly_det(N, rows) == expected
+    assert _joined(determinant_by_head(rows, N, lambda head: 1)) == expected.terms
 
 
-def test_coefficient_of_examples():
+def test_split_xt_examples():
     t = t_(N)
     det = 1 - t * (a_(N, 1, 1) + a_(N, 2, 2))
-    assert coefficient_of(det, t) == -a_(N, 1, 1) - a_(N, 2, 2)
-    no_const = x_(N, 1) * a_(N, 1, 1)
-    assert coefficient_of(no_const, Poly.one(N)).is_zero()
+    assert Poly(N, split_xt(det)[(1, 0, 0)]) == -a_(N, 1, 1) - a_(N, 2, 2)
+    assert (0, 0, 0) not in split_xt(x_(N, 1) * a_(N, 1, 1))
     p = x_(N, 1) ** 2 + 2 * x_(N, 1) * x_(N, 2)
-    assert coefficient_of(p, x_(N, 1) * x_(N, 2)) == Poly.const(N, 2)
-
-
-def test_coefficient_of_rejects_a_variables():
-    with pytest.raises(StructuralError):
-        coefficient_of(x_(N, 1), a_(N, 1, 1))
+    assert Poly(N, split_xt(p)[(0, 1, 1)]) == Poly.const(N, 2)
 
 
 def test_substitute_numeric_examples():
@@ -190,8 +192,8 @@ def test_determinant_multiplicative_on_numeric():
         Q = [[Poly.const(N, nums[4]), Poly.const(N, nums[5])],
              [Poly.const(N, nums[6]), Poly.const(N, nums[7])]]
         MQ = [[M[i][0] * Q[0][j] + M[i][1] * Q[1][j] for j in range(2)] for i in range(2)]
-        lhs = poly_determinant(PolyMatrix(2, MQ))
-        rhs = poly_determinant(PolyMatrix(2, M)) * poly_determinant(PolyMatrix(2, Q))
+        lhs = _poly_det(N, MQ)
+        rhs = _poly_det(N, M) * _poly_det(N, Q)
         assert lhs == rhs
 
 
@@ -633,9 +635,9 @@ def _ref_leibniz(n, rows):
 
 @settings(max_examples=80, deadline=None)
 @given(_sparse_matrices())
-def test_poly_determinant_matches_leibniz_reference(case):
+def test_determinant_matches_leibniz_reference(case):
     n, rows = case
-    got = poly_determinant(PolyMatrix(len(rows), rows, ambient_n=n))
+    got = _poly_det(n, rows)
     assert got.terms == _ref_leibniz(n, rows)
     assert all(_is_stored_coefficient(c) for c in got.terms.values())
 
@@ -646,14 +648,14 @@ _WIDE = (0, 1, 2, 127, 128, 254, 255, 256)
 
 
 @st.composite
-def _wide_polys(draw, n, max_size):
+def _wide_polys(draw, n, max_size, coeffs=_MIXED):
     """Each term has at most two nonzero exponents, from 1, 2 and one drawn
     from _WIDE per polynomial, so that both kernel paths are taken."""
     nv = n_vars(n)
     top = draw(st.sampled_from(_WIDE))
     mono = st.lists(st.tuples(st.integers(0, nv - 1), st.sampled_from((1, 2, top))),
                     max_size=2).map(lambda e: tuple(dict(e).get(pos, 0) for pos in range(nv)))
-    return Poly(n, dict(draw(st.lists(st.tuples(mono, _MIXED), max_size=max_size))))
+    return Poly(n, dict(draw(st.lists(st.tuples(mono, coeffs), max_size=max_size))))
 
 
 @st.composite
@@ -691,29 +693,29 @@ def test_sum_of_products_matches_reference_across_byte_boundary(case):
 
 @st.composite
 def _wide_matrices(draw):
+    """Integer entries, which ``determinant_by_head`` divides by 1 exactly."""
     n = draw(st.integers(1, 2))
     size = draw(st.integers(0, 3))
-    return n, [[draw(_wide_polys(n, 4)) for _ in range(size)] for _ in range(size)]
+    entry = _wide_polys(n, 4, st.integers(-6, 6))
+    return n, [[draw(entry) for _ in range(size)] for _ in range(size)]
 
 
 @settings(max_examples=80, deadline=None)
 @given(_wide_matrices())
 @example((1, [[_byte_edge(127, 0), _byte_edge(1, 0)], [_byte_edge(2, 0), _byte_edge(128, 0)]]))
 @example((1, [[_byte_edge(128, 0), _byte_edge(1, 0)], [_byte_edge(2, 0), _byte_edge(128, 0)]]))
-def test_poly_determinant_matches_leibniz_across_byte_boundary(case):
+def test_determinant_by_head_matches_leibniz_across_byte_boundary(case):
     """The first example packs the whole expansion (its rows reach degree 255),
     the second must not (256)."""
     n, rows = case
-    mat = PolyMatrix(len(rows), rows, ambient_n=n)
-    got = poly_determinant(mat)
-    assert got.terms == _ref_leibniz(n, rows)
-    # The one-pass split reads the same heads and a-parts off the same expansion.
-    if all(type(c) is int for c in got.terms.values()):
-        heads = determinant_by_head(mat, lambda head: 1)
-        split = split_xt(got)
-        assert {h: p.terms for h, p in heads.items()} == split
-        assert [(h, list(p.terms)) for h, p in heads.items()] == \
-            [(h, list(part)) for h, part in split.items()]
+    heads = determinant_by_head(rows, n, lambda head: 1)
+    assert _joined(heads) == _ref_leibniz(n, rows)
+    assert all(type(c) is int for p in heads.values() for c in p.terms.values())
+    # The same heads and a-parts, in the same order, as splitting the
+    # level-by-level expansion.
+    split = split_xt(_poly_det(n, rows))
+    assert [(h, list(p.terms.items())) for h, p in heads.items()] == \
+        [(h, list(part.items())) for h, part in split.items()]
 
 
 def test_kernel_rejects_mismatched_dimensions():
