@@ -197,8 +197,9 @@ def _pmap(fn, tasks, workers: int):
     # Imported here: only pooled sweeps pay for loading multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
+    # Four chunks a worker, as multiprocessing.Pool.map cuts them: not a round trip per task.
     with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(fn, tasks))
+        return list(pool.map(fn, tasks, chunksize=-(-len(tasks) // (4 * size))))
 
 
 # -- subcommand implementations ------------------------------------------

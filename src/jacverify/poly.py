@@ -20,21 +20,19 @@ terms in ascending canonical order, which makes every printed polynomial
 byte-reproducible.  That text form, written by ``format_poly`` and read
 back by ``parse_poly``, lives in ``polytext``.
 
-The kernel has two loops that multiply (``_mul_into`` on exponent tuples
-and ``_packed_dot`` on packed keys), one that sums (``poly_sum``) and
-one normalization (``_canonical_terms``: zeros dropped, integral Fractions
-stored as int, floats refused), which the constructor also uses.
-``sum_of_products`` (the sum of x * y over pairs) accumulates every
-product into one dict and normalizes it once (the accumulate-then-normalize
-kernel of Monagan & Pearce); ``Poly * Poly`` is its one-pair case.  Inside
-it each exponent tuple is packed into an int, one byte per variable with t
-the lowest, so a monomial product is one int add, and each output term is
-unpacked once; the tuple loop runs instead when an exponent sum could pass
-255 (by total degree) or the products are few beside the terms to pack.
-``poly_sum`` keeps its dict canonical as each term is folded in; ``+`` and
-``-`` are its two-summand cases.  Only this module touches the canonical
-form, and packed keys never leave it.  ``t_layers`` splits a polynomial by
-t-degree, so that truncated products pair only the layers below a cutoff.
+The kernel has one loop that multiplies (``_packed_dot``), one that sums
+(``poly_sum``) and one normalization (``_canonical_terms``: zeros dropped,
+integral Fractions stored as int, floats refused), which the constructor
+also uses.  ``sum_of_products`` (the sum of x * y over pairs) accumulates
+every product into one dict and normalizes it once (Monagan & Pearce's
+accumulate-then-normalize kernel); ``Poly * Poly`` is its one-pair case.
+One codec (``_codec``) packs each exponent tuple into an int key of
+fixed-width fields, t the lowest, at a width read off the inputs, so a
+monomial product is one int add.  ``poly_sum`` keeps its dict canonical
+as each term is folded in; ``+`` and ``-`` are its two-summand cases.
+Only this module touches the canonical form, and packed keys never leave
+it.  ``t_layers`` splits a polynomial by t-degree, so that truncated
+products pair only the layers below a cutoff.
 
 Signed products of a-variables (fern paths, state and generator weights,
 tree weights) are built by ``a_monomial``, which writes the whole product
@@ -43,18 +41,19 @@ into one exponent vector instead of multiplying one-variable polynomials.
 ``determinant`` is the one cofactor expansion, over ``Poly``, ``Fraction``
 or packed entries: it sums each level through the ring's ``dot``, with no
 running total.  ``determinant_by_head`` expands plain rows of polynomials
-with each entry packed once and every level kept packed, unless the rows'
-largest total degrees add up past 255, and splits the result by (t, x)
-head in the same pass that divides each part exactly, reading each head
-with a mask and unpacking only the a-parts.
+with every entry packed once, at a width read off the rows' degrees, and
+splits the result by (t, x) head in the pass that divides each part.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
-from functools import cache, partial
-from operator import add, itemgetter
+from functools import cache, reduce
+from itertools import chain, repeat, starmap
+from operator import itemgetter, or_
 
 
 class StructuralError(ValueError):
@@ -276,16 +275,13 @@ class Poly:
     def total_degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
 
-    def a_degree_of(self, m: tuple) -> int:
-        return sum(m[1 + self.n:])
-
     def is_homogeneous_in_a(self) -> bool:
         """True iff zero, or all terms share one total a-degree and use no x,t."""
         degs = set()
         for m in self.terms:
             if any(m[: 1 + self.n]):
                 return False
-            degs.add(self.a_degree_of(m))
+            degs.add(sum(m[1 + self.n:]))
         return len(degs) <= 1
 
     def sorted_terms(self) -> list:
@@ -296,14 +292,31 @@ class Poly:
 # -- the product-and-sum kernel -----------------------------------------
 
 
-def _mul_into(out: dict, p: dict, q: dict) -> None:
-    """Accumulate the product of two term dicts into out, not yet canonical."""
-    get = out.get
-    q_terms = list(q.items())
-    for m1, c1 in p.items():
-        for m2, c2 in q_terms:
-            m = tuple(map(add, m1, m2))
-            out[m] = get(m, 0) + c1 * c2
+@cache
+def _codec(n: int, width: int) -> tuple:
+    """(pack, unpack, tops): ``pack`` and ``unpack`` rekey dimension-n term dicts
+    by ints of ``width``-byte little-endian fields, t the lowest, and ``tops``
+    sets each field's top bit.  A field too narrow for its exponent raises."""
+    nv = n_vars(n)
+    size = nv * width
+    fmt = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(width)  # struct's fields reach 8 bytes
+    if fmt:
+        fields = struct.Struct(f"<{nv}{fmt}")
+        join, split = fields.pack, fields.unpack
+    else:
+        join = lambda *m: b"".join([e.to_bytes(width, "little") for e in m])
+        split = lambda b: tuple(int.from_bytes(b[i:i + width], "little")
+                                for i in range(0, size, width))
+
+    def pack(terms):
+        keys = map(int.from_bytes, starmap(join, terms), repeat("little"))
+        return dict(zip(keys, terms.values()))
+
+    def unpack(terms):
+        monomials = map(split, map(int.to_bytes, terms, repeat(size), repeat("little")))
+        return dict(zip(monomials, terms.values()))
+
+    return pack, unpack, int.from_bytes((bytes(width - 1) + b"\x80") * nv, "little")
 
 
 def _packed_dot(pairs) -> dict:
@@ -320,34 +333,26 @@ def _packed_dot(pairs) -> dict:
     return _canonical_terms(out)
 
 
-def _packed(terms: dict) -> dict:
-    """terms keyed by packed monomials: one byte per variable, t the lowest."""
-    return {int.from_bytes(bytes(m), "little"): c for m, c in terms.items()}
-
-
-def _unpacked(n: int, terms: dict) -> dict:
-    width = n_vars(n)
-    return {tuple(k.to_bytes(width, "little")): c for k, c in terms.items()}
-
-
 def sum_of_products(n: int, pairs) -> Poly:
-    """sum x * y over an iterable of (x, y) pairs of dimension-n polynomials."""
+    """sum x * y over an iterable of (x, y) pairs of dimension-n polynomials,
+    in keys of the narrowest width at which no factor's field has its top bit
+    set, so that no sum of two keys carries."""
     live = []
     for x, y in pairs:
         if x.n != n or y.n != n:
             raise StructuralError(f"mismatched ambient n: {x.n}, {y.n} in a sum over {n}")
         if x.terms and y.terms:
             live.append((x.terms, y.terms))
-    out: dict = {}
-    # Tuples where packing costs more than it saves (packing and unpacking a
-    # term cost about what two packed products save), or where a byte field
-    # could pass 255 and carry silently into its neighbour.
-    if (sum(len(p) * len(q) for p, q in live) < 2 * sum(len(p) + len(q) for p, q in live)
-            or max((max(map(sum, p)) + max(map(sum, q)) for p, q in live), default=0) > 255):
-        for p, q in live:
-            _mul_into(out, p, q)
-        return Poly._of(n, _canonical_terms(out))
-    return Poly._of(n, _unpacked(n, _packed_dot((_packed(p), _packed(q)) for p, q in live)))
+    width = 1
+    while True:
+        pack, unpack, tops = _codec(n, width)
+        width *= 2
+        try:
+            packed = [(pack(p), pack(q)) for p, q in live]
+        except (struct.error, OverflowError):  # an exponent wider than its field
+            continue
+        if not reduce(or_, chain.from_iterable(chain(*packed)), 0) & tops:
+            return Poly._of(n, unpack(_packed_dot(packed)))
 
 
 def poly_sum(n: int, polys) -> Poly:
@@ -430,38 +435,31 @@ def determinant_by_head(rows, n: int, scale) -> dict:
     Maps each (t, x) head, in the determinant's term order, to the Poly of
     its a-parts divided by ``scale(head)`` (a generator head's d^k), which
     is called once per head and may raise; a coefficient that it does not
-    divide raises VerificationError.  Entries are packed once and stay
-    packed through every level, unless the rows' largest total degrees add
-    up past 255, so that an exponent of the expansion could carry out of
-    its byte; then ``sum_of_products`` runs each level, under its own
-    rules.  A mask reads each packed head, and only the a-part of a term is
-    unpacked, with the head cleared.
+    divide raises VerificationError.  Every level stays packed, in fields
+    that hold the rows' largest total degrees summed; a mask reads each head.
     """
-    cut, width = 1 + n, n_vars(n)
-    mask = (1 << 8 * cut) - 1
-    packed = sum(max(p.total_degree() for p in row) for row in rows) <= 255
-    if packed:
-        terms = determinant([[_Packed(_packed(p.terms)) for p in row] for row in rows],
-                            {0: 1}, _packed_dot)
-    else:
-        terms = determinant(rows, Poly.one(n), partial(sum_of_products, n)).terms
+    bound = sum(max(p.total_degree() for p in row) for row in rows)
+    cut, width = 1 + n, 1
+    while bound >> 8 * width:
+        width *= 2
+    pack, unpack, _ = _codec(n, width)
+    mask = (1 << 8 * width * cut) - 1
+    terms = determinant([[_Packed(pack(p.terms)) for p in row] for row in rows],
+                        {0: 1}, _packed_dot)
     parts: dict = {}
     for m, c in terms.items():
-        if packed:
-            h = m & mask
-            rest = tuple((m ^ h).to_bytes(width, "little"))
-        else:
-            h, rest = m[:cut], (0,) * cut + m[cut:]
+        h = m & mask
         if h not in parts:
-            head = tuple(h.to_bytes(cut, "little")) if packed else h
+            head = next(iter(unpack({h: 0})))[:cut]
             parts[h] = ({}, scale(head), head)
         part, s, head = parts[h]
         q, r = divmod(c, s)
         if r:
             raise VerificationError(
                 f"coefficient {c} at t^{head[0]} x^{head[1:]} is not divisible by d^k = {s}")
-        part[rest] = q
-    return {head: Poly._of(n, part) for part, _, head in parts.values()}
+        part[m ^ h] = q
+    del terms  # then each packed part is dropped once unpacked, to bound the peak
+    return {head: Poly._of(n, unpack(part)) for part, _, head in map(parts.pop, list(parts))}
 
 
 def determinant(rows, one, dot):

@@ -148,6 +148,14 @@ GOLDEN = [
     (f"member --d 2 --n 3 --poly '{POOL_SUM} + a[1,1]^7'",
      1, "2e33c7b3ff85036854b1b2cbe6d5311c7f70cca2ac37535ea625bd320291d837",
      1, "dfb18b7b0adf1f6c421a1c968503f9fe7f47096984c41ad6757153a047ef11f5"),
+    # Members of degree 2**63 and 2**64 + 1: the first's certificate product
+    # sets the top bit of an 8-byte exponent field, the second's passes 8 bytes.
+    ("member --d 1 --n 1 --poly 'a[1,1]^9223372036854775808'",
+     0, "48f47f1e43a468d46b0a1369d68a257d14cf1af2a52a6362d1f6e71ff669945c",
+     0, "fd51ec5685baa259ce193aee386fe893a613f64aaa7d8f594ff0e10fb2d6baf0"),
+    ("member --d 1 --n 1 --poly 'a[1,1]^18446744073709551617'",
+     0, "d8620a265e15f166138b3bc92cc54067be8865ef0171fc70f29a533dd937117d",
+     0, "7122893ae894be16fdb7a26a0fa35187d99737511ec60516dacb6e758cf1fc38"),
     # Pairs whose sigma is not the identity, so the JSON pins its orientation.
     ('involution --d 2 --n 4 --alpha 1,1,2,0 --u0 3 --un 2 --variant 1',
      0, "8a06d032914c54eefed781a369c2545276c53b5e51a716a94147436340190563",
@@ -413,18 +421,20 @@ def test_workers_do_not_change_output(capsys):
 
 
 # identity1 at (2,2) sweeps 12 instances; None means the sweep ran serially.
-@pytest.mark.parametrize("workers,cpus,size", [
-    (100000, 4, 4), (100000, 64, 12), (3, 64, 3), (12, 12, 12),
-    (2, 1, None), (100000, None, None), (1, 64, None),
+# A pool gets four chunks a worker: 12 tasks in chunks of ceil(12 / (4 * size)).
+@pytest.mark.parametrize("workers,cpus,size,chunksize", [
+    (100000, 4, 4, 1), (100000, 64, 12, 1), (3, 64, 3, 1), (12, 12, 12, 1),
+    (2, 64, 2, 2), (2, 1, None, None), (100000, None, None, None), (1, 64, None, None),
 ])
 def test_pool_is_no_larger_than_the_instances_or_the_cpus(monkeypatch, capsys,
-                                                         workers, cpus, size):
+                                                         workers, cpus, size, chunksize):
     """A pool forks all its processes at once, so the size must be bounded
-    before it starts; a stand-in pool records it and maps in this process."""
+    before it starts; a stand-in pool records it and its chunk size, and
+    maps in this process."""
     import concurrent.futures
 
     _, serial = _run(capsys, ["identity1", "--d", "2", "--n", "2", "--all"])
-    sizes = []
+    sizes, chunksizes = [], []
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -436,7 +446,8 @@ def test_pool_is_no_larger_than_the_instances_or_the_cpus(monkeypatch, capsys,
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
+        def map(self, fn, tasks, chunksize=1):
+            chunksizes.append(chunksize)
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -445,6 +456,7 @@ def test_pool_is_no_larger_than_the_instances_or_the_cpus(monkeypatch, capsys,
                               "--workers", str(workers)])
     assert code == 0 and out == serial
     assert sizes == ([] if size is None else [size])
+    assert chunksizes == ([] if chunksize is None else [chunksize])
 
 
 def _child_env() -> dict:

@@ -1,9 +1,11 @@
 """Exact polynomial arithmetic: examples, ring axioms, text grammar."""
 
 import ast
+import inspect
 import itertools
 import operator
 import re
+import typing
 from fractions import Fraction
 from functools import partial
 from importlib.resources import files
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jacverify import poly
 from jacverify.inverse import mul_trunc
 from jacverify.poly import (
     DomainError,
@@ -642,15 +645,17 @@ def test_determinant_matches_leibniz_reference(case):
     assert all(_is_stored_coefficient(c) for c in got.terms.values())
 
 
-# Exponents on both sides of one byte: sum_of_products packs each exponent
-# into a byte, so it must fall back to tuples wherever a sum could pass 255.
-_WIDE = (0, 1, 2, 127, 128, 254, 255, 256)
+# Exponents on both sides of every width the codec can choose: the kernel
+# packs each exponent into a field of 1, 2, 4, 8 or more bytes, and must widen
+# the field wherever a sum of two exponents could carry out of it.
+_WIDE = (0, 1, 2, 127, 128, 254, 255, 256, 2**15 - 1, 2**15, 2**31 - 1, 2**31,
+         2**63 - 1, 2**63, 2**64 + 1)
 
 
 @st.composite
 def _wide_polys(draw, n, max_size, coeffs=_MIXED):
     """Each term has at most two nonzero exponents, from 1, 2 and one drawn
-    from _WIDE per polynomial, so that both kernel paths are taken."""
+    from _WIDE per polynomial, so that every field width is taken."""
     nv = n_vars(n)
     top = draw(st.sampled_from(_WIDE))
     mono = st.lists(st.tuples(st.integers(0, nv - 1), st.sampled_from((1, 2, top))),
@@ -677,6 +682,10 @@ def _byte_edge(*lead):
 @example((1, [(Poly.const(1, 3), Poly.one(1)), (Poly.zero(1), Poly.zero(1))]))
 @example((1, [(_byte_edge(128, 127), _byte_edge(128, 1))]))
 @example((1, [(_byte_edge(127, 1), _byte_edge(128, 2)), (_byte_edge(1, 0), _byte_edge(254, 0))]))
+@example((1, [(_byte_edge(2**15 - 1, 1), _byte_edge(2**15 - 1, 2)),
+              (_byte_edge(2**15, 0), _byte_edge(1, 0))]))
+@example((1, [(_byte_edge(2**31, 2**31 - 1), _byte_edge(2**63 - 1, 1))]))
+@example((1, [(_byte_edge(2**63, 1), _byte_edge(2**64 + 1, 2**64 - 1))]))
 def test_sum_of_products_matches_reference_across_byte_boundary(case):
     n, pairs = case
     expected = {}
@@ -700,13 +709,25 @@ def _wide_matrices(draw):
     return n, [[draw(entry) for _ in range(size)] for _ in range(size)]
 
 
+def _edge_rows(lo, hi):
+    """A 2 x 2 grid whose rows' largest degrees are lo and hi."""
+    return 1, [[_byte_edge(lo, 0), _byte_edge(1, 0)], [_byte_edge(2, 0), _byte_edge(hi, 0)]]
+
+
 @settings(max_examples=80, deadline=None)
 @given(_wide_matrices())
-@example((1, [[_byte_edge(127, 0), _byte_edge(1, 0)], [_byte_edge(2, 0), _byte_edge(128, 0)]]))
-@example((1, [[_byte_edge(128, 0), _byte_edge(1, 0)], [_byte_edge(2, 0), _byte_edge(128, 0)]]))
+@example(_edge_rows(127, 128))
+@example(_edge_rows(128, 128))
+@example(_edge_rows(2**15 - 1, 2**15))
+@example(_edge_rows(2**15, 2**15))
+@example(_edge_rows(2**31 - 1, 2**31))
+@example(_edge_rows(2**31, 2**31))
+@example(_edge_rows(2**63 - 1, 2**63))
+@example(_edge_rows(2**63, 2**63))
+@example(_edge_rows(2**64 + 1, 2**70))
 def test_determinant_by_head_matches_leibniz_across_byte_boundary(case):
-    """The first example packs the whole expansion (its rows reach degree 255),
-    the second must not (256)."""
+    """The examples' bounds lie on both sides of every field width: 255 and
+    256, 2**16 - 1 and 2**16, 2**32 - 1 and 2**32, 2**64 - 1 and 2**64."""
     n, rows = case
     heads = determinant_by_head(rows, n, lambda head: 1)
     assert _joined(heads) == _ref_leibniz(n, rows)
@@ -718,6 +739,34 @@ def test_determinant_by_head_matches_leibniz_across_byte_boundary(case):
         [(h, list(part.items())) for h, part in split.items()]
 
 
+@pytest.mark.parametrize("top,width", [
+    (127, 1), (128, 2), (2**15 - 1, 2), (2**15, 4), (2**31 - 1, 4), (2**31, 8),
+    (2**63 - 1, 8), (2**63, 16), (2**64 + 1, 16), (2**127, 32),
+])
+def test_keys_take_the_narrowest_width_at_which_no_sum_carries(monkeypatch, top, width):
+    """A product squares a factor of degree top, and a determinant has two
+    rows of largest degree top; each takes the narrowest field that holds
+    2 * top."""
+    widths = []
+    codec = poly._codec
+    monkeypatch.setattr(poly, "_codec", lambda n, w: widths.append(w) or codec(n, w))
+    p = _byte_edge(top, 1)
+    assert sum_of_products(1, [(p, p)]).terms == _ref_mul(_ref(p.terms), _ref(p.terms))
+    assert widths[-1] == width
+    n, rows = _edge_rows(top, top)
+    assert _joined(determinant_by_head(rows, n, lambda head: 1)) == _ref_leibniz(n, rows)
+    assert widths[-1] == width
+
+
+def test_annotations_resolve():
+    """Every name an annotation of poly uses is bound in the module."""
+    public = [f for name, f in vars(poly).items() if not name.startswith("_")
+              and inspect.isfunction(f) and f.__module__ == poly.__name__]
+    assert substitute_numeric in public
+    for f in [*public, Poly.__init__]:
+        typing.get_type_hints(f)
+
+
 def test_kernel_rejects_mismatched_dimensions():
     with pytest.raises(StructuralError, match="mismatched ambient n"):
         sum_of_products(2, [(x_(2, 1), x_(1, 1))])
@@ -725,7 +774,7 @@ def test_kernel_rejects_mismatched_dimensions():
         poly_sum(1, [x_(1, 1), x_(2, 1)])
 
 
-_KERNEL_PRIVATE = {"_canonical_terms", "_mul_into"}
+_KERNEL_PRIVATE = {"_canonical_terms", "_codec"}
 
 
 def _kernel_private_uses(tree) -> list:
@@ -747,7 +796,7 @@ def test_only_poly_touches_the_canonical_form():
     modules = [m for m in files("jacverify").iterdir() if m.name.endswith(".py")]
     assert any(m.name == "poly.py" for m in modules)
     assert _kernel_private_uses(ast.parse(
-        "from .poly import _canonical_terms\nPoly._of(n, t)\npoly._mul_into(o, p, q)"))
+        "from .poly import _canonical_terms\nPoly._of(n, t)\npoly._codec(n, 1)"))
     for module in modules:
         if module.name != "poly.py":
             assert _kernel_private_uses(ast.parse(module.read_text())) == [], module.name
