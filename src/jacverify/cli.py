@@ -68,6 +68,7 @@ verify_involution = _deferred("verify_involution")
 membership = _deferred("membership")
 verify_main_theorem = _deferred("verify_main_theorem")
 Poly = _deferred("Poly")
+DomainError = _deferred("DomainError")
 format_poly = _deferred("format_poly")
 parse_poly = _deferred("parse_poly")
 
@@ -100,8 +101,6 @@ class Report:
 def _write(path: str, render) -> None:
     """Fill an --out or --dump file through ``render(write)``; a path that cannot be
     written is an input error."""
-    from .poly import DomainError
-
     try:
         with open(path, "w") as fh:
             render(fh.write)
@@ -131,14 +130,10 @@ def _parse_ints(text: str, what: str) -> tuple:
     try:
         return tuple(int(v) for v in text.split(","))
     except ValueError:
-        from .poly import DomainError
-
         raise DomainError(f"{what} must be comma-separated integers, got {text!r}")
 
 
 def _parse_comp(text: str, parts: int, what: str) -> tuple:
-    from .poly import DomainError
-
     values = _parse_ints(text, what)
     if len(values) != parts:
         raise DomainError(f"{what} needs exactly {parts} parts, got {len(values)}")
@@ -148,8 +143,6 @@ def _parse_comp(text: str, parts: int, what: str) -> tuple:
 
 
 def _parse_labels(text: str, width: int, n: int, what: str) -> tuple:
-    from .poly import DomainError
-
     values = () if text == "" else _parse_ints(text, what)
     if len(values) != width:
         raise DomainError(f"{what} needs exactly {width} labels, got {len(values)}")
@@ -173,8 +166,6 @@ def _check_sweep_flags(args, names) -> None:
     """--all sweeps every instance, so a flag that pins one is an input error."""
     pinned = [f"--{name}" for name in names if getattr(args, name, None) is not None]
     if args.sweep_all and pinned:
-        from .poly import DomainError
-
         raise DomainError(f"--all sweeps every instance and takes no {', '.join(pinned)}")
 
 
@@ -224,8 +215,6 @@ def _run_z(args) -> tuple:
 
 
 def _run_identity(args) -> tuple:
-    from .poly import DomainError
-
     _check_sweep_flags(args, ("alpha", "u0", "un", "beta"))
     which, d, n = args.subcommand, args.d, args.n
     trials = args.numeric_trials if which == "identity1" else 0
@@ -278,8 +267,6 @@ def _run_identity(args) -> tuple:
 
 
 def _run_relation(args) -> tuple:
-    from .poly import DomainError
-
     _check_sweep_flags(args, ("alpha1", "alpha2", "u"))
     d = args.d
     if args.sweep_all:
@@ -292,8 +279,7 @@ def _run_relation(args) -> tuple:
     rep = relation_report(d, instances)
     entries = []
     lines = []
-    groups = rep.by_instance()
-    for (a1, a2, u), group in groups:
+    for (a1, a2, u), group in rep.instances:
         for e in group:
             entries.append({
                 "alpha1": list(a1), "alpha2": list(a2), "u": u, "v": e.v,
@@ -312,7 +298,7 @@ def _run_relation(args) -> tuple:
     counts = {"checked": len(entries), "failures": rep.unsatisfied}
     status = "pass" if rep.unsatisfied == 0 else "info"
     lines.append(f"{status}: zero for some v on "
-                 f"{len(groups) - rep.unsatisfied} of {len(groups)} instances")
+                 f"{len(rep.instances) - rep.unsatisfied} of {len(rep.instances)} instances")
     report = _verdict(status, counts, {"d": d, "entries": entries}, lines)
     return report, 0 if rep.unsatisfied == 0 else 1
 
@@ -325,8 +311,7 @@ def _state_json(s) -> dict:
 
 def _pairs_json(rep) -> list:
     pairs = []
-    for s, img in rep.pairs:
-        w = rep.weights[s]
+    for s, img, w in rep.pairs:
         (mono, coeff), = w.terms.items()
         pairs.append({
             "state": _state_json(s),
@@ -338,8 +323,6 @@ def _pairs_json(rep) -> list:
 
 
 def _run_involution(args) -> tuple:
-    from .poly import DomainError
-
     d, n, u0, un, variant = args.d, args.n, args.u0, args.un, args.variant
     alpha = _parse_comp(args.alpha, n, "alpha")
     beta = _parse_beta(args)
@@ -376,8 +359,6 @@ def _run_involution(args) -> tuple:
 
 
 def _run_inverse(args) -> tuple:
-    from .poly import DomainError
-
     d, n = args.d, args.n
     if args.coeff is not None:
         if args.n_max is not None:
@@ -425,10 +406,9 @@ def _run_verify_theorem(args) -> tuple:
     entries = []
     lines = []
     for e in rep.entries:
-        cert_json = None if e.certificate is None else _certificate_json(e.certificate)
         entries.append({"i": e.i, "alpha": list(e.alpha), "N": e.N,
                         "exceptional": e.exceptional, "member": e.member,
-                        "certificate": cert_json})
+                        "certificate": _certificate_json(e.certificate)})
         tag = "member" if e.member else "non-member"
         if e.exceptional:
             tag += " (exceptional, not asserted)"
@@ -437,7 +417,7 @@ def _run_verify_theorem(args) -> tuple:
     counts = {"checked": len(rep.entries), "failures": len(rep.failures)}
     lines.append(f"{status}: {counts['checked']} coefficients, "
                  f"{counts['failures']} failures, "
-                 f"{len(rep.exceptional_entries())} exceptional")
+                 f"{sum(e.exceptional for e in rep.entries)} exceptional")
     payload = {"d": args.d, "N": list(N_list), "entries": entries,
                "failures": [str(f) for f in rep.failures]}
     return _verdict(status, counts, payload, lines), 0 if rep.ok else 1

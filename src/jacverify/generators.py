@@ -153,13 +153,8 @@ def generator_direct(spec: DLinearSpec, key: JKey) -> Poly:
                         for nu in labelings))
 
 
-class CrossCheckReport:
-    def __init__(self, spec: DLinearSpec, checked: int, mismatches: list):
-        self.spec, self.checked, self.mismatches = spec, checked, mismatches
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
+# The keys whose two generators differ, each as (key, extracted, direct).
+CrossCheckReport = namedtuple("CrossCheckReport", "mismatches ok")
 
 
 def cross_check_generators(spec: DLinearSpec) -> CrossCheckReport:
@@ -170,4 +165,4 @@ def cross_check_generators(spec: DLinearSpec) -> CrossCheckReport:
         direct = generator_direct(spec, key)
         if direct != gens[key]:
             mismatches.append((key, gens[key], direct))
-    return CrossCheckReport(spec, len(gens.entries), mismatches)
+    return CrossCheckReport(mismatches, not mismatches)

@@ -42,9 +42,9 @@ The two-ones relation expresses one fern weight through three generators
 with binomial denominators.  Its printed source leaves one label unbound,
 so ``check_relation_2_1s`` takes the candidate label as an input and
 returns the exact difference polynomial instead of asserting anything.
-``relation_report`` runs it on both labels of every instance that
-``relation_instances`` enumerates (or of the instances given) and judges
-each difference: zero, or homogeneous of degree 2d.
+``relation_report`` judges the difference at both labels of every instance
+that ``relation_instances`` enumerates (or of those given) as zero, or
+homogeneous of degree 2d, and files the two labels under their instance.
 """
 
 from __future__ import annotations
@@ -231,34 +231,11 @@ def relation_instances(d: int):
                 yield alpha1, alpha2, u
 
 
-RelationEntry = namedtuple("RelationEntry",
-                           "alpha1 alpha2 u v difference is_zero homogeneous_2d")
-
-
-class RelationReport:
-    def __init__(self, d: int):
-        self.d = d
-        self.entries = []
-
-    @property
-    def structurally_ok(self) -> bool:
-        """Every recorded difference is zero or homogeneous of degree 2d."""
-        return all(e.is_zero or e.homogeneous_2d for e in self.entries)
-
-    def zero_vs(self) -> list:
-        return sorted({e.v for e in self.entries if e.is_zero})
-
-    def by_instance(self) -> list:
-        """(alpha1, alpha2, u) paired with its entries, in sweep order."""
-        groups: dict = {}
-        for e in self.entries:
-            groups.setdefault((e.alpha1, e.alpha2, e.u), []).append(e)
-        return list(groups.items())
-
-    @property
-    def unsatisfied(self) -> int:
-        """Instances that no leaf label makes zero."""
-        return sum(not any(e.is_zero for e in group) for _, group in self.by_instance())
+# One leaf label v of an instance: the difference LHS - RHS and how it was judged.
+RelationEntry = namedtuple("RelationEntry", "v difference is_zero homogeneous_2d")
+# instances pairs each (alpha1, alpha2, u) with its entries at v = 1, 2, in sweep
+# order; unsatisfied counts the instances that no leaf label makes zero.
+RelationReport = namedtuple("RelationReport", "instances unsatisfied")
 
 
 def relation_report(d: int, instances=None) -> RelationReport:
@@ -269,28 +246,24 @@ def relation_report(d: int, instances=None) -> RelationReport:
     instances = list(relation_instances(d) if instances is None else instances)
     if not instances:
         raise DomainError("the relation sweep has no instance")
-    report = RelationReport(d)
+    groups = []
+    unsatisfied = 0
     for alpha1, alpha2, u in instances:
+        entries = []
         for v in (1, 2):
             diff = check_relation_2_1s(d, alpha1, alpha2, u, v)
             homog = diff.is_homogeneous_in_a() and {sum(m) for m in diff.terms} <= {2 * d}
-            report.entries.append(
-                RelationEntry(alpha1, alpha2, u, v, diff, diff.is_zero(), homog)
-            )
-    return report
+            entries.append(RelationEntry(v, diff, diff.is_zero(), homog))
+        groups.append(((alpha1, alpha2, u), entries))
+        unsatisfied += not any(e.is_zero for e in entries)
+    return RelationReport(groups, unsatisfied)
 
 
 # -- numeric Cayley-Hamilton spot check ----------------------------------
 
 
-class CHNumericReport:
-    def __init__(self, n: int, trials: int):
-        self.n, self.trials = n, trials
-        self.failures = []
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+# Each failure is (trial, what failed, the sample matrix, the nonzero residual).
+CHNumericReport = namedtuple("CHNumericReport", "failures ok")
 
 
 def _principal_minor_sum(A, k: int) -> Fraction:
@@ -315,8 +288,10 @@ def cayley_hamilton_numeric(n: int, trials: int, seed: int = 0) -> CHNumericRepo
 
     if n < 1:
         raise DomainError("n must be positive")
+    if trials < 1:  # a check over no matrix proves nothing
+        raise DomainError("trials must be positive")
     rng = Random(seed)
-    report = CHNumericReport(n, trials)
+    failures = []
 
     zero_alpha = (0,) * n
     lhs_by_pair = {
@@ -343,11 +318,11 @@ def cayley_hamilton_numeric(n: int, trials: int, seed: int = 0) -> CHNumericRepo
                 for j in range(n):
                     residual[i][j] += (-1) ** k * ek * Ank[i][j]
         if any(residual[i][j] != 0 for i in range(n) for j in range(n)):
-            report.failures.append((trial, "matrix residual", A, residual))
+            failures.append((trial, "matrix residual", A, residual))
             continue
 
         for pair, lhs in lhs_by_pair.items():
             value = substitute_numeric(lhs, assignment)
             if value != 0:
-                report.failures.append((trial, f"identity residual at {pair}", A, value))
-    return report
+                failures.append((trial, f"identity residual at {pair}", A, value))
+    return CHNumericReport(failures, not failures)

@@ -25,6 +25,7 @@ checks.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 
 from .combinatorics import enumerate_compositions
 from .generators import DLinearSpec, map_components
@@ -98,13 +99,8 @@ def inverse_series(spec: DLinearSpec, n_max: int) -> TruncatedSeries:
     return TruncatedSeries(spec, n_max, [poly_sum(n, layers) for layers in g])
 
 
-class InverseReport:
-    def __init__(self, spec: DLinearSpec, n_max: int, failures: list):
-        self.spec, self.n_max, self.failures = spec, n_max, failures
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+# Each failure is (side, component i, its first nonzero residual monomial).
+InverseReport = namedtuple("InverseReport", "failures ok")
 
 
 def verify_inverse(spec: DLinearSpec, n_max: int) -> InverseReport:
@@ -133,7 +129,7 @@ def verify_inverse(spec: DLinearSpec, n_max: int) -> InverseReport:
         residual = gi_of_f - x_(n, i)
         if not residual.is_zero():
             failures.append(("g(f)", i, _first_monomial(residual)))
-    return InverseReport(spec, n_max, failures)
+    return InverseReport(failures, not failures)
 
 
 def _first_monomial(p: Poly) -> str:

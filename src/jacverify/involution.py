@@ -11,10 +11,9 @@ factor.  The signed weight of a state multiplies (-1)^cycles(sigma) into
 one a-variable factor per fern edge, per extra leaf, per sigma image and
 per rho entry; ``state_weight`` writes that product straight into one
 exponent vector with ``poly.a_monomial``.  ``verify_involution`` builds
-each weight once, keeps it on the report (``InvolutionReport.weights``),
-sums the weights with ``poly.poly_sum`` and compares every pair by the
-stored weights; it classifies each state once and hands that
-classification to ``tau`` or ``tau_inverse``.
+each weight once, sums the weights with ``poly.poly_sum``, compares every
+pair by them and returns each pair with its state's weight; it classifies
+each state once and hands that classification to ``tau`` or ``tau_inverse``.
 
 States split into two sides.  With h the greatest path index whose label
 lies in S and (l1, l2) the last-rep indices of lam:
@@ -166,20 +165,10 @@ def tau_inverse(s: TupleState, variant: int, cls: Classification | None = None) 
                       S, tuple(sigma[e] for e in S), tuple(rows[e] for e in S))
 
 
-class InvolutionReport:
-    def __init__(self, d: int, n: int, alpha: tuple, u0: int, un: int, variant: int,
-                 beta: tuple | None):
-        self.d, self.n, self.alpha, self.u0, self.un = d, n, alpha, u0, un
-        self.variant, self.beta = variant, beta
-        self.states = self.domain_count = self.image_count = 0
-        self.pairs = []
-        self.failures = []
-        self.signed_sum = None
-        self.weights = {}  # state -> its signed weight
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+# states, domain_count and image_count count the states and their two sides;
+# pairs holds (state, partner, the state's signed weight) for every checked pair.
+InvolutionReport = namedtuple(
+    "InvolutionReport", "states domain_count image_count pairs failures signed_sum ok")
 
 
 def verify_involution(d, n, alpha, u0, un, variant, restricted_beta=None) -> InvolutionReport:
@@ -188,11 +177,11 @@ def verify_involution(d, n, alpha, u0, un, variant, restricted_beta=None) -> Inv
     With ``restricted_beta`` the state set is cut down to nu[0] = beta and
     |S| != n (requires variant 2 and u0 != un); the map must stay inside
     the restricted set, which is what makes the pinned-first-row identity
-    follow from the same pairing.
+    follow from the same pairing.  A set with no state fails: a pairing of
+    nothing proves nothing.
     """
     if variant not in (1, 2):
         raise DomainError("variant must be 1 or 2")
-    report = InvolutionReport(d, n, tuple(alpha), u0, un, variant, restricted_beta)
     if restricted_beta is not None:
         if variant != 2:
             raise DomainError("the restricted pairing uses variant 2")
@@ -206,9 +195,9 @@ def verify_involution(d, n, alpha, u0, un, variant, restricted_beta=None) -> Inv
             s for s in states
             if len(s.S) != n and len(s.nu) >= 1 and s.nu[0] == restricted_beta
         ]
-    report.states = len(states)
+    failures = [] if states else [{"kind": "no-state", "detail": "no state to check"}]
 
-    weights = report.weights
+    weights = {}  # state -> its signed weight
     domain_states = []  # (state, its classification), handed on to tau
     image_states = {}  # state -> its classification, handed on to tau_inverse
     for s in states:
@@ -216,48 +205,46 @@ def verify_involution(d, n, alpha, u0, un, variant, restricted_beta=None) -> Inv
         try:
             cls = classify(s)
         except VerificationError as exc:
-            report.failures.append({"kind": "partition", "state": s, "detail": str(exc)})
+            failures.append({"kind": "partition", "state": s, "detail": str(exc)})
             continue
         if cls.side == DOMAIN_SIDE:
             domain_states.append((s, cls))
         else:
             image_states[s] = cls
-    report.domain_count = len(domain_states)
-    report.image_count = len(image_states)
-    report.signed_sum = poly_sum(n, (weights[s] for s in states))
+    signed_sum = poly_sum(n, (weights[s] for s in states))
 
+    pairs = []
     seen_images = set()
     for s, cls in domain_states:
         img = tau(s, variant, cls)
         if img not in weights:
-            report.failures.append({"kind": "closure", "state": s, "partner": img})
+            failures.append({"kind": "closure", "state": s, "partner": img})
             continue
         if img not in image_states:
-            report.failures.append({"kind": "side", "state": s, "partner": img})
+            failures.append({"kind": "side", "state": s, "partner": img})
             continue
         if img in seen_images:
-            report.failures.append({"kind": "collision", "state": s, "partner": img})
+            failures.append({"kind": "collision", "state": s, "partner": img})
             continue
         seen_images.add(img)
         w, wi = weights[s], weights[img]
         if w.terms != {m: -c for m, c in wi.terms.items()}:  # terms hold no zero
-            report.failures.append(
-                {"kind": "weight", "state": s, "partner": img,
-                 "weights": (str(w), str(wi))}
-            )
+            failures.append({"kind": "weight", "state": s, "partner": img,
+                             "weights": (str(w), str(wi))})
             continue
         back = tau_inverse(img, variant, image_states[img])
         if back != s:
-            report.failures.append({"kind": "round-trip", "state": s, "partner": img})
+            failures.append({"kind": "round-trip", "state": s, "partner": img})
             continue
-        report.pairs.append((s, img))
+        pairs.append((s, img, w))
     if seen_images != image_states.keys():
         missed = sorted(
             image_states.keys() - seen_images,
             key=lambda s: (len(s.S), s.lam, s.nu, s.S, s.sigma, s.rho),
         )
         for s in missed:
-            report.failures.append({"kind": "unmatched-image", "state": s})
-    if not report.signed_sum.is_zero():
-        report.failures.append({"kind": "signed-sum", "detail": str(report.signed_sum)})
-    return report
+            failures.append({"kind": "unmatched-image", "state": s})
+    if not signed_sum.is_zero():
+        failures.append({"kind": "signed-sum", "detail": str(signed_sum)})
+    return InvolutionReport(len(states), len(domain_states), len(image_states), pairs,
+                            failures, signed_sum, not failures)

@@ -291,15 +291,8 @@ def certificate_residual(spec: DLinearSpec, cert: MembershipCertificate) -> Poly
 # -- fern lemma sweep ------------------------------------------------------
 
 
-class FernMembershipReport:
-    def __init__(self, d: int):
-        self.d = d
-        self.entries = []  # (u0, u2, nu, certificate)
-        self.failures = []
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+# entries holds (u0, u2, nu, certificate) per target; failures the non-members.
+FernMembershipReport = namedtuple("FernMembershipReport", "entries failures ok")
 
 
 def verify_fern_lemmas(d: int) -> FernMembershipReport:
@@ -312,7 +305,6 @@ def verify_fern_lemmas(d: int) -> FernMembershipReport:
         raise DomainError("d must be positive")
     n = 2
     spec = DLinearSpec(d, n)
-    report = FernMembershipReport(d)
     row = lambda ones: (1,) * ones + (2,) * (d - 1 - ones)
     targets = []
     for u0 in (1, 2):
@@ -322,33 +314,18 @@ def verify_fern_lemmas(d: int) -> FernMembershipReport:
                     nu = (row(m1), row(m2))
                     targets.append((u0, u2, nu, z_fern(FernLabeling(d, n, 2, u0, u2, nu))))
     basis = build_basis(spec, 2 * d, _weights(spec, (z for *_, z in targets)))
-    for u0, u2, nu, z in targets:
-        cert = membership(spec, z, basis)
-        report.entries.append((u0, u2, nu, cert))
-        if not cert.member:
-            report.failures.append((u0, u2, nu, str(cert.residual)))
-    return report
+    entries = [(u0, u2, nu, membership(spec, z, basis)) for u0, u2, nu, z in targets]
+    failures = [(u0, u2, nu, str(cert.residual))
+                for u0, u2, nu, cert in entries if not cert.member]
+    return FernMembershipReport(entries, failures, not failures)
 
 
 # -- inverse coefficient sweep ---------------------------------------------
 
 
-# certificate is None for a zero coefficient.
 TheoremEntry = namedtuple("TheoremEntry", "i alpha N exceptional member certificate")
-
-
-class TheoremReport:
-    def __init__(self, d: int, N_list: list):
-        self.d, self.N_list = d, N_list
-        self.entries = []
-        self.failures = []
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def exceptional_entries(self) -> list:
-        return [e for e in self.entries if e.exceptional]
+# failures holds the non-members at orders 2d and above.
+TheoremReport = namedtuple("TheoremReport", "entries failures ok")
 
 
 def verify_main_theorem(d: int, N_list) -> TheoremReport:
@@ -367,8 +344,9 @@ def verify_main_theorem(d: int, N_list) -> TheoremReport:
     for N in N_list:
         if N < d or N % d != 0:
             raise DomainError(f"order {N} is not a positive multiple of d")
-    report = TheoremReport(d, N_list)
     series = inverse_series(spec, max(N_list))
+    entries = []
+    failures = []
     for N in N_list:
         exceptional = N < 2 * d
         leaves = 1 + (d - 1) * N // d
@@ -376,13 +354,8 @@ def verify_main_theorem(d: int, N_list) -> TheoremReport:
                   for i in (1, 2) for alpha in enumerate_compositions(leaves, n)]
         basis = build_basis(spec, N, _weights(spec, (c for *_, c in coeffs)))
         for i, alpha, c in coeffs:
-            if c.is_zero():
-                report.entries.append(TheoremEntry(i, alpha, N, exceptional, True, None))
-                continue
             cert = membership(spec, c, basis)
-            report.entries.append(
-                TheoremEntry(i, alpha, N, exceptional, cert.member, cert)
-            )
+            entries.append(TheoremEntry(i, alpha, N, exceptional, cert.member, cert))
             if not cert.member and not exceptional:
-                report.failures.append((i, alpha, N, str(cert.residual)))
-    return report
+                failures.append((i, alpha, N, str(cert.residual)))
+    return TheoremReport(entries, failures, not failures)

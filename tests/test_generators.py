@@ -107,6 +107,18 @@ def test_cross_check_small(d, n):
     assert report.ok, report.mismatches[:1]
 
 
+def test_cross_check_reports_a_mismatch(monkeypatch):
+    """A closed formula off by one on a single key fails on that key alone."""
+    spec, key = DLinearSpec(2, 2), JKey(1, (1, 0))
+    honest = generators.generator_direct
+    monkeypatch.setattr(generators, "generator_direct",
+                        lambda s, k: honest(s, k) + (1 if k == key else 0))
+    report = cross_check_generators(spec)
+    extracted = extract_generators(spec)[key]
+    assert not report.ok
+    assert report.mismatches == [(key, extracted, extracted + 1)]
+
+
 def test_generator_homogeneity_and_row_degrees():
     for d, n in [(1, 2), (2, 2), (3, 2), (2, 3)]:
         gens = extract_generators(DLinearSpec(d, n))

@@ -184,9 +184,14 @@ def test_relation_d2_reports_both_leaf_labels():
 def test_relation_grid_structure(d):
     report = relation_report(d)
     expected = sum(1 for a1 in enumerate_compositions(d - 1, 2) if a1[0] >= 1) \
-        * len(enumerate_compositions(d - 1, 2)) * 2 * 2
-    assert len(report.entries) == expected
-    assert report.structurally_ok
+        * len(enumerate_compositions(d - 1, 2)) * 2
+    assert [inst for inst, _ in report.instances] == list(relation_instances(d))
+    assert len(report.instances) == expected
+    for _, entries in report.instances:
+        assert [e.v for e in entries] == [1, 2]
+        assert all(e.is_zero or e.homogeneous_2d for e in entries)
+    assert report.unsatisfied == sum(
+        not any(e.is_zero for e in entries) for _, entries in report.instances)
 
 
 def test_relation_sweep_needs_d_at_least_two():
@@ -205,10 +210,13 @@ def test_relation_report_refuses_an_empty_instance_list():
 
 def test_relation_report_of_one_instance():
     report = relation_report(3, [((1, 1), (2, 0), 2)])
-    assert [(e.alpha1, e.alpha2, e.u, e.v) for e in report.entries] == [
-        ((1, 1), (2, 0), 2, 1), ((1, 1), (2, 0), 2, 2)]
-    assert report.by_instance() == [(((1, 1), (2, 0), 2), report.entries)]
-    assert report.unsatisfied == (0 if report.zero_vs() else 1)
+    [(instance, entries)] = report.instances
+    assert instance == ((1, 1), (2, 0), 2)
+    assert [e.v for e in entries] == [1, 2]
+    for e in entries:
+        assert e.difference == check_relation_2_1s(3, (1, 1), (2, 0), 2, e.v)
+        assert e.is_zero == e.difference.is_zero()
+    assert report.unsatisfied == (0 if any(e.is_zero for e in entries) else 1)
 
 
 def test_relation_rejects_bad_inputs():
@@ -234,3 +242,39 @@ def test_cayley_hamilton_numeric_small():
     assert cayley_hamilton_numeric(2, 10, seed=2).ok
     report = cayley_hamilton_numeric(4, 3, seed=3)
     assert report.ok and not report.failures
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_cayley_hamilton_numeric_refuses_no_trial(trials):
+    """A spot check over no matrix would pass vacuously: an input error."""
+    with pytest.raises(DomainError, match="trials must be positive"):
+        cayley_hamilton_numeric(2, trials)
+
+
+def test_cayley_hamilton_numeric_reports_a_matrix_residual(monkeypatch):
+    honest = identities._principal_minor_sum
+    monkeypatch.setattr(identities, "_principal_minor_sum",
+                        lambda A, k: honest(A, k) + (k == 2))
+    report = cayley_hamilton_numeric(2, 3, seed=1)
+    assert not report.ok
+    assert [(trial, what) for trial, what, _, _ in report.failures] == [
+        (0, "matrix residual"), (1, "matrix residual"), (2, "matrix residual")]
+    # e_2(A) = det(A) one too large leaves the identity matrix as the residual.
+    assert all(residual == [[1, 0], [0, 1]] for *_, residual in report.failures)
+
+
+def test_cayley_hamilton_numeric_reports_an_identity_residual(monkeypatch):
+    monkeypatch.setattr(identities, "substitute_numeric", lambda p, assignment: 1)
+    report = cayley_hamilton_numeric(2, 2, seed=1)
+    assert not report.ok
+    assert [(trial, what) for trial, what, _, _ in report.failures] == [
+        (trial, f"identity residual at {pair}")
+        for trial in (0, 1) for pair in ((1, 1), (1, 2), (2, 1), (2, 2))]
+
+
+def test_cli_numeric_failure_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(identities, "substitute_numeric", lambda p, assignment: 1)
+    argv = ["identity1", "--d", "1", "--n", "2", "--all", "--numeric-trials", "2"]
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["numeric n=2 trials=2 seed=0: FAIL", "fail: 6 checked, 8 failures"]

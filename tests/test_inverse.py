@@ -151,6 +151,19 @@ def test_degree_law():
         assert degree_law_holds(spec, inverse_series(spec, n_max))
 
 
+@pytest.mark.parametrize("stray", [
+    x_(2, 1) * x_(2, 2),  # order 0 with two leaves
+    t_(2) * x_(2, 1) * a_(2, 1, 1),  # an order that is no multiple of d = 2
+    t_(2) ** 2 * x_(2, 1) * a_(2, 1, 1) ** 2,  # order 2 needs 2 leaves, not 1
+    t_(2) ** 2 * x_(2, 1) * x_(2, 2) * a_(2, 1, 1),  # order 2 needs a-degree 2, not 1
+], ids=["order-0", "order-off-d", "leaves", "a-degree"])
+def test_degree_law_catches_each_stray_term(stray):
+    spec = DLinearSpec(2, 2)
+    series = inverse_series(spec, 4)
+    components = [series.component(1) + stray, series.component(2)]
+    assert not degree_law_holds(spec, TruncatedSeries(spec, 4, components))
+
+
 @st.composite
 def _series_sizes(draw):
     d = draw(st.integers(1, 3))
@@ -185,8 +198,10 @@ def test_verify_inverse_catches_one_perturbed_layer(monkeypatch, d, n, n_max):
             bad[i - 1] = Poly(n, terms)
             monkeypatch.setattr(inverse, "inverse_series",
                                 lambda s, N, bad=bad: TruncatedSeries(s, N, bad))
-            failed = {(kind, comp) for kind, comp, _ in verify_inverse(spec, n_max).failures}
+            report = verify_inverse(spec, n_max)
+            failed = {(kind, comp) for kind, comp, _ in report.failures}
             assert ("f(g)", i) in failed and ("g(f)", i) in failed, (m, i)
+            assert not report.ok
 
 
 def test_truncate_consistency():

@@ -274,7 +274,7 @@ def test_dropped_sign_is_caught(monkeypatch):
     monkeypatch.setattr(inv, "state_weight", unsigned)
     rep = verify_involution(2, 2, (1, 1), 1, 2, 1)
     kinds = {f["kind"] for f in rep.failures}
-    assert {"weight", "signed-sum"} <= kinds
+    assert {"weight", "signed-sum"} <= kinds and not rep.ok
     expected = Poly.zero(2)
     for s in enumerate_states(2, 2, (1, 1), 1, 2):
         expected = expected + unsigned(s)
@@ -296,3 +296,99 @@ def test_each_state_weight_built_once(monkeypatch):
     rep = verify_involution(2, 2, (1, 1), 1, 2, 1)
     assert rep.ok and rep.pairs
     assert len(calls) == rep.states == len(set(calls))
+
+
+@pytest.mark.parametrize("args", [
+    (2, 3, (1, 1, 1, 0), 1, 2, 1),  # alpha has one part too many
+    (2, 3, (1, 1, 1), 1, 2, 2, (5,)),  # the beta label lies outside [1,n]
+], ids=["long-alpha", "beta-out-of-range"])
+def test_a_check_over_no_state_fails(args):
+    """A pairing of no state proves nothing, so it is not ok and says why."""
+    rep = verify_involution(*args)
+    assert rep.states == 0 and rep.pairs == [] and rep.signed_sum.is_zero()
+    assert not rep.ok
+    assert rep.failures == [{"kind": "no-state", "detail": "no state to check"}]
+
+
+# Each mutation below breaks one step of the pairing on an instance that
+# passes honestly; the check must name that step and not be ok.
+_INSTANCE = (2, 2, (1, 1), 1, 2, 1)
+
+
+def _kinds(rep) -> set:
+    assert not rep.ok
+    return {f["kind"] for f in rep.failures}
+
+
+def test_unclassifiable_state_is_a_partition_failure(monkeypatch):
+    import jacverify.involution as inv
+
+    honest = inv.classify
+    first = enumerate_states(*_INSTANCE[:5])[0]
+
+    def refuse_first(s):
+        if s == first:
+            raise inv.VerificationError("state not on exactly one side")
+        return honest(s)
+
+    assert verify_involution(*_INSTANCE).ok
+    monkeypatch.setattr(inv, "classify", refuse_first)
+    rep = verify_involution(*_INSTANCE)
+    assert "partition" in _kinds(rep)
+    [failure] = [f for f in rep.failures if f["kind"] == "partition"]
+    assert failure["state"] == first
+
+
+def test_image_outside_the_state_set_is_a_closure_failure(monkeypatch):
+    import jacverify.involution as inv
+
+    monkeypatch.setattr(inv, "tau", lambda s, variant, cls: s._replace(lam=()))
+    assert {"closure", "unmatched-image"} == _kinds(verify_involution(*_INSTANCE))
+
+
+def test_image_on_the_domain_side_is_a_side_failure(monkeypatch):
+    import jacverify.involution as inv
+
+    monkeypatch.setattr(inv, "tau", lambda s, variant, cls: s)
+    assert {"side", "unmatched-image"} == _kinds(verify_involution(*_INSTANCE))
+
+
+def test_two_states_with_one_image_are_a_collision(monkeypatch):
+    import jacverify.involution as inv
+
+    honest = inv.tau
+    images = []
+
+    def one_image(s, variant, cls):
+        if not images:
+            images.append(honest(s, variant, cls))
+        return images[0]
+
+    monkeypatch.setattr(inv, "tau", one_image)
+    rep = verify_involution(*_INSTANCE)
+    assert "collision" in _kinds(rep)
+    assert all(f["partner"] == images[0] for f in rep.failures if f["kind"] == "collision")
+    assert [img for _, img, _ in rep.pairs] == images
+
+
+def test_inverse_that_misses_its_state_is_a_round_trip_failure(monkeypatch):
+    import jacverify.involution as inv
+
+    monkeypatch.setattr(inv, "tau_inverse", lambda s, variant, cls: s)
+    rep = verify_involution(*_INSTANCE)
+    assert {"round-trip"} == _kinds(rep)
+    assert rep.pairs == []
+
+
+def test_image_with_no_preimage_is_unmatched(monkeypatch):
+    """Dropping one domain state leaves its image unmatched and the sum nonzero."""
+    import jacverify.involution as inv
+
+    honest = inv.enumerate_states
+    dropped = next(s for s in honest(*_INSTANCE[:5]) if classify(s).side == DOMAIN_SIDE)
+    monkeypatch.setattr(inv, "enumerate_states",
+                        lambda *args: [s for s in honest(*args) if s != dropped])
+    rep = verify_involution(*_INSTANCE)
+    assert {"unmatched-image", "signed-sum"} == _kinds(rep)
+    [failure] = [f for f in rep.failures if f["kind"] == "unmatched-image"]
+    assert failure["state"] == tau(dropped, 1)

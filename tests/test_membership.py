@@ -134,18 +134,44 @@ def test_fern_lemma_d1_matches_power_certificates():
 def test_main_theorem_small_sweep():
     report = verify_main_theorem(2, [4])
     assert report.ok
-    assert not report.exceptional_entries()
+    assert not any(e.exceptional for e in report.entries)
     for entry in report.entries:
-        if entry.certificate is not None:
-            assert entry.member
+        assert entry.member and entry.certificate.member
 
 
 def test_main_theorem_exceptional_orders_reported_not_asserted():
     report = verify_main_theorem(2, [2])
     assert report.ok  # non-members below order 2d are recorded, not failed
-    exceptional = report.exceptional_entries()
+    exceptional = [e for e in report.entries if e.exceptional]
     assert exceptional and all(e.N == 2 for e in exceptional)
     assert any(not e.member for e in exceptional)
+
+
+def test_fern_lemma_non_member_fails(monkeypatch):
+    """Fern weights swapped for a pure power, a non-member, fail one by one."""
+    monkeypatch.setattr(importlib.import_module("jacverify.membership"), "z_fern",
+                        lambda fl: a_(2, 1, 1) ** 2)
+    report = verify_fern_lemmas(1)
+    assert not report.ok
+    assert len(report.failures) == len(report.entries) == 4
+    for (u0, u2, nu, cert), failure in zip(report.entries, report.failures):
+        assert not cert.member
+        assert failure == (u0, u2, nu, str(cert.residual))
+
+
+def test_main_theorem_non_member_at_order_2d_fails(monkeypatch):
+    module = importlib.import_module("jacverify.membership")
+    honest = module.coefficient_c
+
+    def one_non_member(spec, i, alpha, N, series):
+        return a_(2, 1, 1) ** 4 if (i, alpha) == (2, (1, 2)) else honest(spec, i, alpha, N, series)
+
+    monkeypatch.setattr(module, "coefficient_c", one_non_member)
+    report = verify_main_theorem(2, [4])
+    assert not report.ok
+    [failure] = report.failures
+    assert failure[:3] == (2, (1, 2), 4)
+    assert [(e.i, e.alpha) for e in report.entries if not e.member] == [(2, (1, 2))]
 
 
 def test_main_theorem_rejects_bad_orders():

@@ -34,10 +34,9 @@ VALUES = [
     (Classification, (None, 0, 1, "domain"), "Classification(h=None, l1=0, l2=1, side='domain')"),
     (BasisRow, (JKey(1, (1, 0)), (0, 0, 0, 1, 0, 0, 0)),
      "BasisRow(key=JKey(k=1, alpha=(1, 0)), multiplier=(0, 0, 0, 1, 0, 0, 0))"),
-    (RelationEntry, ((1, 0), (0, 1), 1, 2, P, False, True),
-     "RelationEntry(alpha1=(1, 0), alpha2=(0, 1), u=1, v=2, "
-     "difference=Poly(2, '-1/2 * a[1,2]^2 + a[1,1]*a[2,2]'), is_zero=False, "
-     "homogeneous_2d=True)"),
+    (RelationEntry, (2, P, False, True),
+     "RelationEntry(v=2, difference=Poly(2, '-1/2 * a[1,2]^2 + a[1,1]*a[2,2]'), "
+     "is_zero=False, homogeneous_2d=True)"),
     (MembershipCertificate, (P, [(JKey(1, (1, 0)), P)], Poly.zero(2)),
      "MembershipCertificate(target=Poly(2, '-1/2 * a[1,2]^2 + a[1,1]*a[2,2]'), "
      "combination=[(JKey(k=1, alpha=(1, 0)), Poly(2, '-1/2 * a[1,2]^2 + a[1,1]*a[2,2]'))], "
@@ -90,3 +89,25 @@ def test_defaults_fill_trailing_fields():
     assert IdentityInstance("identity1", 2, 2, (1, 1), 1, 2).beta is None
     with pytest.raises(TypeError):
         DLinearSpec(2)
+
+
+def test_check_results_are_namedtuples():
+    """Each check returns one namedtuple, whole when the check returns; the
+    reports with a verdict carry it as the bool field ``ok``."""
+    from jacverify.generators import cross_check_generators
+    from jacverify.identities import cayley_hamilton_numeric, relation_report
+    from jacverify.inverse import verify_inverse
+    from jacverify.involution import verify_involution
+    from jacverify.membership import verify_fern_lemmas, verify_main_theorem
+
+    spec = DLinearSpec(1, 2)
+    results = [cross_check_generators(spec), verify_inverse(spec, 2), relation_report(2),
+               cayley_hamilton_numeric(2, 1), verify_involution(1, 2, (0, 0), 1, 2, 1),
+               verify_fern_lemmas(1), verify_main_theorem(1, [2])]
+    for result in results:
+        assert isinstance(result, tuple) and repr(result).startswith(type(result).__name__)
+        with pytest.raises(AttributeError):
+            setattr(result, result._fields[0], None)
+        with pytest.raises(AttributeError):
+            result.extra = 1
+    assert [r.ok for r in results if "ok" in r._fields] == [True] * 6
