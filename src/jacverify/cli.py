@@ -198,7 +198,8 @@ def _pmap(fn, tasks, workers: int):
 
 def _run_gens(args) -> tuple:
     gens = generator_set(DLinearSpec(args.d, args.n))
-    entries = [{"k": key.k, "alpha": list(key.alpha), "poly": format_poly(gens[key])}
+    # Each generator is printed from the entry extraction left, never built as a Poly.
+    entries = [{"k": key.k, "alpha": list(key.alpha), "poly": format_poly(gens.entries[key])}
                for key in gens.keys_sorted()]
     # Built only as the text is written: JSON output needs no second copy of each polynomial.
     lines = (f"k={e['k']} alpha=({_tuple_text(e['alpha'])}): {e['poly']}" for e in entries)

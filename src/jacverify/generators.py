@@ -12,9 +12,11 @@ empty composition and only the t-grading separates them.
 
 ``differential_matrix`` writes the differential as plain rows, and
 ``extract_generators`` reads the generators off its determinant, expanded
-and split by (t, x) head in one pass by ``poly.determinant_by_head``;
-``generator_direct`` builds each one from the closed subset-permutation
-formula.  ``cross_check_generators`` confirms the two agree.
+and split by (t, x) head in one pass by ``poly.determinant_by_head``, and
+keeps each as the packed part that pass left until it is first read as a
+Poly; ``generator_direct`` builds each one from the closed
+subset-permutation formula.  ``cross_check_generators`` confirms the two
+agree.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .combinatorics import (
     level_entries,
 )
 from .poly import (
-    DomainError, Poly, VerificationError, a_, a_monomial, determinant_by_head, poly_sum,
-    sum_of_products, t_, x_,
+    DomainError, PackedPart, Poly, VerificationError, a_, a_monomial, determinant_by_head,
+    poly_sum, sum_of_products, t_, x_,
 )
 
 
@@ -56,7 +58,10 @@ class GeneratorSet:
     """All generators of one map, including explicit zeros.
 
     The entry at k = 0 is the constant 1; every k >= 1 entry is an
-    a-variable polynomial, homogeneous of degree k*d (or zero).
+    a-variable polynomial, homogeneous of degree k*d (or zero).  ``entries``
+    may hold a generator as the ``PackedPart`` that extraction left, which
+    ``format_poly`` prints as it stands; ``gens[key]`` builds its Poly on the
+    first read and keeps that in place of the part.
     """
 
     def __init__(self, spec: DLinearSpec, entries: dict):
@@ -66,7 +71,10 @@ class GeneratorSet:
         return sorted(self.entries)
 
     def __getitem__(self, key: JKey) -> Poly:
-        return self.entries[key]
+        p = self.entries[key]
+        if isinstance(p, PackedPart):
+            p = self.entries[key] = p.poly()
+        return p
 
 
 def linear_form(spec: DLinearSpec, i: int) -> Poly:
@@ -112,7 +120,9 @@ def extract_generators(spec: DLinearSpec) -> GeneratorSet:
 
     Every coefficient of the t^(dk) x^alpha terms must be a multiple of
     d^k; one that is not raises VerificationError.  The expansion and the
-    split by head are one pass (``poly.determinant_by_head``).
+    split by head are one pass (``poly.determinant_by_head``), so every
+    check has run when this returns; each nonzero generator's entry is the
+    ``PackedPart`` of its head.
     """
     d, n = spec.d, spec.n
 

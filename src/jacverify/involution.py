@@ -178,18 +178,33 @@ def verify_involution(d, n, alpha, u0, un, variant, restricted_beta=None) -> Inv
     |S| != n (requires variant 2 and u0 != un); the map must stay inside
     the restricted set, which is what makes the pinned-first-row identity
     follow from the same pairing.  A set with no state fails: a pairing of
-    nothing proves nothing.
+    nothing proves nothing.  Inputs of the wrong shape (alpha not n
+    nonnegative parts, a label outside [1,n], beta not d-1 labels) raise
+    DomainError, which names the bad value.
     """
     if variant not in (1, 2):
         raise DomainError("variant must be 1 or 2")
+    alpha = tuple(alpha)
+    if len(alpha) != n:
+        raise DomainError(f"alpha {alpha} has {len(alpha)} parts, not n = {n}")
+    if any(part < 0 for part in alpha):
+        raise DomainError(f"alpha {alpha} has a negative part")
+    for name, label in (("u0", u0), ("un", un)):
+        if not 1 <= label <= n:
+            raise DomainError(f"{name} = {label} lies outside [1,{n}]")
     if restricted_beta is not None:
+        restricted_beta = tuple(restricted_beta)
+        if len(restricted_beta) != d - 1:
+            raise DomainError(f"beta {restricted_beta} has {len(restricted_beta)} labels, "
+                              f"not d - 1 = {d - 1}")
+        if not all(1 <= label <= n for label in restricted_beta):
+            raise DomainError(f"beta {restricted_beta} has a label outside [1,{n}]")
         if variant != 2:
             raise DomainError("the restricted pairing uses variant 2")
         if u0 == un:
             raise DomainError("the restricted pairing needs u0 != un")
-        restricted_beta = tuple(restricted_beta)
 
-    states = enumerate_states(d, n, tuple(alpha), u0, un)
+    states = enumerate_states(d, n, alpha, u0, un)
     if restricted_beta is not None:
         states = [
             s for s in states

@@ -42,7 +42,10 @@ into one exponent vector instead of multiplying one-variable polynomials.
 or packed entries: it sums each level through the ring's ``dot``, with no
 running total.  ``determinant_by_head`` expands plain rows of polynomials
 with every entry packed once, at a width read off the rows' degrees, and
-splits the result by (t, x) head in the pass that divides each part.
+splits the result by (t, x) head in the pass that divides each part.  It
+unpacks no part: each stays packed in a read-only ``PackedPart``, whose
+keys also carry the total degree, so that one sort of ints orders it and
+each exponent tuple is unpacked only as the part is read.
 """
 
 from __future__ import annotations
@@ -294,9 +297,10 @@ class Poly:
 
 @cache
 def _codec(n: int, width: int) -> tuple:
-    """(pack, unpack, tops): ``pack`` and ``unpack`` rekey dimension-n term dicts
-    by ints of ``width``-byte little-endian fields, t the lowest, and ``tops``
-    sets each field's top bit.  A field too narrow for its exponent raises."""
+    """(pack, monomials, tops): ``pack`` rekeys a dimension-n term dict by ints
+    of ``width``-byte little-endian fields, t the lowest, ``monomials`` maps
+    such keys back to exponent tuples, and ``tops`` sets each field's top bit.
+    A field too narrow for its exponent raises."""
     nv = n_vars(n)
     size = nv * width
     fmt = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(width)  # struct's fields reach 8 bytes
@@ -312,11 +316,10 @@ def _codec(n: int, width: int) -> tuple:
         keys = map(int.from_bytes, starmap(join, terms), repeat("little"))
         return dict(zip(keys, terms.values()))
 
-    def unpack(terms):
-        monomials = map(split, map(int.to_bytes, terms, repeat(size), repeat("little")))
-        return dict(zip(monomials, terms.values()))
+    def monomials(keys):
+        return map(split, map(int.to_bytes, keys, repeat(size), repeat("little")))
 
-    return pack, unpack, int.from_bytes((bytes(width - 1) + b"\x80") * nv, "little")
+    return pack, monomials, int.from_bytes((bytes(width - 1) + b"\x80") * nv, "little")
 
 
 def _packed_dot(pairs) -> dict:
@@ -345,14 +348,15 @@ def sum_of_products(n: int, pairs) -> Poly:
             live.append((x.terms, y.terms))
     width = 1
     while True:
-        pack, unpack, tops = _codec(n, width)
+        pack, monomials, tops = _codec(n, width)
         width *= 2
         try:
             packed = [(pack(p), pack(q)) for p, q in live]
         except (struct.error, OverflowError):  # an exponent wider than its field
             continue
         if not reduce(or_, chain.from_iterable(chain(*packed)), 0) & tops:
-            return Poly._of(n, unpack(_packed_dot(packed)))
+            out = _packed_dot(packed)
+            return Poly._of(n, dict(zip(monomials(out), out.values())))
 
 
 def poly_sum(n: int, polys) -> Poly:
@@ -428,38 +432,69 @@ class _Packed(dict):
         return _Packed({k: -c for k, c in self.items()})
 
 
+class PackedPart:
+    """One part of ``determinant_by_head``, read-only, still in packed keys.
+
+    Each key holds its whole monomial, with the total degree in a field
+    above a[n,n].  A part's keys share one head, so one sort of the ints is
+    the canonical order of their a-parts.  ``sorted_terms`` unpacks each
+    a-part's exponent tuple (through ``monomials``, which drops the head and
+    the degree) only as it is read, and ``poly`` builds the part as a Poly.
+    """
+
+    __slots__ = ("n", "_terms", "_monomials")
+
+    def __init__(self, n: int, terms: dict, monomials):
+        self.n, self._terms, self._monomials = n, terms, monomials
+
+    def sorted_terms(self):
+        """Terms as (exponents, coeff) in ascending canonical order, an iterator."""
+        keys = sorted(self._terms)
+        return zip(self._monomials(keys), map(self._terms.__getitem__, keys))
+
+    def poly(self) -> Poly:
+        return Poly._of(self.n, dict(zip(self._monomials(self._terms), self._terms.values())))
+
+
 def determinant_by_head(rows, n: int, scale) -> dict:
     """``split_xt`` of the determinant of a square grid of dimension-n
     polynomials, each part divided exactly, in one pass.
 
-    Maps each (t, x) head, in the determinant's term order, to the Poly of
-    its a-parts divided by ``scale(head)`` (a generator head's d^k), which
-    is called once per head and may raise; a coefficient that it does not
-    divide raises VerificationError.  Every level stays packed, in fields
-    that hold the rows' largest total degrees summed; a mask reads each head.
+    Maps each (t, x) head, in the determinant's term order, to a
+    ``PackedPart`` of its a-parts divided by ``scale(head)`` (a generator
+    head's d^k), which is called once per head and may raise; a coefficient
+    that it does not divide raises VerificationError.  Every level stays
+    packed, in fields that hold the rows' largest total degrees summed, below
+    one that holds the total degree; a mask reads each head.
     """
     bound = sum(max(p.total_degree() for p in row) for row in rows)
     cut, width = 1 + n, 1
     while bound >> 8 * width:
         width *= 2
-    pack, unpack, _ = _codec(n, width)
+    pack, monomials, _ = _codec(n, width)
+    top = 8 * width * n_vars(n)  # the degree field: the top one, so it has no width to overflow
     mask = (1 << 8 * width * cut) - 1
-    terms = determinant([[_Packed(pack(p.terms)) for p in row] for row in rows],
-                        {0: 1}, _packed_dot)
+    a_fields = ((1 << top) - 1) ^ mask
+
+    def graded(terms):
+        return _Packed(zip(map(or_, pack(terms), (sum(m) << top for m in terms)),
+                           terms.values()))
+
+    terms = determinant([[graded(p.terms) for p in row] for row in rows], {0: 1}, _packed_dot)
     parts: dict = {}
     for m, c in terms.items():
         h = m & mask
         if h not in parts:
-            head = next(iter(unpack({h: 0})))[:cut]
+            head = next(monomials((h,)))[:cut]
             parts[h] = ({}, scale(head), head)
         part, s, head = parts[h]
         q, r = divmod(c, s)
         if r:
             raise VerificationError(
                 f"coefficient {c} at t^{head[0]} x^{head[1:]} is not divisible by d^k = {s}")
-        part[m ^ h] = q
-    del terms  # then each packed part is dropped once unpacked, to bound the peak
-    return {head: Poly._of(n, unpack(part)) for part, _, head in map(parts.pop, list(parts))}
+        part[m] = q  # a part's keys share their head and, with it, their order
+    read = lambda keys: monomials(map(a_fields.__and__, keys))  # head and degree dropped
+    return {head: PackedPart(n, part, read) for part, _, head in parts.values()}
 
 
 def determinant(rows, one, dot):

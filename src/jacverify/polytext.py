@@ -52,9 +52,9 @@ def _factor_table(n: int) -> tuple:
     return tuple(("", name) + tuple(f"{name}^{e}" for e in range(2, 16)) for name in names)
 
 
-def format_poly(p: Poly) -> str:
-    if not p.terms:
-        return "0"
+def format_poly(p) -> str:
+    """The text of p: a Poly, or anything else with ``n`` and ``sorted_terms()``,
+    such as a ``poly.PackedPart``."""
     table = _factor_table(p.n)
     parts = []
     for m, c in p.sorted_terms():
@@ -74,7 +74,7 @@ def format_poly(p: Poly) -> str:
             parts.append(("-" if c < 0 else "") + body)
         else:
             parts.append((" - " if c < 0 else " + ") + body)
-    return "".join(parts)
+    return "".join(parts) or "0"
 
 
 def _int(digits: str) -> int:

@@ -376,20 +376,40 @@ def test_member_rechecks_its_certificate(capsys, monkeypatch):
                                         "a[1,1]^3*a[1,2] + a[1,1]*a[1,2]*a[2,1]*a[2,2]"])
 
 
-def test_gens_with_a_broken_determinant_exits_one(capsys, monkeypatch):
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("stray,error", [
+    (t_(2) ** 2 * x_(2, 1) * a_(2, 1, 1) ** 2,
+     "coefficient -1 at t^2 x^(1, 0) is not divisible by d^k = 2"),
+    # under the head of the last key, (2, (2, 0)), whose generator prints last
+    (t_(2) ** 4 * x_(2, 1) ** 2 * a_(2, 1, 1) ** 4,
+     "coefficient 1 at t^4 x^(2, 0) is not divisible by d^k = 4"),
+], ids=["key-1-(1,0)", "last-key"])
+def test_gens_with_a_broken_determinant_exits_one(capsys, monkeypatch, fmt, stray, error):
     """The stray term of tests/test_generators.py, reached through the CLI: the
     differential becomes the diagonal matrix of the real determinant plus the
-    stray term, and 1."""
+    stray term, and 1.  Every part is checked before the first generator prints,
+    so even a stray term under the last key leaves stdout empty."""
     generators = importlib.import_module("jacverify.generators")
     n = 2
-    stray = t_(n) ** 2 * x_(n, 1) * a_(n, 1, 1) ** 2
     real = generators.differential_matrix
     det = partial(determinant, one=Poly.one(n), dot=partial(sum_of_products, n))
     monkeypatch.setattr(generators, "differential_matrix", lambda spec: [
         [det(real(spec)) + stray, Poly.zero(n)], [Poly.zero(n), Poly.one(n)]])
     importlib.import_module("jacverify.identities").generator_set.cache_clear()
-    assert _assert_verification_error(capsys, ["gens", "--d", "2", "--n", str(n)]) == \
-        "error: coefficient -1 at t^2 x^(1, 0) is not divisible by d^k = 2\n"
+    argv = ["gens", "--d", "2", "--n", str(n), "--format", fmt]
+    assert _assert_verification_error(capsys, argv) == f"error: {error}\n"
+
+
+def test_gens_prints_every_generator_from_its_packed_part(capsys):
+    """gens reads no generator through ``gens[key]``, so the cached set still
+    holds the part of each nonzero generator after printing them all."""
+    identities = importlib.import_module("jacverify.identities")
+    identities.generator_set.cache_clear()
+    code, out = _run(capsys, ["gens", "--d", "2", "--n", "3"])
+    gens = identities.generator_set(cli.DLinearSpec(2, 3))
+    assert code == 0 and out.count("\n") == len(gens.entries)
+    parts = [p for p in gens.entries.values() if type(p) is not Poly]
+    assert parts and all(type(p).__name__ == "PackedPart" for p in parts)
 
 
 def test_gens_past_one_byte_of_exponent(capsys):

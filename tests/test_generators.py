@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from jacverify import generators, poly
 from jacverify.combinatorics import SubsetPermutation, enumerate_compositions
+from jacverify.polytext import format_poly
 from jacverify.generators import (
     DLinearSpec,
     JKey,
@@ -23,6 +24,7 @@ from jacverify.generators import (
 )
 from jacverify.poly import (
     DomainError,
+    PackedPart,
     Poly,
     VarId,
     VerificationError,
@@ -122,7 +124,8 @@ def test_cross_check_reports_a_mismatch(monkeypatch):
 def test_generator_homogeneity_and_row_degrees():
     for d, n in [(1, 2), (2, 2), (3, 2), (2, 3)]:
         gens = extract_generators(DLinearSpec(d, n))
-        for key, poly in gens.entries.items():
+        for key in gens.keys_sorted():
+            poly = gens[key]
             if key.k == 0 or poly.is_zero():
                 continue
             for m in poly.terms:
@@ -139,7 +142,8 @@ def test_determinant_reconstructs_from_generators():
         det = _poly_det(n, differential_matrix(spec))
         gens = extract_generators(spec)
         rebuilt = Poly.zero(n)
-        for key, poly in gens.entries.items():
+        for key in gens.keys_sorted():
+            poly = gens[key]
             mono = t_(n) ** (d * key.k)
             for i, e in enumerate(key.alpha, start=1):
                 mono = mono * x_(n, i) ** e
@@ -270,10 +274,17 @@ def _extract_by_split(spec: DLinearSpec) -> dict:
 @example(42, 2)  # rows of total degree 125, summing to 250: packed
 @example(43, 2)  # 128 each, summing to 256: the tuple expansion
 def test_extract_matches_the_split_route(d, n):
+    """Each generator prints from the part extraction left as the reference
+    prints, and read through ``gens[key]`` it is the reference, term for term
+    and in its order, and takes the part's place."""
     spec = DLinearSpec(d, n)
-    got = extract_generators(spec).entries
+    gens = extract_generators(spec)
     expected = _extract_by_split(spec)
-    assert list(got) == list(expected)
+    assert list(gens.entries) == list(expected)
     for key, p in expected.items():
-        assert got[key].terms == p.terms
-        assert list(got[key].terms) == list(p.terms)
+        assert type(gens.entries[key]) is PackedPart
+        assert format_poly(gens.entries[key]) == format_poly(p)
+        got = gens[key]
+        assert gens.entries[key] is got
+        assert got.terms == p.terms
+        assert list(got.terms) == list(p.terms)

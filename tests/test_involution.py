@@ -298,10 +298,35 @@ def test_each_state_weight_built_once(monkeypatch):
     assert len(calls) == rep.states == len(set(calls))
 
 
+@pytest.mark.parametrize("args,message", [
+    ((2, 3, (1, 1, 1, 0), 1, 2, 1), r"alpha \(1, 1, 1, 0\) has 4 parts, not n = 3"),
+    ((2, 3, (1, 1), 1, 2, 1), r"alpha \(1, 1\) has 2 parts, not n = 3"),
+    ((2, 3, (2, 2, -1), 1, 2, 1), r"alpha \(2, 2, -1\) has a negative part"),
+    ((2, 3, (1, 1, 1), 1, 2, 2, (1, 2)), r"beta \(1, 2\) has 2 labels, not d - 1 = 1"),
+    ((2, 3, (1, 1, 1), 1, 2, 2, ()), r"beta \(\) has 0 labels, not d - 1 = 1"),
+    ((2, 3, (1, 1, 1), 1, 2, 2, (5,)), r"beta \(5,\) has a label outside \[1,3\]"),
+    ((2, 3, (1, 1, 1), 1, 2, 2, (0,)), r"beta \(0,\) has a label outside \[1,3\]"),
+    ((2, 3, (1, 1, 1), 0, 2, 1), r"u0 = 0 lies outside \[1,3\]"),
+    ((2, 3, (1, 1, 1), 1, 4, 1), r"un = 4 lies outside \[1,3\]"),
+], ids=["long-alpha", "short-alpha", "negative-part", "long-beta", "empty-beta",
+        "beta-above-n", "beta-below-1", "u0-below-1", "un-above-n"])
+def test_inputs_of_the_wrong_shape_are_input_errors(monkeypatch, args, message):
+    """Each bad input raises DomainError naming its value before any state is
+    built, in place of a pairing of no state or an error about an a index."""
+    import jacverify.involution as inv
+
+    def never(*args):
+        raise AssertionError("states were enumerated before the inputs were checked")
+
+    monkeypatch.setattr(inv, "enumerate_states", never)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        verify_involution(*args)
+
+
 @pytest.mark.parametrize("args", [
-    (2, 3, (1, 1, 1, 0), 1, 2, 1),  # alpha has one part too many
-    (2, 3, (1, 1, 1), 1, 2, 2, (5,)),  # the beta label lies outside [1,n]
-], ids=["long-alpha", "beta-out-of-range"])
+    (2, 2, (2, 0), 1, 2, 2, (2,)),  # every state's first row is (1,)
+    (3, 2, (4, 0), 2, 1, 2, (1, 2)),
+], ids=["d2", "d3"])
 def test_a_check_over_no_state_fails(args):
     """A pairing of no state proves nothing, so it is not ok and says why."""
     rep = verify_involution(*args)

@@ -211,7 +211,8 @@ def test_computed_coefficients_are_int_or_proper_fraction():
     """Generators, series and certificates keep every coefficient exact and canonical."""
     polys = []
     for d, n in ((2, 3), (3, 3)):
-        polys.extend(generator_set(DLinearSpec(d, n)).entries.values())
+        gens = generator_set(DLinearSpec(d, n))
+        polys.extend(gens[key] for key in gens.keys_sorted())
     polys.extend(inverse_series(DLinearSpec(2, 2), 8).components)
     spec = DLinearSpec(2, 2)
     gens = generator_set(spec)

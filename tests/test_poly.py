@@ -96,7 +96,8 @@ def _poly_det(n, rows):
 
 def _joined(heads):
     """The term dict that ``determinant_by_head`` split by head, rejoined."""
-    return {head + m[len(head):]: c for head, p in heads.items() for m, c in p.terms.items()}
+    return {head + m[len(head):]: c for head, p in heads.items()
+            for m, c in p.poly().terms.items()}
 
 
 def test_determinant_small():
@@ -725,18 +726,25 @@ def _edge_rows(lo, hi):
 @example(_edge_rows(2**63 - 1, 2**63))
 @example(_edge_rows(2**63, 2**63))
 @example(_edge_rows(2**64 + 1, 2**70))
+@example((2, [[a_(2, 1, 1) ** 2 + a_(2, 1, 2)]]))
 def test_determinant_by_head_matches_leibniz_across_byte_boundary(case):
     """The examples' bounds lie on both sides of every field width: 255 and
-    256, 2**16 - 1 and 2**16, 2**32 - 1 and 2**32, 2**64 - 1 and 2**64."""
+    256, 2**16 - 1 and 2**16, 2**32 - 1 and 2**32, 2**64 - 1 and 2**64.  In
+    the last, a[1,2] packs above a[1,1]^2 but has the lower degree."""
     n, rows = case
     heads = determinant_by_head(rows, n, lambda head: 1)
     assert _joined(heads) == _ref_leibniz(n, rows)
-    assert all(type(c) is int for p in heads.values() for c in p.terms.values())
+    assert all(type(c) is int for p in heads.values() for c in p.poly().terms.values())
     # The same heads and a-parts, in the same order, as splitting the
     # level-by-level expansion.
     split = split_xt(_poly_det(n, rows))
-    assert [(h, list(p.terms.items())) for h, p in heads.items()] == \
+    assert [(h, list(p.poly().terms.items())) for h, p in heads.items()] == \
         [(h, list(part.items())) for h, part in split.items()]
+    # Each part reads in canonical order, and prints as its Poly, though a
+    # random grid's parts are seldom homogeneous.
+    for p in heads.values():
+        assert list(p.sorted_terms()) == p.poly().sorted_terms()
+        assert format_poly(p) == format_poly(p.poly())
 
 
 @pytest.mark.parametrize("top,width", [
