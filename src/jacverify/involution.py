@@ -9,11 +9,13 @@ lam[-1] = un), nu its level labeling, S a k-subset of [1,n] with a
 permutation sigma, and rho a k-level labeling feeding the generator
 factor.  The signed weight of a state multiplies (-1)^cycles(sigma) into
 one a-variable factor per fern edge, per extra leaf, per sigma image and
-per rho entry; ``state_weight`` writes that product straight into one
-exponent vector with ``poly.a_monomial``.  ``verify_involution`` builds
-each weight once, sums the weights with ``poly.poly_sum``, compares every
-pair by them and returns each pair with its state's weight; it classifies
-each state once and hands that classification to ``tau`` or ``tau_inverse``.
+per rho entry; ``state_weight`` returns that product as a plain key,
+(exponent tuple, sign), counting a[i,j] at index n*i + j of ``poly``'s
+exponent vector.  ``verify_involution`` weighs each state once, sums the
+signs per exponent tuple, compares every pair by its keys and builds a Poly
+only for its report: the signed sum and each pair's weight.  It classifies
+each state once, hands that classification to ``tau`` or ``tau_inverse``
+and looks each image up once.
 
 States split into two sides.  With h the greatest path index whose label
 lies in S and (l1, l2) the last-rep indices of lam:
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from functools import cache
 
 from .combinatorics import (
     composition_sub_or_none,
@@ -45,9 +48,8 @@ from .combinatorics import (
     enumerate_level_labelings,
     enumerate_subset_permutations,
     last_rep_indices,
-    level_entries,
 )
-from .poly import DomainError, Poly, VerificationError, a_monomial, poly_sum
+from .poly import DomainError, Poly, StructuralError, VerificationError, n_vars
 
 DOMAIN_SIDE = "domain"
 IMAGE_SIDE = "image"
@@ -95,10 +97,28 @@ def enumerate_states(d: int, n: int, alpha: tuple, u0: int, un: int) -> list:
     return states
 
 
-def state_weight(s: TupleState) -> Poly:
-    """Signed monomial weight of one state: its fern levels, then its generator levels."""
-    entries = level_entries(s.lam, s.lam[1:], s.nu) + level_entries(s.S, s.sigma, s.rho)
-    return a_monomial(s.n, entries, (-1) ** cycle_count(s.S, s.sigma))
+@cache
+def _cells(n: int) -> dict:
+    """Per label i in [1,n], a dict from each label j in [1,n] to n*i + j, the
+    index of a[i,j] in an exponent vector; any other label is missing."""
+    return {i: {j: n * i + j for j in range(1, n + 1)} for i in range(1, n + 1)}
+
+
+def state_weight(s: TupleState) -> tuple:
+    """Signed monomial weight of one state as (exponent tuple, sign): its fern
+    levels, then its generator levels; a label outside [1,n] raises StructuralError."""
+    cells = _cells(s.n)
+    e = [0] * n_vars(s.n)
+    try:
+        for heads, tails, rows in ((s.lam, s.lam[1:], s.nu), (s.S, s.sigma, s.rho)):
+            for i, j, row in zip(heads, tails, rows):
+                cell = cells[i]  # each head meets its tail and every label of its row
+                e[cell[j]] += 1
+                for label in row:
+                    e[cell[label]] += 1
+    except KeyError as exc:
+        raise StructuralError(f"label {exc.args[0]!r} outside [1,{s.n}] in {s}") from None
+    return tuple(e), (-1) ** cycle_count(s.S, s.sigma)
 
 
 def classify(s: TupleState) -> Classification:
@@ -212,54 +232,57 @@ def verify_involution(d, n, alpha, u0, un, variant, restricted_beta=None) -> Inv
         ]
     failures = [] if states else [{"kind": "no-state", "detail": "no state to check"}]
 
-    weights = {}  # state -> its signed weight
-    domain_states = []  # (state, its classification), handed on to tau
-    image_states = {}  # state -> its classification, handed on to tau_inverse
+    sides = {}  # state -> its classification, None if it has no side
+    totals = {}  # exponent tuple -> the sum of the signs of the states that weigh it
+    domain_states = []  # (state, its classification, its weight), handed on to tau
+    unmatched = {}  # image-side state -> (its weight, its classification); a pair takes it out
     for s in states:
-        weights[s] = state_weight(s)
+        w = state_weight(s)
+        totals[w[0]] = totals.get(w[0], 0) + w[1]
         try:
             cls = classify(s)
         except VerificationError as exc:
+            sides[s] = None
             failures.append({"kind": "partition", "state": s, "detail": str(exc)})
             continue
+        sides[s] = cls
         if cls.side == DOMAIN_SIDE:
-            domain_states.append((s, cls))
+            domain_states.append((s, cls, w))
         else:
-            image_states[s] = cls
-    signed_sum = poly_sum(n, (weights[s] for s in states))
+            unmatched[s] = (w, cls)
+    image_count = len(unmatched)
+    signed_sum = Poly(n, totals)  # drops the exponent tuples whose signs cancel
 
     pairs = []
-    seen_images = set()
-    for s, cls in domain_states:
+    for s, cls, w in domain_states:
         img = tau(s, variant, cls)
-        if img not in weights:
-            failures.append({"kind": "closure", "state": s, "partner": img})
+        found = unmatched.pop(img, None)
+        if found is None:
+            if img not in sides:
+                kind = "closure"
+            elif sides[img] is None or sides[img].side == DOMAIN_SIDE:
+                kind = "side"
+            else:
+                kind = "collision"  # an image-side state that an earlier pair took
+            failures.append({"kind": kind, "state": s, "partner": img})
             continue
-        if img not in image_states:
-            failures.append({"kind": "side", "state": s, "partner": img})
-            continue
-        if img in seen_images:
-            failures.append({"kind": "collision", "state": s, "partner": img})
-            continue
-        seen_images.add(img)
-        w, wi = weights[s], weights[img]
-        if w.terms != {m: -c for m, c in wi.terms.items()}:  # terms hold no zero
+        wi, img_cls = found
+        if wi != (w[0], -w[1]):
             failures.append({"kind": "weight", "state": s, "partner": img,
-                             "weights": (str(w), str(wi))})
+                             "weights": (str(_poly(n, w)), str(_poly(n, wi)))})
             continue
-        back = tau_inverse(img, variant, image_states[img])
-        if back != s:
+        if tau_inverse(img, variant, img_cls) != s:
             failures.append({"kind": "round-trip", "state": s, "partner": img})
             continue
-        pairs.append((s, img, w))
-    if seen_images != image_states.keys():
-        missed = sorted(
-            image_states.keys() - seen_images,
-            key=lambda s: (len(s.S), s.lam, s.nu, s.S, s.sigma, s.rho),
-        )
-        for s in missed:
-            failures.append({"kind": "unmatched-image", "state": s})
+        pairs.append((s, img, _poly(n, w)))
+    missed = sorted(unmatched, key=lambda s: (len(s.S), s.lam, s.nu, s.S, s.sigma, s.rho))
+    failures.extend({"kind": "unmatched-image", "state": s} for s in missed)
     if not signed_sum.is_zero():
         failures.append({"kind": "signed-sum", "detail": str(signed_sum)})
-    return InvolutionReport(len(states), len(domain_states), len(image_states), pairs,
+    return InvolutionReport(len(states), len(domain_states), image_count, pairs,
                             failures, signed_sum, not failures)
+
+
+def _poly(n: int, weight: tuple) -> Poly:
+    """The Poly of a ``state_weight`` key, for the report."""
+    return Poly(n, {weight[0]: weight[1]})

@@ -34,7 +34,7 @@ Only this module touches the canonical form, and packed keys never leave
 it.  ``t_layers`` splits a polynomial by t-degree, so that truncated
 products pair only the layers below a cutoff.
 
-Signed products of a-variables (fern paths, state and generator weights,
+Signed products of a-variables (fern paths, generator weights and
 tree weights) are built by ``a_monomial``, which writes the whole product
 into one exponent vector instead of multiplying one-variable polynomials.
 ``split_xt`` reads off the a-coefficient of each (t, x) monomial, and

@@ -703,7 +703,8 @@ def test_involution_json_builds_each_state_weight_once(capsys, monkeypatch):
 
 
 def test_involution_text_formats_only_the_signed_sum(capsys, monkeypatch, tmp_path):
-    """Text output prints no pair, so only JSON output and --dump build the pair list."""
+    """Text output prints no pair, so only JSON output and --dump build the pair list,
+    and they format each distinct pair monomial once."""
     argv = ["involution", "--d", "2", "--n", "3", "--alpha", "1,1,1",
             "--u0", "1", "--un", "2", "--variant", "1"]
     calls = []
@@ -718,11 +719,14 @@ def test_involution_text_formats_only_the_signed_sum(capsys, monkeypatch, tmp_pa
     assert calls == [involution.verify_involution(2, 3, (1, 1, 1), 1, 2, 1).signed_sum]
     calls.clear()
     code, out = _run(capsys, argv + ["--format", "json"])
-    assert code == 0 and len(calls) == 1 + len(json.loads(out)["payload"]["pairs"]) > 1
+    pairs = json.loads(out)["payload"]["pairs"]
+    monomials = {pair["monomial"] for pair in pairs}
+    assert code == 0 and len(calls) == len(set(calls)) == 1 + len(monomials) > 1
+    assert len(monomials) < len(pairs)
     calls.clear()
     dump = tmp_path / "pairs.json"
     assert _run(capsys, argv + ["--dump", str(dump)])[0] == 0
-    assert len(calls) == 1 + len(json.loads(dump.read_text()))
+    assert len(calls) == 1 + len({pair["monomial"] for pair in json.loads(dump.read_text())})
 
 
 # -- report encoder -----------------------------------------------------------
@@ -733,8 +737,13 @@ def test_involution_text_formats_only_the_signed_sum(capsys, monkeypatch, tmp_pa
 _JSON_STR = st.text(st.one_of(st.sampled_from('"\\\x00\n\x1f\x7f\u2028\u2029\xe9\U0001f600'),
                               st.characters()), max_size=8)
 _JSON_KEY = st.one_of(st.sampled_from(["k", "state", 'a"b', "\u2028"]), _JSON_STR)
+# Tuples drawn from one pool repeat, at one depth and at several, as a state's
+# tuples do in an involution report; equal ones differ in their item types.
+_JSON_SHARED = st.sampled_from([(1, 1), (True, 1), (1, True), (1, 2), (-3,), (2**70, 0),
+                                ((1, 2), (3,)), ((1, 2), (1,)), ((1, 2), (True,)),
+                                ((), (1,)), ((),), ((1, 1), [1, 1])])
 _JSON_VALUE = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(-10**60, 10**60), _JSON_STR),
+    st.one_of(st.none(), st.booleans(), st.integers(-10**60, 10**60), _JSON_STR, _JSON_SHARED),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
@@ -759,10 +768,26 @@ def test_json_text_equals_json_dumps(value):
         assert "".join(_json_writes(v)) == json.dumps(v, indent=2)
 
 
-@pytest.mark.parametrize("value", [1.5, {"k": [0.0]}, {1: "v"}, [{"k": {2: 3}}], {1, 2}])
+@pytest.mark.parametrize("value", [1.5, {"k": [0.0]}, {1: "v"}, [{"k": {2: 3}}], {1, 2},
+                                   {"k": (1, 2), "j": (1.0, 2)},
+                                   {"k": ((1, 2),), "j": ((1.0, 2),)}])
 def test_json_text_rejects_what_reports_never_hold(value):
     with pytest.raises(TypeError):
         _json_writes(value)
+
+
+@pytest.mark.parametrize("value", [
+    {"k": (1, 1), "j": (True, 1)},
+    {"k": {"k": {"k": (5, 6)}}, "j": (5, 6)},
+    {"k": {"k": {"k": ((5, 6), (7,))}}, "j": ((5, 6), (7,))},
+    {"k": ((1, 2), (3,)), "j": ((1, 2), (True,))},
+    {"k": ((1, 2), (1,)), "j": ((1, 2), (True,))},
+], ids=["bool-after-int", "depth-3-then-1", "rows-depth-3-then-1", "rows-beside-bool-row",
+        "rows-then-equal-bool-row"])
+def test_json_reuses_a_tuple_text_only_for_its_types_and_depth(value):
+    """A tuple's text is kept per depth, keyed by the tuple; a later equal tuple
+    with other item types, or the same tuple at another depth, gets its own text."""
+    assert "".join(_json_writes(value)) == json.dumps(value, indent=2)
 
 
 def test_json_writes_a_subclass_as_its_base():
@@ -788,6 +813,16 @@ def test_json_flushes_after_the_dict_that_brings_its_strings_past_the_bound():
     assert max(map(len, writes)) <= jsonout.BOUND + 40_100
 
 
+def test_json_counts_reused_tuple_text_toward_the_bound():
+    """A reused tuple text is one long chunk, so it counts toward BOUND as a string does."""
+    row = tuple(range(4000))  # about 46,900 characters at depth 2
+    value = [{"t": row, "i": i} for i in range(5)]
+    writes = _json_writes(value)
+    assert "".join(writes) == json.dumps(value, indent=2)
+    assert len(writes) == 3  # after the second dict, the fourth, and at the end
+    assert max(map(len, writes)) <= jsonout.BOUND + 47_000
+
+
 class _Recorder:
     """A stdout that records the length of every write and the digest of them all."""
 
@@ -805,7 +840,7 @@ class _Recorder:
 
 
 def test_involution_json_reaches_stdout_in_bounded_writes(monkeypatch):
-    """A batch ends after the dict that brings it to 4,096 chunks or to 64 KiB of
+    """A batch ends after the dict that brings it to 1,024 chunks or to 64 KiB of
     strings; this 68,106-byte report's chunks are a few dozen bytes at most, so it
     takes more than one write and none exceeds 64 KiB."""
     stdout = _Recorder()

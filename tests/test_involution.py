@@ -15,7 +15,7 @@ from jacverify.involution import (
     tau_inverse,
     verify_involution,
 )
-from jacverify.poly import DomainError, Poly, a_
+from jacverify.poly import DomainError, Poly, StructuralError, a_
 
 
 def apply_involution(s: TupleState, variant: int) -> TupleState:
@@ -23,6 +23,20 @@ def apply_involution(s: TupleState, variant: int) -> TupleState:
     if classify(s).side == DOMAIN_SIDE:
         return tau(s, variant)
     return tau_inverse(s, variant)
+
+
+def _key(p: Poly) -> tuple:
+    """A one-term Poly as a ``state_weight`` key: (exponent tuple, coefficient)."""
+    (m, c), = p.terms.items()
+    return m, c
+
+
+def _poly(n: int, weight: tuple) -> Poly:
+    return Poly(n, {weight[0]: weight[1]})
+
+
+def _flipped(weight: tuple) -> tuple:
+    return weight[0], -weight[1]
 
 
 def test_state_counts_d1_cross_counted():
@@ -49,12 +63,27 @@ def test_states_respect_content_constraint():
 
 def test_state_weight_signs():
     s = TupleState(1, 2, (1, 1, 2), ((), ()), (), (), ())
-    assert state_weight(s) == a_(2, 1, 1) * a_(2, 1, 2)
+    assert state_weight(s) == _key(a_(2, 1, 1) * a_(2, 1, 2)) == _key(_product_weight(s))
     plain = TupleState(1, 2, (1, 1), ((),), (), (), ())
-    assert state_weight(plain) == a_(2, 1, 1)
+    assert state_weight(plain) == _key(a_(2, 1, 1)) == _key(_product_weight(plain))
     image = tau(plain, 1)
     assert image == TupleState(1, 2, (1,), (), (1,), (1,), ((),))
-    assert state_weight(image) == -a_(2, 1, 1)
+    assert state_weight(image) == _key(-a_(2, 1, 1)) == _key(_product_weight(image))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lam", lambda bad: (1, bad)), ("lam", lambda bad: (bad, 2)),
+    ("nu", lambda bad: ((bad,),)), ("S", lambda bad: (bad,)),
+    ("sigma", lambda bad: (bad,)), ("rho", lambda bad: ((bad,),)),
+], ids=["lam-tail", "lam-head", "nu", "S", "sigma", "rho"])
+@pytest.mark.parametrize("bad", [0, 3])
+def test_a_label_outside_the_range_is_a_structural_error(field, value, bad):
+    """A hand-built state with a label of 0 or n+1 is refused, not weighed: at
+    index n*i + j, a[i,0] would land on a[i-1,n] and a[i,n+1] on a[i+1,1]."""
+    s = TupleState(2, 2, (1, 2), ((1,),), (1,), (1,), ((2,),))
+    assert state_weight(s) == _key(_product_weight(s))
+    with pytest.raises(StructuralError, match=rf"^label {bad} outside \[1,2\] in "):
+        state_weight(s._replace(**{field: value(bad)}))
 
 
 def test_signed_sums_match_identity_lhs():
@@ -65,7 +94,7 @@ def test_signed_sums_match_identity_lhs():
     ]:
         total = Poly.zero(n)
         for s in enumerate_states(d, n, alpha, u0, un):
-            total = total + state_weight(s)
+            total = total + _poly(n, state_weight(s))
         inst = IdentityInstance("identity1", d, n, alpha, u0, un)
         assert total == identity1_lhs(inst)
 
@@ -92,7 +121,7 @@ def test_tau_reference_application():
     s = TupleState(1, 2, (1, 1, 2), ((), ()), (), (), ())
     image = tau(s, 1)
     assert image == TupleState(1, 2, (1, 2), ((),), (1,), (1,), ((),))
-    assert state_weight(image) == -state_weight(s)
+    assert state_weight(image) == _flipped(state_weight(s))
     assert tau_inverse(image, 1) == s
 
 
@@ -162,27 +191,26 @@ def test_involutivity_on_every_state():
                     other(s, variant, cls)
                 assert apply_involution(once, variant) == s
                 assert classify(once).side != cls.side
-                assert state_weight(once) == -state_weight(s)
+                assert state_weight(once) == _flipped(state_weight(s))
     assert counts[2, 3] == 6318 and counts[3, 2] == 320
 
 
 @pytest.mark.parametrize("tamper", ["sign", "exponent"])
 def test_a_tampered_weight_is_a_weight_failure(monkeypatch, tamper):
-    """The pair check compares the stored weights term for term: one state whose
-    weight has one sign or one exponent changed fails it."""
+    """The pair check compares the stored weight keys: one state whose weight has
+    one sign or one exponent changed fails it."""
     import jacverify.involution as inv
 
     honest = inv.state_weight
     victim = verify_involution(2, 3, (1, 1, 1), 1, 2, 1).pairs[5][0]
 
     def tampered(s):
-        w = honest(s)
+        m, c = honest(s)
         if s != victim:
-            return w
-        (m, c), = w.terms.items()
+            return m, c
         if tamper == "sign":
-            return Poly(s.n, {m: -c})
-        return Poly(s.n, {m[:-1] + (m[-1] + 1,): c})
+            return m, -c
+        return m[:-1] + (m[-1] + 1,), c
 
     monkeypatch.setattr(inv, "state_weight", tampered)
     rep = verify_involution(2, 3, (1, 1, 1), 1, 2, 1)
@@ -214,7 +242,7 @@ def test_state_weight_equals_the_factor_product():
         for u0 in range(1, n + 1):
             for un in range(1, n + 1):
                 for s in enumerate_states(d, n, alpha, u0, un):
-                    assert state_weight(s) == _product_weight(s), s
+                    assert state_weight(s) == _key(_product_weight(s)), s
                     checked += 1
     assert checked == 1484
 
@@ -268,7 +296,8 @@ def test_dropped_sign_is_caught(monkeypatch):
     honest = inv.state_weight
 
     def unsigned(s):
-        return Poly(s.n, {m: abs(c) for m, c in honest(s).terms.items()})
+        m, c = honest(s)
+        return m, abs(c)
 
     assert verify_involution(2, 2, (1, 1), 1, 2, 1).ok
     monkeypatch.setattr(inv, "state_weight", unsigned)
@@ -277,7 +306,7 @@ def test_dropped_sign_is_caught(monkeypatch):
     assert {"weight", "signed-sum"} <= kinds and not rep.ok
     expected = Poly.zero(2)
     for s in enumerate_states(2, 2, (1, 1), 1, 2):
-        expected = expected + unsigned(s)
+        expected = expected + _poly(2, unsigned(s))
     assert rep.signed_sum == expected and not expected.is_zero()
 
 
