@@ -198,11 +198,12 @@ def _pmap(fn, tasks, workers: int):
 
 def _run_gens(args) -> tuple:
     gens = generator_set(DLinearSpec(args.d, args.n))
-    # Each generator is printed from the entry extraction left, never built as a Poly.
-    entries = [{"k": key.k, "alpha": list(key.alpha), "poly": format_poly(gens.entries[key])}
-               for key in gens.keys_sorted()]
-    # Built only as the text is written: JSON output needs no second copy of each polynomial.
-    lines = (f"k={e['k']} alpha=({_tuple_text(e['alpha'])}): {e['poly']}" for e in entries)
+    # Each generator is printed from the entry extraction left, never built as a Poly,
+    # and only as it is written (one of the two renderings reads texts), so no output
+    # holds the text of every generator.
+    texts = ((key, format_poly(gens.entries[key])) for key in gens.keys_sorted())
+    entries = ({"k": key.k, "alpha": list(key.alpha), "poly": text} for key, text in texts)
+    lines = (f"k={key.k} alpha=({_tuple_text(key.alpha)}): {text}" for key, text in texts)
     return Report({"d": args.d, "n": args.n, "generators": entries}, lines), 0
 
 

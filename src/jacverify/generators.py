@@ -12,11 +12,10 @@ empty composition and only the t-grading separates them.
 
 ``differential_matrix`` writes the differential as plain rows, and
 ``extract_generators`` reads the generators off its determinant, expanded
-and split by (t, x) head in one pass by ``poly.determinant_by_head``, and
-keeps each as the packed part that pass left until it is first read as a
-Poly; ``generator_direct`` builds each one from the closed
-subset-permutation formula.  ``cross_check_generators`` confirms the two
-agree.
+one (t, x) head at a time by ``poly.determinant_by_head``, and keeps each as
+the packed part that expansion left until it is first read as a Poly;
+``generator_direct`` builds each one from the closed subset-permutation
+formula.  ``cross_check_generators`` confirms the two agree.
 """
 
 from __future__ import annotations
@@ -119,9 +118,9 @@ def extract_generators(spec: DLinearSpec) -> GeneratorSet:
     """Expand det(differential) and match off the d^k t^(dk) x^alpha terms.
 
     Every coefficient of the t^(dk) x^alpha terms must be a multiple of
-    d^k; one that is not raises VerificationError.  The expansion and the
-    split by head are one pass (``poly.determinant_by_head``), so every
-    check has run when this returns; each nonzero generator's entry is the
+    d^k; one that is not raises VerificationError.  Each head is summed and
+    divided by itself (``poly.determinant_by_head``), so every check has run
+    when this returns; each nonzero generator's entry is the
     ``PackedPart`` of its head.
     """
     d, n = spec.d, spec.n

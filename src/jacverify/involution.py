@@ -104,6 +104,13 @@ def _cells(n: int) -> dict:
     return {i: {j: n * i + j for j in range(1, n + 1)} for i in range(1, n + 1)}
 
 
+@cache
+def _sign(S: tuple, sigma: tuple) -> int:
+    """(-1)^cycles of one (S, sigma), counted once: every state of a sweep
+    shares its (S, sigma) with many others."""
+    return (-1) ** cycle_count(S, sigma)
+
+
 def state_weight(s: TupleState) -> tuple:
     """Signed monomial weight of one state as (exponent tuple, sign): its fern
     levels, then its generator levels; a label outside [1,n] raises StructuralError."""
@@ -118,7 +125,7 @@ def state_weight(s: TupleState) -> tuple:
                     e[cell[label]] += 1
     except KeyError as exc:
         raise StructuralError(f"label {exc.args[0]!r} outside [1,{s.n}] in {s}") from None
-    return tuple(e), (-1) ** cycle_count(s.S, s.sigma)
+    return tuple(e), _sign(s.S, s.sigma)
 
 
 def classify(s: TupleState) -> Classification:

@@ -6,9 +6,12 @@ None, so ``json.dumps(obj, indent=2)`` would take the pure-Python encoder
 and build the whole document before anything is written.  A batch ends
 after the dict that brings it to BATCH chunks or to BOUND characters of
 strings and tuple texts (64 KiB), so a report made of a few long strings,
-such as the polynomials of ``gens``, is written in pieces too.
+such as the polynomials of ``gens``, is written in pieces too.  An
+iterator is written as a list, item by item, so a report whose items are
+made only as they are written is never whole in memory either.
 """
 
+from collections.abc import Iterator
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 
@@ -24,18 +27,19 @@ def write_json(obj, write) -> None:
     """Pass ``write`` the text of ``json.dumps(obj, indent=2)``, in a few large pieces.
 
     ``obj`` is built from str, int, bool, None, list, tuple and str-keyed dict
-    values (a subclass is written as its base type); anything else raises
-    TypeError.  Chunks are appended to one list, which is joined and written
-    after a closed dict once BATCH chunks or BOUND characters of strings and
-    tuple texts are pending, so the whole document never sits in memory.  In
-    a report only those make long chunks, so only they are counted, as they
-    are appended.  Each depth builds its brackets and separator once, and
-    each key its two ``"key": `` chunks (first item, later item), so
-    indentation is shared, never rebuilt.  A dict value that is a tuple of
-    exact ints or of exact-int tuples (the lam, nu, S, sigma or rho of a
-    state, which repeat across thousands of states) is one chunk, its text
-    at that depth, which the depth keeps and reuses; its item types are
-    checked first, as ``(True, 1) == (1, 1)`` and ``(1.0, 2) == (1, 2)``.
+    values (a subclass is written as its base type) and iterators, each read
+    once, as it is written, and written as the list of its items (``[]`` if
+    none); anything else raises TypeError.  Chunks are appended to one list,
+    which is joined and written after a closed dict once BATCH chunks or BOUND
+    characters of strings and tuple texts are pending, so the whole document
+    never sits in memory.  In a report only those make long chunks, so only
+    they are counted, as they are appended.  Each depth builds its brackets
+    and separator once, and each key its two ``"key": `` chunks (first item,
+    later item), so indentation is shared, never rebuilt.  A dict value that
+    is a tuple of exact ints or of exact-int tuples (the lam, nu, S, sigma or
+    rho of a state, which repeat across thousands of states) is one chunk,
+    its text at that depth, which the depth keeps and reuses; its item types
+    are checked first, as ``(True, 1) == (1, 1)`` and ``(1.0, 2) == (1, 2)``.
     """
     chunks = []
     append = chunks.append
@@ -49,7 +53,8 @@ def write_json(obj, write) -> None:
             if o is None or o is True or o is False:
                 append("null" if o is None else "true" if o else "false")
                 return
-            kind = next((k for k in _KINDS if isinstance(o, k)), None)
+            kind = next((k for k in _KINDS if isinstance(o, k)),
+                        Iterator if isinstance(o, Iterator) else None)
             if kind is None:
                 raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
         if kind is str:
@@ -98,7 +103,7 @@ def write_json(obj, write) -> None:
                     write("".join(chunks))
                     chunks.clear()
                     pending = 0
-            elif _only_ints(map(type, o)):
+            elif kind is not Iterator and _only_ints(map(type, o)):
                 append(open_list)
                 append(sep.join(map(int.__repr__, o)))
                 append(close_list)
@@ -115,7 +120,7 @@ def write_json(obj, write) -> None:
                         append(row_close)
                     else:
                         emit(v, depth + 1)
-                append(close_list)
+                append(close_list if lead is sep else "[]")  # "[]": an iterator with no item
 
     emit(obj, 0)
     write("".join(chunks))

@@ -42,10 +42,10 @@ into one exponent vector instead of multiplying one-variable polynomials.
 or packed entries: it sums each level through the ring's ``dot``, with no
 running total.  ``determinant_by_head`` expands plain rows of polynomials
 with every entry packed once, at a width read off the rows' degrees, and
-splits the result by (t, x) head in the pass that divides each part.  It
-unpacks no part: each stays packed in a read-only ``PackedPart``, whose
-keys also carry the total degree, so that one sort of ints orders it and
-each exponent tuple is unpacked only as the part is read.
+sums its top level one (t, x) head at a time, so the whole determinant
+is never one dict.  It unpacks no part: each stays packed in a read-only
+``PackedPart``, whose keys also carry the total degree, so that one sort of
+ints orders it and each exponent tuple is unpacked only as the part is read.
 """
 
 from __future__ import annotations
@@ -458,14 +458,18 @@ class PackedPart:
 
 def determinant_by_head(rows, n: int, scale) -> dict:
     """``split_xt`` of the determinant of a square grid of dimension-n
-    polynomials, each part divided exactly, in one pass.
+    polynomials, each part summed by itself and divided exactly.
 
-    Maps each (t, x) head, in the determinant's term order, to a
+    Maps each (t, x) head, in the order the expansion first meets it, to a
     ``PackedPart`` of its a-parts divided by ``scale(head)`` (a generator
-    head's d^k), which is called once per head and may raise; a coefficient
-    that it does not divide raises VerificationError.  Every level stays
-    packed, in fields that hold the rows' largest total degrees summed, below
-    one that holds the total degree; a mask reads each head.
+    head's d^k), which is called once per head whose sum is nonzero and may
+    raise; a coefficient that it does not divide raises VerificationError.
+    Every level stays packed, in fields that hold the rows' largest total
+    degrees summed, below one that holds the total degree; a mask reads each
+    head.  The top level files each run of a first-column entry's terms that
+    share a head, with each block of its minor's terms by head, under the head
+    of their products, and one ``_packed_dot`` per head sums them in the order
+    of the whole expansion's products; no dict holds the whole determinant.
     """
     bound = sum(max(p.total_degree() for p in row) for row in rows)
     cut, width = 1 + n, 1
@@ -480,21 +484,44 @@ def determinant_by_head(rows, n: int, scale) -> dict:
         return _Packed(zip(map(or_, pack(terms), (sum(m) << top for m in terms)),
                            terms.values()))
 
-    terms = determinant([[graded(p.terms) for p in row] for row in rows], {0: 1}, _packed_dot)
-    parts: dict = {}
-    for m, c in terms.items():
-        h = m & mask
-        if h not in parts:
-            head = next(monomials((h,)))[:cut]
-            parts[h] = ({}, scale(head), head)
-        part, s, head = parts[h]
-        q, r = divmod(c, s)
-        if r:
-            raise VerificationError(
-                f"coefficient {c} at t^{head[0]} x^{head[1:]} is not divisible by d^k = {s}")
-        part[m] = q  # a part's keys share their head and, with it, their order
+    one = {0: 1}
+    grid = [[graded(p.terms) for p in row] for row in rows] or [[one]]  # 0 x 0 as [[1]]
+    groups: dict = {}  # product head: the (run, block) pairs whose products have it
+    for entry, minor in _cofactors(grid, one, _packed_dot):
+        blocks: dict = {}
+        for m, c in minor.items():
+            blocks.setdefault(m & mask, {})[m] = c
+        last = None
+        for m, c in entry.items():  # runs, not blocks, keep the whole expansion's order
+            if m & mask != last:
+                last, run = m & mask, {}
+                for h, block in blocks.items():
+                    groups.setdefault(last + h, []).append((run, block))
+            run[m] = c
     read = lambda keys: monomials(map(a_fields.__and__, keys))  # head and degree dropped
-    return {head: PackedPart(n, part, read) for part, _, head in parts.values()}
+    parts = {}
+    for h, pairs in groups.items():
+        part = _packed_dot(pairs)
+        if not part:
+            continue
+        head = next(monomials((h,)))[:cut]
+        s = scale(head)
+        for m, c in part.items():
+            q, r = divmod(c, s)
+            if r:
+                raise VerificationError(
+                    f"coefficient {c} at t^{head[0]} x^{head[1:]} is not divisible by d^k = {s}")
+            part[m] = q  # in place: no key is added, and a part's keys share their order
+        parts[head] = PackedPart(n, part, read)
+    return parts
+
+
+def _cofactors(rows, one, dot):
+    """The signed (entry, minor) pairs of the first-column cofactor expansion
+    of a nonempty grid, each zero entry skipped."""
+    return ((-rows[i][0] if i % 2 else rows[i][0],
+             determinant([r[1:] for j, r in enumerate(rows) if j != i], one, dot))
+            for i in range(len(rows)) if rows[i][0])
 
 
 def determinant(rows, one, dot):
@@ -509,9 +536,7 @@ def determinant(rows, one, dot):
         return one
     if k == 1:
         return rows[0][0]
-    return dot((-rows[i][0] if i % 2 else rows[i][0],
-                determinant([r[1:] for j, r in enumerate(rows) if j != i], one, dot))
-               for i in range(k) if rows[i][0])
+    return dot(_cofactors(rows, one, dot))
 
 
 # convenience builders used throughout the package

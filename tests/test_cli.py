@@ -760,12 +760,29 @@ def _json_writes(value) -> list:
     return writes
 
 
+def _as_iterators(value):
+    """value with every list, at any depth, a generator of the same items."""
+    if type(value) is list:
+        return (_as_iterators(v) for v in value)
+    if type(value) is tuple:
+        return tuple(map(_as_iterators, value))
+    if type(value) is dict:
+        return {k: _as_iterators(v) for k, v in value.items()}
+    return value
+
+
 @settings(max_examples=400, deadline=None)
 @given(value=_JSON_VALUE)
 def test_json_text_equals_json_dumps(value):
     # Wrapping puts the value at depth 4 and the key "k" at two depths.
     for v in (value, {"k": [value, {"k": (value, [])}, {}], "": value}):
         assert "".join(_json_writes(v)) == json.dumps(v, indent=2)
+        assert "".join(_json_writes(_as_iterators(v))) == json.dumps(v, indent=2)
+
+
+@pytest.mark.parametrize("value", [[], {"k": []}, [[], [[]]], [{"k": [[], [1]]}, []]])
+def test_json_writes_an_empty_iterator_as_an_empty_list(value):
+    assert "".join(_json_writes(_as_iterators(value))) == json.dumps(value, indent=2)
 
 
 @pytest.mark.parametrize("value", [1.5, {"k": [0.0]}, {1: "v"}, [{"k": {2: 3}}], {1, 2},
@@ -805,9 +822,10 @@ def test_json_flushes_batches_that_join_to_json_dumps():
     assert "".join(writes) == json.dumps(value, indent=2)
 
 
-def test_json_flushes_after_the_dict_that_brings_its_strings_past_the_bound():
+@pytest.mark.parametrize("lazy", [False, True], ids=["list", "generator"])
+def test_json_flushes_after_the_dict_that_brings_its_strings_past_the_bound(lazy):
     value = [{"s": "x" * 40_000, "i": i} for i in range(5)]
-    writes = _json_writes(value)
+    writes = _json_writes(_as_iterators(value) if lazy else value)
     assert "".join(writes) == json.dumps(value, indent=2)
     assert len(writes) == 3  # after the second dict, the fourth, and at the end
     assert max(map(len, writes)) <= jsonout.BOUND + 40_100
@@ -865,6 +883,20 @@ def test_gens_json_reaches_stdout_in_bounded_writes(monkeypatch):
     assert len([size for size in stdout.sizes if size > 1]) > 1
     # Beside its polynomial, an entry's keys, numbers and indentation take under 100.
     assert max(stdout.sizes) <= jsonout.BOUND + 46_605 + 100
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_gens_writes_its_first_batch_before_it_formats_its_last_generator(monkeypatch, fmt):
+    """Each generator is formatted only as it is written, so the text of them
+    all is never held: 165,471 bytes of JSON go out in several batches."""
+    stdout = _Recorder()
+    writes_before = []  # per format_poly call, the writes made before it
+    format_poly = cli.format_poly
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(cli, "format_poly",
+                        lambda p: writes_before.append(len(stdout.sizes)) or format_poly(p))
+    assert main(["gens", "--d", "4", "--n", "3", "--format", fmt]) == 0
+    assert writes_before[0] == 0 and writes_before[-1] > 0
 
 
 @pytest.mark.parametrize("lines", [[], ["zero"], ["k=0 alpha=(0,0): 1", "", "pass: 2 checked"]])

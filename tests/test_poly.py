@@ -22,6 +22,7 @@ from jacverify.poly import (
     Poly,
     StructuralError,
     VarId,
+    VerificationError,
     a_,
     a_monomial,
     determinant,
@@ -727,24 +728,55 @@ def _edge_rows(lo, hi):
 @example(_edge_rows(2**63, 2**63))
 @example(_edge_rows(2**64 + 1, 2**70))
 @example((2, [[a_(2, 1, 1) ** 2 + a_(2, 1, 2)]]))
+@example((1, [[x_(1, 1) + t_(1) + a_(1, 1, 1) * x_(1, 1), x_(1, 1)],
+              [Poly.one(1), Poly.one(1)]]))
 def test_determinant_by_head_matches_leibniz_across_byte_boundary(case):
     """The examples' bounds lie on both sides of every field width: 255 and
     256, 2**16 - 1 and 2**16, 2**32 - 1 and 2**32, 2**64 - 1 and 2**64.  In
-    the last, a[1,2] packs above a[1,1]^2 but has the lower degree."""
+    the one before last, a[1,2] packs above a[1,1]^2 but has the lower
+    degree.  In the last, the first product under head x cancels, so the
+    expansion meets head x before head t, though x's first surviving term
+    comes after t's."""
     n, rows = case
     heads = determinant_by_head(rows, n, lambda head: 1)
-    assert _joined(heads) == _ref_leibniz(n, rows)
+    assert {h: p.poly().terms for h, p in heads.items()} == \
+        split_xt(Poly(n, _ref_leibniz(n, rows)))
     assert all(type(c) is int for p in heads.values() for c in p.poly().terms.values())
-    # The same heads and a-parts, in the same order, as splitting the
-    # level-by-level expansion.
+    # Each head's a-part holds its terms in the order of splitting the
+    # level-by-level expansion; the heads come in the order the expansion first
+    # meets them, which a cancelled product can set apart from split_xt's.
     split = split_xt(_poly_det(n, rows))
-    assert [(h, list(p.poly().terms.items())) for h, p in heads.items()] == \
-        [(h, list(part.items())) for h, part in split.items()]
+    assert {h: list(p.poly().terms.items()) for h, p in heads.items()} == \
+        {h: list(part.items()) for h, part in split.items()}
     # Each part reads in canonical order, and prints as its Poly, though a
     # random grid's parts are seldom homogeneous.
     for p in heads.values():
         assert list(p.sorted_terms()) == p.poly().sorted_terms()
         assert format_poly(p) == format_poly(p.poly())
+
+
+def test_determinant_by_head_scales_only_the_heads_it_keeps():
+    """``scale`` is called once for each head whose sum is nonzero: a stray
+    head whose products cancel never reaches one that raises, the 0 x 0 grid
+    is 1 under head 0, and a coefficient that ``scale`` does not divide raises."""
+    x, t, a = x_(1, 1), t_(1), a_(1, 1, 1)
+    calls = []
+
+    def t_only(head):
+        calls.append(head)
+        if head != (1, 0):
+            raise VerificationError(f"stray head {head}")
+        return 2
+
+    # (x + 2t) * 1 - x * 1: head x cancels, 2t divides by 2 to t.
+    heads = determinant_by_head([[x + 2 * t, x], [Poly.one(1), Poly.one(1)]], 1, t_only)
+    assert calls == [(1, 0)] and {h: p.poly() for h, p in heads.items()} == {(1, 0): 1}
+    calls.clear()
+    heads = determinant_by_head([], 1, lambda head: calls.append(head) or 1)
+    assert calls == [(0, 0)] and {h: p.poly() for h, p in heads.items()} == {(0, 0): 1}
+    with pytest.raises(VerificationError,
+                       match=re.escape("coefficient 2 at t^0 x^(1,) is not divisible by d^k = 3")):
+        determinant_by_head([[3 * a + 2 * x]], 1, lambda head: 3)
 
 
 @pytest.mark.parametrize("top,width", [
