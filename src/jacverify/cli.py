@@ -332,8 +332,6 @@ def _run_involution(args) -> tuple:
     d, n, u0, un, variant = args.d, args.n, args.u0, args.un, args.variant
     alpha = _parse_comp(args.alpha, n, "alpha")
     beta = _parse_beta(args)
-    if not (1 <= u0 <= n and 1 <= un <= n):
-        raise DomainError("u0, un must lie in [1,n]")
     rep = verify_involution(d, n, alpha, u0, un, variant, beta)
     desc = (f"involution d={d} n={n} alpha=({_tuple_text(alpha)}) "
             f"u0={u0} un={un} variant={variant}")

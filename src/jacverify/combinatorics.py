@@ -1,5 +1,6 @@
-"""Compositions, level labelings, subset permutations, last-rep indices,
-and the a-index pairs of a stack of levels.
+"""Compositions, level labelings and their content rows, label paths,
+subset permutations, last-rep indices, and ``level_exponents``, the one
+a-factor rule of fern weights, generator terms, states and tree weights.
 
 All enumerations return tuples in a fixed deterministic order so that any
 output derived from them is reproducible run to run.
@@ -9,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from functools import cache
 from math import factorial
 
-from .poly import DomainError
+from .poly import DomainError, StructuralError, n_vars
 
 Composition = tuple  # n nonnegative parts
 LevelLabeling = tuple  # k rows, each a (d-1)-tuple of labels in [1,n]
@@ -24,12 +26,17 @@ def enumerate_compositions(m: int, n: int) -> list:
         raise DomainError("need at least one part")
     if m < 0:
         raise DomainError("negative weight")
-    if n == 1:
-        return [(m,)]
+    return capped_compositions(m, (m,) * n)
+
+
+def capped_compositions(total: int, caps: tuple) -> list:
+    """Compositions of total with part j at most caps[j], lexicographically
+    decreasing; each part is bounded so that the later parts can finish."""
+    if len(caps) == 1:
+        return [(total,)] if total <= caps[0] else []
     out = []
-    for first in range(m, -1, -1):
-        for rest in enumerate_compositions(m - first, n - 1):
-            out.append((first,) + rest)
+    for first in range(min(total, caps[0]), max(0, total - sum(caps[1:])) - 1, -1):
+        out += [(first,) + rest for rest in capped_compositions(total - first, caps[1:])]
     return out
 
 
@@ -48,6 +55,19 @@ def labeling_content(nu: LevelLabeling, n: int) -> Composition:
         for entry in row:
             counts[entry - 1] += 1
     return tuple(counts)
+
+
+def content_row(c: Composition) -> tuple:
+    """The labels of content c in ascending order: c[0] ones, then c[1] twos, ..."""
+    return tuple(label for label, e in enumerate(c, start=1) for _ in range(e))
+
+
+def label_paths(n: int, u0: int, uk: int, k: int) -> list:
+    """Every path (u0, ..., uk) of k steps over [1,n], its interior labels in
+    lexicographic order; at k = 0 the one-vertex path (u0,) if u0 = uk, else none."""
+    if k == 0:
+        return [(u0,)] if u0 == uk else []
+    return [(u0,) + mid + (uk,) for mid in itertools.product(range(1, n + 1), repeat=k - 1)]
 
 
 def enumerate_level_labelings(alpha: Composition, k: int, d: int) -> list:
@@ -88,15 +108,31 @@ def count_level_labelings(alpha: Composition, k: int, d: int) -> int:
     return total
 
 
-def level_entries(heads, tails, rows) -> list:
-    """The a-index pairs (i, j) of a stack of levels: each head i meets its
-    tail j and every label of its row.  A fern path gives (lam, lam[1:], nu),
-    a generator term (S, sigma, nu)."""
-    entries = []
-    for i, j, row in zip(heads, tails, rows):
-        entries.append((i, j))
-        entries.extend((i, lab) for lab in row)
-    return entries
+@cache
+def _cells(n: int) -> dict:
+    """Per label i in [1,n], a dict from each label j in [1,n] to n*i + j, the
+    index of a[i,j] in ``poly``'s exponent vector; any other label is missing."""
+    return {i: {j: n * i + j for j in range(1, n + 1)} for i in range(1, n + 1)}
+
+
+def level_exponents(n: int, *stacks) -> tuple:
+    """The exponent tuple of prod a[i,j] over stacks of levels, each stack a
+    (heads, tails, rows) triple: each head i meets its tail j and every label
+    of its row.  A fern path gives (lam, lam[1:], nu), a generator term
+    (S, sigma, nu), a tree edge a level with an empty row.  A label outside
+    [1,n] raises StructuralError."""
+    cells = _cells(n)
+    e = [0] * n_vars(n)
+    try:
+        for heads, tails, rows in stacks:
+            for i, j, row in zip(heads, tails, rows):
+                cell = cells[i]
+                e[cell[j]] += 1
+                for label in row:
+                    e[cell[label]] += 1
+    except KeyError as exc:
+        raise StructuralError(f"label {exc.args[0]!r} outside [1,{n}]") from None
+    return tuple(e)
 
 
 class SubsetPermutation(namedtuple("SubsetPermutation", "S sigma cycle_count")):

@@ -19,18 +19,19 @@ transfer matrices M(c)[r,s] = a[r,s] * prod_l a[r,l]^c_l, one per level
 (the transfer-matrix method, Stanley EC1 section 4.7), built by
 ``_row_matrix``.  ``identities`` assembles both identities from these
 matrices by Horner's rule.
-``_path_sum`` enumerates the interior paths of one labeling directly; it
-is the independent oracle that assembly is tested against.
+``_path_sum`` enumerates the label paths of one labeling directly and
+counts each path's exponents; it is the independent oracle that assembly
+is tested against.  Both take their monomials from
+``combinatorics.level_exponents``.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import cache
 
-from .combinatorics import level_entries
-from .poly import DomainError, Poly, a_monomial, poly_sum
+from .combinatorics import content_row, label_paths, level_exponents
+from .poly import DomainError, Poly
 
 
 class FernLabeling(namedtuple("FernLabeling", "d n k u0 uk nu")):
@@ -60,23 +61,13 @@ def z_fern(fl: FernLabeling) -> Poly:
 
 
 def _path_sum(d: int, n: int, u0: int, uk: int, nu) -> Poly:
-    k = len(nu)
-    if k == 0:
-        return Poly.one(n) if u0 == uk else Poly.zero(n)
-
-    def weight(interior):
-        lam = (u0,) + interior + (uk,)
-        return a_monomial(n, level_entries(lam, lam[1:], nu))
-
-    return poly_sum(n, map(weight, itertools.product(range(1, n + 1), repeat=k - 1)))
+    return Poly(n, Counter(level_exponents(n, (lam, lam[1:], nu))
+                           for lam in label_paths(n, u0, uk, len(nu))))
 
 
 @cache
 def _row_matrix(n: int, c: tuple) -> tuple:
     """M(c)[r,s] = a[r,s] * prod_l a[r,l]^c_l: one level whose row has content c."""
-    rows = []
-    for r in range(1, n + 1):
-        leaves = [(r, lab) for lab, e in enumerate(c, start=1) for _ in range(e)]
-        rows.append(tuple(a_monomial(n, leaves + [(r, s)]) for s in range(1, n + 1)))
-    return tuple(rows)
-
+    rows = (content_row(c),)
+    return tuple(tuple(Poly(n, {level_exponents(n, ((r,), (s,), rows)): 1})
+                       for s in range(1, n + 1)) for r in range(1, n + 1))

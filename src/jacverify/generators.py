@@ -27,10 +27,10 @@ from .combinatorics import (
     enumerate_compositions,
     enumerate_level_labelings,
     enumerate_subset_permutations,
-    level_entries,
+    level_exponents,
 )
 from .poly import (
-    DomainError, PackedPart, Poly, VerificationError, a_, a_monomial, determinant_by_head,
+    DomainError, PackedPart, Poly, VerificationError, a_, determinant_by_head,
     poly_sum, sum_of_products, t_, x_,
 )
 
@@ -148,7 +148,7 @@ def weight_w(spec: DLinearSpec, ssig: SubsetPermutation, nu) -> Poly:
         raise DomainError(f"labeling has {len(nu)} levels, S has order {k}")
     if any(len(row) != d - 1 for row in nu):
         raise DomainError("every level must have width d-1")
-    return a_monomial(n, level_entries(ssig.S, ssig.sigma, nu), (-1) ** ssig.cycle_count)
+    return Poly(n, {level_exponents(n, (ssig.S, ssig.sigma, nu)): (-1) ** ssig.cycle_count})
 
 
 def generator_direct(spec: DLinearSpec, key: JKey) -> Poly:

@@ -57,12 +57,13 @@ from math import comb
 from operator import mul
 
 from .combinatorics import (
-    composition_sub_or_none, count_level_labelings, enumerate_compositions, labeling_content,
+    composition_sub_or_none, content_row, count_level_labelings, enumerate_compositions,
+    labeling_content, level_exponents,
 )
 from .fern import _path_sum, _row_matrix
 from .generators import DLinearSpec, JKey, extract_generators
 from .poly import (
-    DomainError, Poly, VarId, a_monomial, determinant, substitute_numeric, sum_of_products,
+    DomainError, Poly, VarId, determinant, substitute_numeric, sum_of_products,
 )
 
 
@@ -180,7 +181,7 @@ def identity2_instances(d: int, n: int):
 
 def _power_monomial(n, i, lead, alpha) -> Poly:
     """a[i,lead] * a[i,1]^alpha(1) * a[i,2]^alpha(2)."""
-    return a_monomial(n, [(i, lead)] + [(i, 1)] * alpha[0] + [(i, 2)] * alpha[1])
+    return Poly(n, {level_exponents(n, ((i,), (lead,), (content_row(alpha),))): 1})
 
 
 def check_relation_2_1s(d: int, alpha1: tuple, alpha2: tuple, u: int, v_candidate: int) -> Poly:
@@ -204,8 +205,7 @@ def check_relation_2_1s(d: int, alpha1: tuple, alpha2: tuple, u: int, v_candidat
     a1p = (alpha1[0] - du2, alpha1[1] + du2)
     a1pp = (alpha1[0] - 1, alpha1[1] + 1)
 
-    row = lambda ones: (1,) * ones + (2,) * (d - 1 - ones)
-    nu = (row(alpha1[0]), row(alpha2[0]))
+    nu = (content_row(alpha1), content_row(alpha2))
     lhs = _path_sum(d, n, u, v_candidate, nu)
 
     rhs = (

@@ -27,10 +27,10 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .combinatorics import enumerate_compositions
+from .combinatorics import enumerate_compositions, labeling_content, level_exponents
 from .generators import DLinearSpec, map_components
 from .poly import (
-    DomainError, Poly, a_, a_monomial, monomial_key, poly_sum, split_xt, sum_of_products,
+    DomainError, Poly, a_, monomial_key, poly_sum, split_xt, sum_of_products,
     t_, t_layers, x_,
 )
 
@@ -198,44 +198,33 @@ def enumerate_trees(d: int, n: int, root_label: int, n_edges: int) -> list:
 
 
 def _tree_weight(tree, n: int) -> Poly:
-    """One a[parent, child] factor per edge."""
-    entries = []
-    stack = [tree]
+    """One a[parent, child] factor per edge: each edge a level with an empty row."""
+    heads, tails, stack = [], [], [tree]
     while stack:
         label, kids = stack.pop()
-        for kid in kids:
-            entries.append((label, kid[0]))
-            stack.append(kid)
-    return a_monomial(n, entries)
+        heads += [label] * len(kids)
+        tails += [kid[0] for kid in kids]
+        stack += kids
+    return Poly(n, {level_exponents(n, (heads, tails, itertools.repeat(()))): 1})
 
 
 def _leaf_content(tree, n: int) -> tuple:
-    counts = [0] * n
-    stack = [tree]
+    leaves, stack = [], [tree]
     while stack:
         label, kids = stack.pop()
+        stack += kids
         if not kids:
-            counts[label - 1] += 1
-        else:
-            stack.extend(kids)
-    return tuple(counts)
+            leaves.append(label)
+    return labeling_content((leaves,), n)
 
 
 def tree_oracle_coefficient(spec: DLinearSpec, i: int, alpha: tuple, N: int) -> Poly:
     """Brute-force coefficient: sum edge-product weights over explicit trees."""
     d, n = spec.d, spec.n
-    if N == 0:
-        return Poly.one(n) if tuple(alpha) == _unit(n, i) else Poly.zero(n)
     if N % d != 0:
         return Poly.zero(n)
     return poly_sum(n, (_tree_weight(tree, n) for tree in enumerate_trees(d, n, i, N)
                         if _leaf_content(tree, n) == tuple(alpha)))
-
-
-def _unit(n: int, i: int) -> tuple:
-    e = [0] * n
-    e[i - 1] = 1
-    return tuple(e)
 
 
 def degree_law_holds(spec: DLinearSpec, series: TruncatedSeries) -> bool:

@@ -10,8 +10,9 @@ permutation sigma, and rho a k-level labeling feeding the generator
 factor.  The signed weight of a state multiplies (-1)^cycles(sigma) into
 one a-variable factor per fern edge, per extra leaf, per sigma image and
 per rho entry; ``state_weight`` returns that product as a plain key,
-(exponent tuple, sign), counting a[i,j] at index n*i + j of ``poly``'s
-exponent vector.  ``verify_involution`` weighs each state once, sums the
+(exponent tuple, sign), its exponents counted by
+``combinatorics.level_exponents`` over the fern levels and the generator
+levels.  ``verify_involution`` weighs each state once, sums the
 signs per exponent tuple, compares every pair by its keys and builds a Poly
 only for its report: the signed sum and each pair's weight.  It classifies
 each state once, hands that classification to ``tau`` or ``tau_inverse``
@@ -37,7 +38,6 @@ the total signed sum to vanish.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from functools import cache
 
@@ -47,9 +47,11 @@ from .combinatorics import (
     enumerate_compositions,
     enumerate_level_labelings,
     enumerate_subset_permutations,
+    label_paths,
     last_rep_indices,
+    level_exponents,
 )
-from .poly import DomainError, Poly, StructuralError, VerificationError, n_vars
+from .poly import DomainError, Poly, StructuralError, VerificationError
 
 DOMAIN_SIDE = "domain"
 IMAGE_SIDE = "image"
@@ -71,15 +73,9 @@ def enumerate_states(d: int, n: int, alpha: tuple, u0: int, un: int) -> list:
     states = []
     for k in range(n + 1):
         path_len = n - k
-        if path_len == 0:
-            if u0 != un:
-                continue
-            paths = [(u0,)]
-        else:
-            paths = [
-                (u0,) + mid + (un,)
-                for mid in itertools.product(range(1, n + 1), repeat=path_len - 1)
-            ]
+        paths = label_paths(n, u0, un, path_len)
+        if not paths:
+            continue
         subset_perms = enumerate_subset_permutations(n, k)
         for alpha1 in enumerate_compositions(k * (d - 1), n):
             rem = composition_sub_or_none(alpha, alpha1)
@@ -98,13 +94,6 @@ def enumerate_states(d: int, n: int, alpha: tuple, u0: int, un: int) -> list:
 
 
 @cache
-def _cells(n: int) -> dict:
-    """Per label i in [1,n], a dict from each label j in [1,n] to n*i + j, the
-    index of a[i,j] in an exponent vector; any other label is missing."""
-    return {i: {j: n * i + j for j in range(1, n + 1)} for i in range(1, n + 1)}
-
-
-@cache
 def _sign(S: tuple, sigma: tuple) -> int:
     """(-1)^cycles of one (S, sigma), counted once: every state of a sweep
     shares its (S, sigma) with many others."""
@@ -114,18 +103,11 @@ def _sign(S: tuple, sigma: tuple) -> int:
 def state_weight(s: TupleState) -> tuple:
     """Signed monomial weight of one state as (exponent tuple, sign): its fern
     levels, then its generator levels; a label outside [1,n] raises StructuralError."""
-    cells = _cells(s.n)
-    e = [0] * n_vars(s.n)
     try:
-        for heads, tails, rows in ((s.lam, s.lam[1:], s.nu), (s.S, s.sigma, s.rho)):
-            for i, j, row in zip(heads, tails, rows):
-                cell = cells[i]  # each head meets its tail and every label of its row
-                e[cell[j]] += 1
-                for label in row:
-                    e[cell[label]] += 1
-    except KeyError as exc:
-        raise StructuralError(f"label {exc.args[0]!r} outside [1,{s.n}] in {s}") from None
-    return tuple(e), _sign(s.S, s.sigma)
+        e = level_exponents(s.n, (s.lam, s.lam[1:], s.nu), (s.S, s.sigma, s.rho))
+    except StructuralError as exc:
+        raise StructuralError(f"{exc} in {s}") from None
+    return e, _sign(s.S, s.sigma)
 
 
 def classify(s: TupleState) -> Classification:

@@ -66,7 +66,7 @@ def write_json(obj, write) -> None:
         elif not o:
             append("{}" if kind is dict else "[]")
         else:
-            while len(levels) < depth + 2:  # this depth and the next, for inline rows
+            while len(levels) < depth + 2:  # this depth and the next, for tuple texts
                 pad, ind = "\n" + "  " * len(levels), "\n" + "  " * (len(levels) + 1)
                 levels.append(("[" + ind, "{" + ind, "," + ind, pad + "]", pad + "}", {}, {}))
             open_list, open_dict, sep, close_list, close_dict, keys, _ = levels[depth]
@@ -108,18 +108,11 @@ def write_json(obj, write) -> None:
                 append(sep.join(map(int.__repr__, o)))
                 append(close_list)
             else:
-                row_open, _, row_sep, row_close, _, _, _ = levels[depth + 1]
                 lead = open_list
                 for v in o:
                     append(lead)
                     lead = sep
-                    kind = type(v)
-                    if (kind is list or kind is tuple) and v and _only_ints(map(type, v)):
-                        append(row_open)  # a row of ints, such as one of nu, sigma or rho
-                        append(row_sep.join(map(int.__repr__, v)))
-                        append(row_close)
-                    else:
-                        emit(v, depth + 1)
+                    emit(v, depth + 1)
                 append(close_list if lead is sep else "[]")  # "[]": an iterator with no item
 
     emit(obj, 0)

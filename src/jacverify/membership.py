@@ -39,7 +39,7 @@ from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from operator import add, ge, sub
 
-from .combinatorics import enumerate_compositions
+from .combinatorics import capped_compositions, content_row, enumerate_compositions
 from .fern import FernLabeling, z_fern
 from .generators import DLinearSpec
 from .identities import generator_set
@@ -110,20 +110,9 @@ def _margin_matrices(rows: list, cols: tuple) -> list:
     if not rows:
         return [()]
     out = []
-    for first in _capped_compositions(rows[0], cols):
+    for first in capped_compositions(rows[0], cols):
         left = tuple(c - f for c, f in zip(cols, first))
         out += [first + rest for rest in _margin_matrices(rows[1:], left)]
-    return out
-
-
-def _capped_compositions(total: int, caps: tuple) -> list:
-    """Compositions of total with part j at most caps[j], lexicographically
-    decreasing; each part is bounded so that the later parts can finish."""
-    if len(caps) == 1:
-        return [(total,)] if total <= caps[0] else []
-    out = []
-    for first in range(min(total, caps[0]), max(0, total - sum(caps[1:])) - 1, -1):
-        out += [(first,) + rest for rest in _capped_compositions(total - first, caps[1:])]
     return out
 
 
@@ -305,13 +294,12 @@ def verify_fern_lemmas(d: int) -> FernMembershipReport:
         raise DomainError("d must be positive")
     n = 2
     spec = DLinearSpec(d, n)
-    row = lambda ones: (1,) * ones + (2,) * (d - 1 - ones)
     targets = []
     for u0 in (1, 2):
         for u2 in (1, 2):
             for m1 in range(d):
                 for m2 in range(d):
-                    nu = (row(m1), row(m2))
+                    nu = (content_row((m1, d - 1 - m1)), content_row((m2, d - 1 - m2)))
                     targets.append((u0, u2, nu, z_fern(FernLabeling(d, n, 2, u0, u2, nu))))
     basis = build_basis(spec, 2 * d, _weights(spec, (z for *_, z in targets)))
     entries = [(u0, u2, nu, membership(spec, z, basis)) for u0, u2, nu, z in targets]

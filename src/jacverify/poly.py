@@ -34,9 +34,8 @@ Only this module touches the canonical form, and packed keys never leave
 it.  ``t_layers`` splits a polynomial by t-degree, so that truncated
 products pair only the layers below a cutoff.
 
-Signed products of a-variables (fern paths, generator weights and
-tree weights) are built by ``a_monomial``, which writes the whole product
-into one exponent vector instead of multiplying one-variable polynomials.
+Products of a-variables are written straight into one exponent tuple by
+``combinatorics.level_exponents``, not multiplied here.
 ``split_xt`` reads off the a-coefficient of each (t, x) monomial, and
 ``determinant`` is the one cofactor expansion, over ``Poly``, ``Fraction``
 or packed entries: it sums each level through the ring's ``dot``, with no
@@ -552,17 +551,3 @@ def x_(n: int, i: int) -> Poly:
 def a_(n: int, i: int, j: int) -> Poly:
     return Poly.var(n, VarId("a", i, j))
 
-
-def a_monomial(n: int, entries, sign=1) -> Poly:
-    """sign * prod a[i,j] over the (i, j) pairs, built as one exponent vector.
-
-    Equal to multiplying ``a_(n, i, j)`` factors onto ``Poly.const(n, sign)``
-    but with no intermediate polynomial; indices are checked as in
-    ``var_index``.
-    """
-    e = [0] * n_vars(n)
-    for i, j in entries:
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise StructuralError(f"a index ({i},{j}) outside [1,{n}]^2")
-        e[n + (i - 1) * n + j] += 1
-    return Poly(n, {tuple(e): sign})

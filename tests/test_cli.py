@@ -330,20 +330,22 @@ def test_unwritable_file_exits_two(capsys, tmp_path, argv, flag):
      "involution d=2 n=2 alpha=(2,0) u0=1 un=2 variant=2 beta=(2): no state to check", True),
     ("--d 3 --n 2 --alpha 4,0 --u0 1 --un 2 --variant 2 --beta 2,2",
      "involution d=3 n=2 alpha=(4,0) u0=1 un=2 variant=2 beta=(2,2): no state to check", True),
-    ("--d 2 --n 2 --alpha 1,1 --u0 5 --un 5 --variant 1", "u0, un must lie in [1,n]", False),
+    ("--d 2 --n 2 --alpha 1,1 --u0 5 --un 5 --variant 1", "u0 = 5 lies outside [1,2]", False),
     ("--d 2 --n 2 --alpha 2,0 --u0 1 --un 0 --variant 2 --beta 1",
-     "u0, un must lie in [1,n]", False),
+     "un = 0 lies outside [1,2]", False),
 ])
 def test_involution_with_no_state_or_labels_out_of_range_exits_two(
         capsys, monkeypatch, argv, message, enumerated):
+    """The library rejects a label out of range before it builds any state."""
+    involution = importlib.import_module("jacverify.involution")
     calls = []
-    real = cli.verify_involution
+    real = involution.enumerate_states
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(cli, "verify_involution", counted)
+    monkeypatch.setattr(involution, "enumerate_states", counted)
     for fmt in ("text", "json"):
         assert main(["involution", *argv.split(), "--format", fmt]) == 2
         captured = capsys.readouterr()

@@ -1,22 +1,28 @@
-"""Enumerations and the last-rep decomposition."""
+"""Enumerations, the shared builders and the last-rep decomposition."""
 
 import itertools
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacverify.combinatorics import (
     LastRep,
     SubsetPermutation,
+    capped_compositions,
     composition_sub_or_none,
+    content_row,
     count_level_labelings,
     enumerate_compositions,
     enumerate_level_labelings,
     enumerate_subset_permutations,
+    label_paths,
     labeling_content,
     last_rep_indices,
+    level_exponents,
 )
-from jacverify.poly import DomainError
+from jacverify.poly import DomainError, Poly, StructuralError, a_, n_vars
 
 
 # -- oracles: each checks a definition directly, independently of the code --
@@ -68,6 +74,23 @@ def test_composition_counts_and_uniqueness():
             assert comps == sorted(comps, reverse=True)
 
 
+def test_compositions_are_capped_at_their_weight():
+    for m in range(7):
+        for n in range(1, 5):
+            assert enumerate_compositions(m, n) == capped_compositions(m, (m,) * n)
+
+
+def test_capped_compositions_filter_the_product_under_caps():
+    """Every tuple under the caps with the right total, in the same
+    (lexicographically decreasing) order."""
+    for length in (1, 2, 3):
+        for caps in itertools.product(range(4), repeat=length):
+            for total in range(sum(caps) + 2):
+                want = [c for c in itertools.product(*(range(cap, -1, -1) for cap in caps))
+                        if sum(c) == total]
+                assert capped_compositions(total, caps) == want
+
+
 def test_composition_sub():
     assert composition_sub_or_none((2, 1), (1, 0)) == (1, 1)
     assert composition_sub_or_none((3, 2), (3, 2)) == (0, 0)
@@ -97,6 +120,68 @@ def test_level_labeling_counts():
                     assert len(set(got)) == len(got)
                     for nu in got:
                         assert labeling_content(nu, n) == alpha
+
+
+def test_content_row_has_its_content():
+    assert content_row((2, 0, 1)) == (1, 1, 3)
+    assert content_row((0, 0)) == ()
+    for n in (1, 2, 3):
+        for m in range(5):
+            for c in enumerate_compositions(m, n):
+                row = content_row(c)
+                assert labeling_content((row,), n) == c
+                assert list(row) == sorted(row)
+
+
+def test_label_paths_count_and_endpoints():
+    for n in (1, 2, 3):
+        for u0, uk in itertools.product(range(1, n + 1), repeat=2):
+            assert label_paths(n, u0, uk, 0) == ([(u0,)] if u0 == uk else [])
+            for k in range(1, 5):
+                paths = label_paths(n, u0, uk, k)
+                assert len(paths) == len(set(paths)) == n ** (k - 1)
+                assert paths == sorted(paths)
+                for lam in paths:
+                    assert len(lam) == k + 1 and lam[0] == u0 and lam[-1] == uk
+                    assert set(lam) <= set(range(1, n + 1))
+
+
+@st.composite
+def _level_stacks(draw):
+    n = draw(st.integers(1, 4))
+    label = st.integers(1, n)
+    stacks = []
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, 4))
+        labels = st.lists(label, min_size=k, max_size=k).map(tuple)
+        rows = st.lists(st.lists(label, max_size=3).map(tuple), min_size=k, max_size=k)
+        stacks.append((draw(labels), draw(labels), tuple(draw(rows))))
+    return n, stacks
+
+
+@settings(max_examples=150, deadline=None)
+@given(_level_stacks())
+def test_level_exponents_is_the_product_of_its_factors(case):
+    """Each head meets its tail and every label of its row, in every stack."""
+    n, stacks = case
+    expected = Poly.one(n)
+    for heads, tails, rows in stacks:
+        for i, j, row in zip(heads, tails, rows):
+            expected = expected * a_(n, i, j)
+            for label in row:
+                expected = expected * a_(n, i, label)
+    assert Poly(n, {level_exponents(n, *stacks): 1}) == expected
+
+
+def test_level_exponents_reject_a_label_outside_range():
+    heads, tails, rows = (1, 2), (2, 3), ((1,), (3, 3))
+    assert level_exponents(3) == (0,) * n_vars(3)
+    assert sum(level_exponents(3, (heads, tails, rows))) == 5
+    for bad in (0, 4):
+        for stack in (((bad, 2), tails, rows), (heads, (2, bad), rows),
+                      (heads, tails, ((1,), (3, bad)))):
+            with pytest.raises(StructuralError, match=rf"^label {bad} outside \[1,3\]$"):
+                level_exponents(3, (heads, tails, rows), stack)
 
 
 def test_level_labeling_weight_mismatch():

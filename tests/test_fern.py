@@ -1,7 +1,7 @@
 """Fern weight elements against matrix powers and the pinned identity term."""
 
 import itertools
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,7 @@ from jacverify.fern import (
 )
 from jacverify.generators import DLinearSpec, JKey
 from jacverify.identities import _levels, _partial_sum, _partial_sums, generator_set
-from jacverify.poly import DomainError, Poly, a_, a_monomial, split_xt, x_
+from jacverify.poly import DomainError, Poly, a_, split_xt, x_
 
 
 def test_length_two_fern_reference_value():
@@ -182,7 +182,7 @@ def test_partial_sums_are_matrix_power_coefficients(d, n):
         for beta in betas:
             if m:
                 x_beta = x_power([beta.count(i) for i in labels])
-                M_beta = [[x_beta * a_monomial(n, [(r, s)] + [(r, b) for b in beta])
+                M_beta = [[prod((a_(n, r, b) for b in beta), start=x_beta * a_(n, r, s))
                            for s in labels] for r in labels]
                 pinned[beta] = _matmul(n, M_beta, sums[m - 1])
         for u in labels:

@@ -24,7 +24,6 @@ from jacverify.poly import (
     VarId,
     VerificationError,
     a_,
-    a_monomial,
     determinant,
     determinant_by_head,
     monomial_key,
@@ -449,36 +448,6 @@ def _printable_polys(draw):
 def test_format_and_sorted_terms_match_the_monomial_key_reference(p):
     assert format_poly(p) == _reference_format(p)
     assert p.sorted_terms() == [(m, p.terms[m]) for m in sorted(p.terms, key=monomial_key)]
-
-
-@st.composite
-def _a_products(draw):
-    n = draw(st.integers(1, 4))
-    entry = st.tuples(st.integers(1, n), st.integers(1, n))
-    entries = draw(st.lists(entry, max_size=12))
-    sign = draw(st.sampled_from([1, -1]))
-    return n, entries, sign
-
-
-@settings(max_examples=150, deadline=None)
-@given(_a_products())
-def test_a_monomial_matches_product_of_factors(case):
-    """The exponent-vector builder equals sign * prod a_(n, i, j)."""
-    n, entries, sign = case
-    expected = Poly.const(n, sign)
-    for i, j in entries:
-        expected = expected * a_(n, i, j)
-    got = a_monomial(n, entries, sign)
-    assert got == expected
-    assert all(type(c) is int for c in got.terms.values())
-
-
-def test_a_monomial_empty_product_and_bounds():
-    assert a_monomial(3, []) == Poly.one(3)
-    assert a_monomial(3, [], -1) == Poly.const(3, -1)
-    for bad in [(0, 1), (1, 0), (4, 1), (1, 4), (-1, 2)]:
-        with pytest.raises(StructuralError, match=r"outside \[1,3\]\^2"):
-            a_monomial(3, [(1, 1), bad])
 
 
 @settings(max_examples=150, deadline=None)
