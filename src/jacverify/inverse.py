@@ -53,8 +53,7 @@ class TruncatedSeries:
         self._heads = {}
 
     def component(self, i: int) -> Poly:
-        if not 1 <= i <= self.spec.n:
-            raise DomainError(f"component {i} outside [1,{self.spec.n}]")
+        _check_component(self.spec.n, i)
         return self.components[i - 1]
 
     def heads(self, i: int) -> dict:
@@ -162,13 +161,24 @@ def _substitute_x(p: Poly, replacements: list, n_max: int) -> Poly:
     return poly_sum(n, terms)
 
 
-def coefficient_c(spec: DLinearSpec, i: int, alpha: tuple, N: int,
-                  series: TruncatedSeries | None = None) -> Poly:
-    """The a-variable coefficient of t^N x^alpha in component i."""
+def _check_component(n: int, i: int) -> None:
+    if not 1 <= i <= n:
+        raise DomainError(f"component {i} outside [1,{n}]")
+
+
+def _check_coefficient(spec: DLinearSpec, i: int, alpha: tuple, N: int) -> None:
+    """A DomainError unless t^N x^alpha in component i names a coefficient."""
     if len(alpha) != spec.n or any(p < 0 for p in alpha):
         raise DomainError("alpha must have n nonnegative parts")
     if N < 0:
         raise DomainError("N must be nonnegative")
+    _check_component(spec.n, i)
+
+
+def coefficient_c(spec: DLinearSpec, i: int, alpha: tuple, N: int,
+                  series: TruncatedSeries | None = None) -> Poly:
+    """The a-variable coefficient of t^N x^alpha in component i."""
+    _check_coefficient(spec, i, alpha, N)
     if series is None or series.n_max < N:
         series = inverse_series(spec, N)
     return Poly(spec.n, series.heads(i).get((N,) + tuple(alpha), {}))
@@ -219,7 +229,11 @@ def _leaf_content(tree, n: int) -> tuple:
 
 
 def tree_oracle_coefficient(spec: DLinearSpec, i: int, alpha: tuple, N: int) -> Poly:
-    """Brute-force coefficient: sum edge-product weights over explicit trees."""
+    """Brute-force coefficient: sum edge-product weights over explicit trees.
+
+    It rejects the inputs that ``coefficient_c`` rejects, with the same DomainError.
+    """
+    _check_coefficient(spec, i, alpha, N)
     d, n = spec.d, spec.n
     if N % d != 0:
         return Poly.zero(n)

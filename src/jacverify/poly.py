@@ -44,7 +44,9 @@ with every entry packed once, at a width read off the rows' degrees, and
 sums its top level one (t, x) head at a time, so the whole determinant
 is never one dict.  It unpacks no part: each stays packed in a read-only
 ``PackedPart``, whose keys also carry the total degree, so that one sort of
-ints orders it and each exponent tuple is unpacked only as the part is read.
+ints orders it.  The printer reads a part and a ``Poly`` alike by rows
+(``sorted_rows``): the part cuts each sorted key's bytes into its a-rows,
+the Poly each sorted exponent tuple into its (t, x) head and a-rows.
 """
 
 from __future__ import annotations
@@ -286,9 +288,12 @@ class Poly:
             degs.add(sum(m[1 + self.n:]))
         return len(degs) <= 1
 
-    def sorted_terms(self) -> list:
-        """Terms as (exponents, coeff) in ascending canonical order."""
-        return [(m, self.terms[m]) for m in canonical_order(self.n, self.terms)]
+    def sorted_rows(self) -> tuple:
+        """(rows, monomials, coeffs), the terms in ascending canonical order as
+        the printer reads them: ``rows`` (``_tuple_rows``) cuts each monomial
+        into its (t, x) head and its a-rows."""
+        monos = canonical_order(self.n, self.terms)
+        return _tuple_rows(self.n), monos, list(map(self.terms.__getitem__, monos))
 
 
 # -- the product-and-sum kernel -----------------------------------------
@@ -431,28 +436,55 @@ class _Packed(dict):
         return _Packed({k: -c for k, c in self.items()})
 
 
+@cache
+def _tuple_rows(n: int) -> tuple:
+    """(split, cuts) for dimension-n exponent tuples: cuts pairs the first
+    position of the (t, x) head and of each a-row a[i,1..n] with a getter
+    that slices that row out of a monomial, and split reads a row's exponents."""
+    bounds = (0, *range(1 + n, n_vars(n) + 1, n))
+    return tuple, tuple((lo, itemgetter(slice(lo, hi))) for lo, hi in zip(bounds, bounds[1:]))
+
+
+@cache
+def _byte_rows(n: int, width: int) -> tuple:
+    """``_tuple_rows`` for the bytes of keys of ``width``-byte fields, without
+    the head."""
+    def split(row):
+        return tuple(int.from_bytes(row[i:i + width], "little") for i in range(0, len(row), width))
+
+    return split, tuple((lo, itemgetter(slice(lo * width, (lo + n) * width)))
+                        for lo in range(1 + n, n_vars(n), n))
+
+
 class PackedPart:
     """One part of ``determinant_by_head``, read-only, still in packed keys.
 
     Each key holds its whole monomial, with the total degree in a field
     above a[n,n].  A part's keys share one head, so one sort of the ints is
-    the canonical order of their a-parts.  ``sorted_terms`` unpacks each
-    a-part's exponent tuple (through ``monomials``, which drops the head and
-    the degree) only as it is read, and ``poly`` builds the part as a Poly.
+    the canonical order of their a-parts.  ``sorted_rows`` cuts each sorted
+    key's bytes into its a-rows and never unpacks an exponent tuple, and
+    ``poly`` builds the part as a Poly.
     """
 
-    __slots__ = ("n", "_terms", "_monomials")
+    __slots__ = ("n", "_terms", "_width")
 
-    def __init__(self, n: int, terms: dict, monomials):
-        self.n, self._terms, self._monomials = n, terms, monomials
+    def __init__(self, n: int, terms: dict, width: int):
+        self.n, self._terms, self._width = n, terms, width
 
-    def sorted_terms(self):
-        """Terms as (exponents, coeff) in ascending canonical order, an iterator."""
+    def sorted_rows(self) -> tuple:
+        """``Poly.sorted_rows`` with the bytes of each sorted key in place of
+        its monomial, cut by ``_byte_rows`` into its a-rows alone."""
+        n, w = self.n, self._width
         keys = sorted(self._terms)
-        return zip(self._monomials(keys), map(self._terms.__getitem__, keys))
+        # The degree, above a[n,n], is below the bound the width was chosen for: one field more.
+        data = list(map(int.to_bytes, keys, repeat((n_vars(n) + 1) * w), repeat("little")))
+        return _byte_rows(n, w), data, list(map(self._terms.__getitem__, keys))
 
     def poly(self) -> Poly:
-        return Poly._of(self.n, dict(zip(self._monomials(self._terms), self._terms.values())))
+        n, w = self.n, self._width
+        a_fields = (1 << 8 * w * n_vars(n)) - (1 << 8 * w * (1 + n))  # head and degree dropped
+        monomials = _codec(n, w)[1](map(a_fields.__and__, self._terms))
+        return Poly._of(n, dict(zip(monomials, self._terms.values())))
 
 
 def determinant_by_head(rows, n: int, scale) -> dict:
@@ -477,7 +509,6 @@ def determinant_by_head(rows, n: int, scale) -> dict:
     pack, monomials, _ = _codec(n, width)
     top = 8 * width * n_vars(n)  # the degree field: the top one, so it has no width to overflow
     mask = (1 << 8 * width * cut) - 1
-    a_fields = ((1 << top) - 1) ^ mask
 
     def graded(terms):
         return _Packed(zip(map(or_, pack(terms), (sum(m) << top for m in terms)),
@@ -497,7 +528,6 @@ def determinant_by_head(rows, n: int, scale) -> dict:
                 for h, block in blocks.items():
                     groups.setdefault(last + h, []).append((run, block))
             run[m] = c
-    read = lambda keys: monomials(map(a_fields.__and__, keys))  # head and degree dropped
     parts = {}
     for h, pairs in groups.items():
         part = _packed_dot(pairs)
@@ -511,7 +541,7 @@ def determinant_by_head(rows, n: int, scale) -> dict:
                 raise VerificationError(
                     f"coefficient {c} at t^{head[0]} x^{head[1:]} is not divisible by d^k = {s}")
             part[m] = q  # in place: no key is added, and a part's keys share their order
-        parts[head] = PackedPart(n, part, read)
+        parts[head] = PackedPart(n, part, width)
     return parts
 
 

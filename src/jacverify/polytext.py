@@ -13,6 +13,12 @@ writes terms in ascending canonical order (so every printed polynomial is
 byte-reproducible) and factors in ascending variable order; ``parse_poly``
 takes terms in any order.
 
+``format_poly`` prints by rows, as ``sorted_rows`` gives them: a term's
+factors are the texts of its (t, x) head and of each row a[i,1..n],
+joined.  The text of a row is made once, on its first use at its
+dimension, position and kind, and kept, so the per-term work is C-level
+``map`` and ``join``; each coefficient's prefix is made once a call.
+
 The grammar has no nesting, so the regular expressions below state it
 once, rule by rule.  A term tries its product form before a bare
 coefficient, so that ``2 * a[1,1]`` is never read as two terms.  The
@@ -27,7 +33,8 @@ small to compile, which every command does when no bytecode is cached.
 import re
 from fractions import Fraction
 from functools import cache
-from operator import getitem
+from itertools import chain
+from operator import add, itemgetter
 
 from .poly import Poly, StructuralError, VarId, n_vars, var_index, var_of_index
 
@@ -45,36 +52,51 @@ def _patterns() -> tuple:
             re.compile(f"{_COEFF}|{_FACTOR}"))
 
 
+class _RowTexts(dict):
+    """The factors of each row of exponents met at one position, each led by
+    '*', made from the row on its first lookup."""
+
+    __slots__ = ("names", "split")
+
+    def __init__(self, names: list, split):
+        self.names, self.split = names, split
+
+    def __missing__(self, row):
+        text = self[row] = "".join(f"*{name}" if e == 1 else f"*{name}^{e}"
+                                   for name, e in zip(self.names, self.split(row)) if e)
+        return text
+
+
 @cache
-def _factor_table(n: int) -> tuple:
-    """Per exponent position, the printed factor for exponents 0 to 15."""
-    names = (str(var_of_index(n, pos)) for pos in range(n_vars(n)))
-    return tuple(("", name) + tuple(f"{name}^{e}" for e in range(2, 16)) for name in names)
+def _row_texts(n: int, rows: tuple) -> tuple:
+    """(cut, text) for each row that ``rows``, the ``(split, cuts)`` of a
+    ``sorted_rows``, cuts out: text looks up a ``_RowTexts`` of the row's
+    position, which keeps one entry per distinct row."""
+    split, cuts = rows
+    names = [str(var_of_index(n, k)) for k in range(n_vars(n))]
+    return tuple((cut, _RowTexts(names[pos:], split).__getitem__) for pos, cut in cuts)
+
+
+_after_star = itemgetter(slice(1, None))
 
 
 def format_poly(p) -> str:
-    """The text of p: a Poly, or anything else with ``n`` and ``sorted_terms()``,
-    such as a ``poly.PackedPart``."""
-    table = _factor_table(p.n)
-    parts = []
-    for m, c in p.sorted_terms():
-        try:
-            factors = "*".join(filter(None, map(getitem, table, m)))
-        except IndexError:  # an exponent past the table
-            factors = "*".join(row[1] if e == 1 else f"{row[1]}^{e}"
-                               for row, e in zip(table, m) if e)
-        mag = abs(c)
-        if not factors:
-            body = str(mag)
-        elif mag == 1 and c > 0:
-            body = factors
-        else:
-            body = f"{mag} * {factors}"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append((" - " if c < 0 else " + ") + body)
-    return "".join(parts) or "0"
+    """The text of p: a Poly or a ``poly.PackedPart``, read by ``sorted_rows()``.
+
+    A term's factors are its rows' texts joined, less the first '*'; only
+    the first term can be a constant, as it sorts first.
+    """
+    rows, data, coeffs = p.sorted_rows()
+    if not coeffs:
+        return "0"
+    texts = [map(text, map(cut, data)) for cut, text in _row_texts(p.n, rows)]
+    factors = map(_after_star, map("".join, zip(*texts)))
+    signs = {c: (" - " if c < 0 else " + ") + ("" if c == 1 else f"{abs(c)} * ")
+             for c in set(coeffs)}  # " + ", " - 1 * ", " + 3/2 * " and so on
+    terms = map(add, map(signs.__getitem__, coeffs), factors)
+    first, c = next(terms), coeffs[0]
+    body = str(abs(c)) if first == signs[c] else first[3:]  # a constant has no factors
+    return "".join(chain((("-" if c < 0 else "") + body,), terms))
 
 
 def _int(digits: str) -> int:

@@ -1,5 +1,7 @@
 """Inverse series against composition, matrix powers and the tree oracle."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from jacverify.inverse import (
     tree_oracle_coefficient,
     verify_inverse,
 )
-from jacverify.poly import Poly, a_, t_, x_
+from jacverify.poly import DomainError, Poly, a_, t_, x_
 
 
 def _truncate(p, n_max):
@@ -128,6 +130,23 @@ def test_tree_oracle_star():
 def test_tree_oracle_rejects_non_multiples():
     spec = DLinearSpec(2, 2)
     assert tree_oracle_coefficient(spec, 1, (2, 1), 5).is_zero()
+
+
+@pytest.mark.parametrize("i,alpha,N,message", [
+    (0, (0, 1), 0, "component 0 outside [1,2]"),
+    (-1, (0, 1), 0, "component -1 outside [1,2]"),
+    (3, (0, 1), 0, "component 3 outside [1,2]"),
+    (0, (1, 1), 2, "component 0 outside [1,2]"),
+    (1, (1,), 0, "alpha must have n nonnegative parts"),
+    (1, (1, 0, 0), 0, "alpha must have n nonnegative parts"),
+    (1, (2, -1), 2, "alpha must have n nonnegative parts"),
+    (1, (1, 0), -2, "N must be nonnegative"),
+])
+def test_tree_oracle_and_coefficient_c_reject_the_same_inputs(i, alpha, N, message):
+    spec = DLinearSpec(2, 2)
+    for coefficient in (tree_oracle_coefficient, coefficient_c):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            coefficient(spec, i, alpha, N)
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -24,6 +24,7 @@ from jacverify.poly import (
     VarId,
     VerificationError,
     a_,
+    canonical_order,
     determinant,
     determinant_by_head,
     monomial_key,
@@ -431,15 +432,14 @@ def _reference_format(p):
 
 
 @st.composite
-def _printable_polys(draw):
-    """Fraction and int coefficients, constant terms, and exponents on both
-    sides of the end of the printer's factor table."""
+def _printable_polys(draw, coeff=st.one_of(st.integers(-3, 3), _COEFFS), tops=(15, 16, 17, 300)):
+    """Fraction and int coefficients, constant terms, and exponents of one
+    digit and two, either side of 16, 256 and any further tops."""
     n = draw(st.integers(1, 3))
     nv = n_vars(n)
-    exps = st.one_of(st.integers(1, 3), st.sampled_from([15, 16, 17, 300]))
+    exps = st.one_of(st.integers(1, 3), st.sampled_from(tops))
     mono = st.lists(st.tuples(st.integers(0, nv - 1), exps), max_size=3).map(
         lambda e: tuple(dict(e).get(pos, 0) for pos in range(nv)))
-    coeff = st.one_of(st.integers(-3, 3), _COEFFS)
     return Poly(n, dict(draw(st.lists(st.tuples(mono, coeff), max_size=8))))
 
 
@@ -447,7 +447,31 @@ def _printable_polys(draw):
 @given(_printable_polys())
 def test_format_and_sorted_terms_match_the_monomial_key_reference(p):
     assert format_poly(p) == _reference_format(p)
-    assert p.sorted_terms() == [(m, p.terms[m]) for m in sorted(p.terms, key=monomial_key)]
+    assert canonical_order(p.n, p.terms) == sorted(p.terms, key=monomial_key)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_printable_polys(st.integers(-3, 3), (15, 16, 17, 300, 2**16, 2**40, 2**70)))
+def test_format_of_packed_parts_matches_the_reference(p):
+    """The (t, x) heads of p, as ``determinant_by_head`` of the 1 x 1 grid
+    [[p]] parts them, print as their Polys, at fields of 1, 2, 4, 8 and 16
+    bytes."""
+    heads = determinant_by_head([[p]], p.n, lambda head: 1)
+    assert {h: part.poly() for h, part in heads.items()} == \
+        {h: Poly(p.n, terms) for h, terms in split_xt(p).items()}
+    for part in heads.values():
+        assert format_poly(part) == _reference_format(part.poly())
+
+
+def test_row_texts_are_not_shared_across_widths_or_key_kinds():
+    """A part at 1-byte fields, then one at 2-byte fields of the same n, then
+    the Poly of the second: each prints as the reference, so no row text
+    made for one kind of row is read for another."""
+    a11, a12, a21 = a_(N, 1, 1), a_(N, 1, 2), a_(N, 2, 1)
+    for p in [a11 ** 3 * a12 - 2 * a21, a11 ** 300 * a12 - 2 * a21 + 5]:
+        (part,) = determinant_by_head([[p]], N, lambda head: 1).values()
+        assert format_poly(part) == _reference_format(p)
+    assert format_poly(p) == _reference_format(p) == "5 - 2 * a[2,1] + a[1,1]^300*a[1,2]"
 
 
 @settings(max_examples=150, deadline=None)
@@ -717,11 +741,10 @@ def test_determinant_by_head_matches_leibniz_across_byte_boundary(case):
     split = split_xt(_poly_det(n, rows))
     assert {h: list(p.poly().terms.items()) for h, p in heads.items()} == \
         {h: list(part.items()) for h, part in split.items()}
-    # Each part reads in canonical order, and prints as its Poly, though a
-    # random grid's parts are seldom homogeneous.
+    # Each part prints as its Poly, in canonical order, though a random grid's
+    # parts are seldom homogeneous.
     for p in heads.values():
-        assert list(p.sorted_terms()) == p.poly().sorted_terms()
-        assert format_poly(p) == format_poly(p.poly())
+        assert format_poly(p) == _reference_format(p.poly())
 
 
 def test_determinant_by_head_scales_only_the_heads_it_keeps():
