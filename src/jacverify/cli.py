@@ -314,16 +314,15 @@ def _state_json(s) -> dict:
 def _pairs_json(rep) -> list:
     pairs = []
     texts = {}  # monomial -> its text: pairs share monomials, so each is formatted once
-    for s, img, w in rep.pairs:
-        (mono, coeff), = w.terms.items()  # a state weight is +1 or -1 times one monomial
+    for s, img, (mono, sign) in rep.pairs:  # a state weight is +1 or -1 times one monomial
         text = texts.get(mono)
         if text is None:
-            text = texts[mono] = format_poly(Poly(w.n, {mono: 1}))
+            text = texts[mono] = format_poly(Poly(s.n, {mono: 1}))
         pairs.append({
             "state": _state_json(s),
             "partner": _state_json(img),
             "monomial": text,
-            "sign": 1 if coeff > 0 else -1,
+            "sign": sign,
         })
     return pairs
 

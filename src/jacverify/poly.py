@@ -30,9 +30,10 @@ One codec (``_codec``) packs each exponent tuple into an int key of
 fixed-width fields, t the lowest, at a width read off the inputs, so a
 monomial product is one int add.  ``poly_sum`` keeps its dict canonical
 as each term is folded in; ``+`` and ``-`` are its two-summand cases.
-Only this module touches the canonical form, and packed keys never leave
-it.  ``t_layers`` splits a polynomial by t-degree, so that truncated
-products pair only the layers below a cutoff.
+Only this module touches the canonical form, and packed keys leave it
+only as ``monomial_keys`` makes them, opaque ints that add.  ``t_layers``
+splits a polynomial by t-degree, so that truncated products pair only the
+layers below a cutoff.
 
 Products of a-variables are written straight into one exponent tuple by
 ``combinatorics.level_exponents``, not multiplied here.
@@ -301,10 +302,10 @@ class Poly:
 
 @cache
 def _codec(n: int, width: int) -> tuple:
-    """(pack, monomials, tops): ``pack`` rekeys a dimension-n term dict by ints
-    of ``width``-byte little-endian fields, t the lowest, ``monomials`` maps
-    such keys back to exponent tuples, and ``tops`` sets each field's top bit.
-    A field too narrow for its exponent raises."""
+    """(pack, monomials, tops, key): ``pack`` rekeys a dimension-n term dict by
+    ints of ``width``-byte little-endian fields, t the lowest, ``monomials`` maps
+    such keys back to exponent tuples, ``tops`` sets each field's top bit and
+    ``key`` packs one exponent tuple.  A field too narrow for its exponent raises."""
     nv = n_vars(n)
     size = nv * width
     fmt = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(width)  # struct's fields reach 8 bytes
@@ -323,7 +324,19 @@ def _codec(n: int, width: int) -> tuple:
     def monomials(keys):
         return map(split, map(int.to_bytes, keys, repeat(size), repeat("little")))
 
-    return pack, monomials, int.from_bytes((bytes(width - 1) + b"\x80") * nv, "little")
+    tops = int.from_bytes((bytes(width - 1) + b"\x80") * nv, "little")
+    return pack, monomials, tops, lambda m: int.from_bytes(join(*m), "little")
+
+
+def monomial_keys(n: int, degree: int) -> tuple:
+    """(key, monomials) in ``_codec``'s keys for dimension-n monomials of total
+    degree at most ``degree``, at the narrowest width whose fields hold it: the
+    key of a product within that degree is the sum of its factors' keys."""
+    width = 1
+    while degree >> 8 * width:
+        width *= 2
+    _, monomials, _, key = _codec(n, width)
+    return key, monomials
 
 
 def _packed_dot(pairs) -> dict:
@@ -352,7 +365,7 @@ def sum_of_products(n: int, pairs) -> Poly:
             live.append((x.terms, y.terms))
     width = 1
     while True:
-        pack, monomials, tops = _codec(n, width)
+        pack, monomials, tops, _ = _codec(n, width)
         width *= 2
         try:
             packed = [(pack(p), pack(q)) for p, q in live]
@@ -506,7 +519,7 @@ def determinant_by_head(rows, n: int, scale) -> dict:
     cut, width = 1 + n, 1
     while bound >> 8 * width:
         width *= 2
-    pack, monomials, _ = _codec(n, width)
+    pack, monomials, _, _ = _codec(n, width)
     top = 8 * width * n_vars(n)  # the degree field: the top one, so it has no width to overflow
     mask = (1 << 8 * width * cut) - 1
 

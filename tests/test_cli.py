@@ -691,9 +691,9 @@ def test_involution_json_builds_each_state_weight_once(capsys, monkeypatch):
     calls = []
     honest = involution.state_weight
 
-    def counted(s):
+    def counted(s, *tables):
         calls.append(s)
-        return honest(s)
+        return honest(s, *tables)
 
     monkeypatch.setattr(involution, "state_weight", counted)
     monkeypatch.setattr(cli, "state_weight", counted, raising=False)
@@ -702,6 +702,26 @@ def test_involution_json_builds_each_state_weight_once(capsys, monkeypatch):
     payload = json.loads(out)["payload"]
     assert code == 0 and payload["pairs"]
     assert len(calls) == payload["states"] == len(set(calls))
+
+
+def _recorded_involutions() -> list:
+    """(argv, exit code, stdout SHA-256) of every involution command that the
+    benchmark's perfbench/expected.json records, read without changing it."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "expected.json")
+    with open(path) as fh:
+        outputs = json.load(fh)["outputs"]
+    return [(cmd, want["code"], want["sha256"])
+            for cmd, want in outputs.items() if cmd.startswith("involution ")]
+
+
+def test_every_recorded_involution_command_keeps_its_bytes(capsys):
+    """All of the benchmark's involution commands, every relabeling of its five
+    instances, print their recorded bytes in-process with the recorded exit code."""
+    recorded = _recorded_involutions()
+    assert len(recorded) == 66
+    for cmd, code, sha in recorded:
+        got, out = _run(capsys, shlex.split(cmd))
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, sha), cmd
 
 
 def test_involution_text_formats_only_the_signed_sum(capsys, monkeypatch, tmp_path):

@@ -1,13 +1,25 @@
 """State enumeration, classification, the transfer maps and their inverses."""
 
-import pytest
+import itertools
 
-from jacverify.combinatorics import enumerate_compositions, labeling_content
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jacverify.combinatorics import (
+    cycle_count,
+    enumerate_compositions,
+    labeling_content,
+    last_rep_indices,
+    level_exponents,
+)
 from jacverify.identities import IdentityInstance, identity1_lhs, identity2_lhs
 from jacverify.involution import (
     DOMAIN_SIDE,
     IMAGE_SIDE,
+    Classification,
     TupleState,
+    Weights,
     classify,
     enumerate_states,
     state_weight,
@@ -15,7 +27,7 @@ from jacverify.involution import (
     tau_inverse,
     verify_involution,
 )
-from jacverify.poly import DomainError, Poly, StructuralError, a_
+from jacverify.poly import DomainError, Poly, StructuralError, VerificationError, a_
 
 
 def apply_involution(s: TupleState, variant: int) -> TupleState:
@@ -25,14 +37,12 @@ def apply_involution(s: TupleState, variant: int) -> TupleState:
     return tau_inverse(s, variant)
 
 
-def _key(p: Poly) -> tuple:
-    """A one-term Poly as a ``state_weight`` key: (exponent tuple, coefficient)."""
-    (m, c), = p.terms.items()
-    return m, c
-
-
-def _poly(n: int, weight: tuple) -> Poly:
-    return Poly(n, {weight[0]: weight[1]})
+def _weight(s: TupleState, weights: Weights | None = None) -> Poly:
+    """The state's weight as a Poly, read back from its packed key."""
+    if weights is None:
+        weights = Weights(s.n, s.d)
+    key, sign = state_weight(s, weights)
+    return Poly(s.n, {weights.monomial(key): sign})
 
 
 def _flipped(weight: tuple) -> tuple:
@@ -63,12 +73,13 @@ def test_states_respect_content_constraint():
 
 def test_state_weight_signs():
     s = TupleState(1, 2, (1, 1, 2), ((), ()), (), (), ())
-    assert state_weight(s) == _key(a_(2, 1, 1) * a_(2, 1, 2)) == _key(_product_weight(s))
+    assert _weight(s) == a_(2, 1, 1) * a_(2, 1, 2) == _product_weight(s)
     plain = TupleState(1, 2, (1, 1), ((),), (), (), ())
-    assert state_weight(plain) == _key(a_(2, 1, 1)) == _key(_product_weight(plain))
+    assert _weight(plain) == a_(2, 1, 1) == _product_weight(plain)
     image = tau(plain, 1)
     assert image == TupleState(1, 2, (1,), (), (1,), (1,), ((),))
-    assert state_weight(image) == _key(-a_(2, 1, 1)) == _key(_product_weight(image))
+    assert _weight(image) == -a_(2, 1, 1) == _product_weight(image)
+    assert state_weight(image) == _flipped(state_weight(plain))
 
 
 @pytest.mark.parametrize("field,value", [
@@ -79,11 +90,15 @@ def test_state_weight_signs():
 @pytest.mark.parametrize("bad", [0, 3])
 def test_a_label_outside_the_range_is_a_structural_error(field, value, bad):
     """A hand-built state with a label of 0 or n+1 is refused, not weighed: at
-    index n*i + j, a[i,0] would land on a[i-1,n] and a[i,n+1] on a[i+1,1]."""
+    index n*i + j, a[i,0] would land on a[i-1,n] and a[i,n+1] on a[i+1,1].  A
+    table that has refused a part still refuses it, and still weighs the rest."""
     s = TupleState(2, 2, (1, 2), ((1,),), (1,), (1,), ((2,),))
-    assert state_weight(s) == _key(_product_weight(s))
-    with pytest.raises(StructuralError, match=rf"^label {bad} outside \[1,2\] in "):
-        state_weight(s._replace(**{field: value(bad)}))
+    weights = Weights(2, 2)
+    bad_state = s._replace(**{field: value(bad)})
+    for _ in range(2):
+        with pytest.raises(StructuralError, match=rf"^label {bad} outside \[1,2\] in "):
+            state_weight(bad_state, weights)
+        assert _weight(s, weights) == _product_weight(s)
 
 
 def test_signed_sums_match_identity_lhs():
@@ -94,7 +109,7 @@ def test_signed_sums_match_identity_lhs():
     ]:
         total = Poly.zero(n)
         for s in enumerate_states(d, n, alpha, u0, un):
-            total = total + _poly(n, state_weight(s))
+            total = total + _weight(s)
         inst = IdentityInstance("identity1", d, n, alpha, u0, un)
         assert total == identity1_lhs(inst)
 
@@ -176,6 +191,7 @@ def test_involutivity_on_every_state():
     counts = {}
     for d, n in [(1, 2), (2, 2), (2, 3), (3, 2)]:
         counts[d, n] = 0
+        weights = Weights(n, d)
         for s in _every_state(d, n):
             counts[d, n] += 1
             cls = classify(s)
@@ -191,26 +207,26 @@ def test_involutivity_on_every_state():
                     other(s, variant, cls)
                 assert apply_involution(once, variant) == s
                 assert classify(once).side != cls.side
-                assert state_weight(once) == _flipped(state_weight(s))
+                assert state_weight(once, weights) == _flipped(state_weight(s, weights))
     assert counts[2, 3] == 6318 and counts[3, 2] == 320
 
 
 @pytest.mark.parametrize("tamper", ["sign", "exponent"])
 def test_a_tampered_weight_is_a_weight_failure(monkeypatch, tamper):
-    """The pair check compares the stored weight keys: one state whose weight has
-    one sign or one exponent changed fails it."""
+    """The pair check compares the stored packed keys: one state whose weight has
+    its sign or one exponent changed (t's, the key's lowest field) fails it."""
     import jacverify.involution as inv
 
     honest = inv.state_weight
     victim = verify_involution(2, 3, (1, 1, 1), 1, 2, 1).pairs[5][0]
 
-    def tampered(s):
-        m, c = honest(s)
+    def tampered(s, weights):
+        m, c = honest(s, weights)
         if s != victim:
             return m, c
         if tamper == "sign":
             return m, -c
-        return m[:-1] + (m[-1] + 1,), c
+        return m + 1, c
 
     monkeypatch.setattr(inv, "state_weight", tampered)
     rep = verify_involution(2, 3, (1, 1, 1), 1, 2, 1)
@@ -241,8 +257,9 @@ def test_state_weight_equals_the_factor_product():
     for d, n, alpha in instances:
         for u0 in range(1, n + 1):
             for un in range(1, n + 1):
+                weights = Weights(n, d)
                 for s in enumerate_states(d, n, alpha, u0, un):
-                    assert state_weight(s) == _key(_product_weight(s)), s
+                    assert _weight(s, weights) == _product_weight(s), s
                     checked += 1
     assert checked == 1484
 
@@ -295,8 +312,8 @@ def test_dropped_sign_is_caught(monkeypatch):
 
     honest = inv.state_weight
 
-    def unsigned(s):
-        m, c = honest(s)
+    def unsigned(s, weights):
+        m, c = honest(s, weights)
         return m, abs(c)
 
     assert verify_involution(2, 2, (1, 1), 1, 2, 1).ok
@@ -304,9 +321,10 @@ def test_dropped_sign_is_caught(monkeypatch):
     rep = verify_involution(2, 2, (1, 1), 1, 2, 1)
     kinds = {f["kind"] for f in rep.failures}
     assert {"weight", "signed-sum"} <= kinds and not rep.ok
-    expected = Poly.zero(2)
+    expected, weights = Poly.zero(2), Weights(2, 2)
     for s in enumerate_states(2, 2, (1, 1), 1, 2):
-        expected = expected + _poly(2, unsigned(s))
+        key, sign = unsigned(s, weights)
+        expected = expected + Poly(2, {weights.monomial(key): sign})
     assert rep.signed_sum == expected and not expected.is_zero()
 
 
@@ -317,9 +335,9 @@ def test_each_state_weight_built_once(monkeypatch):
     calls = []
     honest = inv.state_weight
 
-    def counted(s):
+    def counted(s, weights):
         calls.append(s)
-        return honest(s)
+        return honest(s, weights)
 
     monkeypatch.setattr(inv, "state_weight", counted)
     rep = verify_involution(2, 2, (1, 1), 1, 2, 1)
@@ -446,3 +464,161 @@ def test_image_with_no_preimage_is_unmatched(monkeypatch):
     assert {"unmatched-image", "signed-sum"} == _kinds(rep)
     [failure] = [f for f in rep.failures if f["kind"] == "unmatched-image"]
     assert failure["state"] == tau(dropped, 1)
+
+
+# Reference oracles: the per-state classification, maps and tuple-key weight
+# that the group-keyed tables replace, read straight off one state each.
+
+def _reference_weight(s: TupleState) -> tuple:
+    """(exponent tuple, sign) of one state, both stacks counted in one call."""
+    e = level_exponents(s.n, (s.lam, s.lam[1:], s.nu), (s.S, s.sigma, s.rho))
+    return e, (-1) ** cycle_count(s.S, s.sigma)
+
+
+def _reference_classify(s: TupleState) -> Classification:
+    in_S = set(s.S)
+    h = None
+    for idx in range(len(s.lam) - 1, -1, -1):
+        if s.lam[idx] in in_S:
+            h = idx
+            break
+    rep = last_rep_indices(s.lam)
+    is_domain = rep is not None and (h is None or h < rep.l1)
+    is_image = h is not None and (rep is None or h > rep.l1)
+    if is_domain == is_image:
+        raise VerificationError(f"state not on exactly one side: {s}, h={h}, rep={rep}")
+    l1, l2 = (rep.l1, rep.l2) if rep is not None else (None, None)
+    return Classification(h, l1, l2, DOMAIN_SIDE if is_domain else IMAGE_SIDE)
+
+
+def _reference_tau(s: TupleState, variant: int) -> TupleState:
+    cls = _reference_classify(s)
+    assert cls.side == DOMAIN_SIDE
+    l1, l2 = cls.l1, cls.l2
+    offset = int(variant == 2 and l2 < len(s.lam) - 1)
+    lo, hi = l1 + offset, l2 + offset
+    sigma = dict(zip(s.S, s.sigma))
+    sigma.update(zip(s.lam[l1:l2], s.lam[l1 + 1:l2 + 1]))
+    rows = dict(zip(s.S, s.rho))
+    rows.update(zip(s.lam[lo:hi], s.nu[lo:hi]))
+    S = tuple(sorted(sigma))
+    return TupleState(s.d, s.n, s.lam[:lo] + s.lam[hi:], s.nu[:lo] + s.nu[hi:],
+                      S, tuple(sigma[e] for e in S), tuple(rows[e] for e in S))
+
+
+def _reference_tau_inverse(s: TupleState, variant: int) -> TupleState:
+    cls = _reference_classify(s)
+    assert cls.side == IMAGE_SIDE
+    h = cls.h
+    sigma = dict(zip(s.S, s.sigma))
+    rows = dict(zip(s.S, s.rho))
+    cyc = [s.lam[h]]
+    while sigma[cyc[-1]] != cyc[0]:
+        cyc.append(sigma[cyc[-1]])
+    on_cycle = set(cyc)
+    S = tuple(e for e in s.S if e not in on_cycle)
+    offset = int(variant == 2 and h < len(s.lam) - 1)
+    cyc = tuple(cyc[offset:] + cyc[:offset])
+    h += offset
+    return TupleState(s.d, s.n, s.lam[:h] + cyc + s.lam[h:],
+                      s.nu[:h] + tuple(rows[e] for e in cyc) + s.nu[h:],
+                      S, tuple(sigma[e] for e in S), tuple(rows[e] for e in S))
+
+
+def _assert_matches_reference(s: TupleState, weights: Weights):
+    """Weight, classification and both variants' map of one state equal the oracles'."""
+    e, sign = _reference_weight(s)
+    assert _weight(s, weights) == Poly(s.n, {e: sign}), s
+    cls = classify(s)
+    assert cls == _reference_classify(s), s
+    for variant in (1, 2):
+        if cls.side == DOMAIN_SIDE:
+            assert tau(s, variant, cls) == _reference_tau(s, variant), (s, variant)
+        else:
+            assert tau_inverse(s, variant, cls) == _reference_tau_inverse(s, variant), (s, variant)
+
+
+def test_tables_match_the_reference_on_every_state():
+    """Every state of every instance up to (2,3) and (3,2): the group-keyed
+    classification, maps and packed weights equal the per-state oracles."""
+    counts = {}
+    for d, n in [(1, 2), (2, 2), (3, 2), (2, 3)]:
+        weights = Weights(n, d)
+        counts[d, n] = 0
+        for s in _every_state(d, n):
+            _assert_matches_reference(s, weights)
+            counts[d, n] += 1
+    assert counts[2, 3] == 6318 and counts[3, 2] == 320
+
+
+@st.composite
+def _sampled_states(draw):
+    """Up to 30 states of one instance at (3,3) or (2,4)."""
+    d, n = draw(st.sampled_from([(3, 3), (2, 4)]))
+    alpha = draw(st.sampled_from(enumerate_compositions(n * (d - 1), n)))
+    u0, un = draw(st.integers(1, n)), draw(st.integers(1, n))
+    states = enumerate_states(d, n, alpha, u0, un)
+    if not states:
+        return d, n, []
+    picks = draw(st.lists(st.integers(0, len(states) - 1), min_size=1, max_size=30))
+    return d, n, [states[i] for i in picks]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sampled_states())
+def test_tables_match_the_reference_on_sampled_larger_states(sample):
+    d, n, states = sample
+    weights = Weights(n, d)
+    for s in states:
+        _assert_matches_reference(s, weights)
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (2, 2), (3, 2), (2, 3)])
+def test_restricted_states_are_the_filtered_full_set(d, n):
+    """For every instance and every beta, the restricted enumeration is the
+    full one filtered to nu[0] = beta and |S| != n, in the same order.  At
+    d = 1, beta = () and u0 = un, a state with |S| = n has no path edge to
+    carry beta, so k = n must be skipped, not given a nu row."""
+    nonempty = 0
+    for alpha in enumerate_compositions(n * (d - 1), n):
+        for u0, un in itertools.product(range(1, n + 1), repeat=2):
+            full = enumerate_states(d, n, alpha, u0, un)
+            for beta in itertools.product(range(1, n + 1), repeat=d - 1):
+                kept = [s for s in full if len(s.S) != n and s.nu and s.nu[0] == beta]
+                assert enumerate_states(d, n, alpha, u0, un, beta) == kept
+                nonempty += bool(kept)
+    assert nonempty
+
+
+def test_each_weight_part_is_counted_once(monkeypatch):
+    """A check calls level_exponents once per distinct fern part (lam, nu) and
+    generator part (S, sigma, rho), not once per state."""
+    import jacverify.involution as inv
+
+    calls = []
+    honest = inv.level_exponents
+
+    def counted(n, *stacks):
+        calls.append(stacks)
+        return honest(n, *stacks)
+
+    monkeypatch.setattr(inv, "level_exponents", counted)
+    args = (3, 3, (2, 2, 2), 1, 2, 1)
+    rep = verify_involution(*args)
+    states = enumerate_states(*args[:5])
+    parts = {(s.lam, s.nu) for s in states} | {(s.S, s.sigma, s.rho) for s in states}
+    assert rep.ok and len(calls) == len(parts) < rep.states
+
+
+def test_group_tables_do_not_grow_with_repeated_checks():
+    """The classification and map tables are keyed by (lam, S, sigma), not by
+    state: a second check of the same instance, or a check of another alpha at
+    the same (d, n) and labels, adds no entry."""
+    import jacverify.involution as inv
+
+    tables = (inv._classification, inv._tau_map, inv._tau_inverse_map)
+    assert verify_involution(2, 3, (2, 1, 0), 1, 2, 1).ok
+    sizes = [t.cache_info().currsize for t in tables]
+    assert verify_involution(2, 3, (2, 1, 0), 1, 2, 1).ok
+    assert verify_involution(2, 3, (0, 1, 2), 1, 2, 1).ok
+    assert [t.cache_info().currsize for t in tables] == sizes
