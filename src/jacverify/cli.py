@@ -5,14 +5,16 @@ member, verify-theorem.  This module only parses arguments and formats
 what the library computes into a ``Report`` (a JSON body and text lines);
 the checking subcommands share one {status, counts, payload} envelope.
 Each subparser binds its runner, and the runner reads its own flags from
-the argparse namespace and checks them before any work starts.  Output is
-deterministic for a fixed command line (stable orders, canonical
-polynomial text), so repeated runs are byte identical.  Exit codes: 0
-pass/member, 1 verification failure or non-member, 2 usage or input error,
-including a sweep with no instance, ``--all`` with a flag that pins one
-instance, ``inverse --coeff`` with ``--Nmax``, an ``involution`` with no
-state, a count out of range (``--workers`` below 1, ``--numeric-trials``
-below 0) and ``--numeric-trials`` at d != 1.
+the argparse namespace but only parses integers: the library checks each
+input's shape by the rules in ``combinatorics`` before any work starts, and
+a bad shape exits 2 with the library's message.  Output is deterministic
+for a fixed command line (stable orders, canonical polynomial text), so
+repeated runs are byte identical.  Exit codes: 0 pass/member, 1
+verification failure or non-member, 2 usage or input error, including a
+sweep with no instance, ``--all`` with a flag that pins one instance,
+``inverse --coeff`` with ``--Nmax``, an ``involution`` with no state, a
+count out of range (``--workers`` below 1, ``--numeric-trials`` below 0)
+and ``--numeric-trials`` at d != 1.
 A failed exact check in the library (``VerificationError``, such as a
 ``membership`` certificate that does not re-multiply) prints ``error:`` only.
 A report is written only once its command has finished, so a command that
@@ -126,40 +128,14 @@ def _certificate_json(cert) -> dict:
     }
 
 
-def _parse_ints(text: str, what: str) -> tuple:
+def _parse_ints(text: str | None, what: str) -> tuple | None:
+    # "" is () and an absent flag None; the library checks the shape.
+    if not text:
+        return None if text is None else ()
     try:
         return tuple(int(v) for v in text.split(","))
     except ValueError:
         raise DomainError(f"{what} must be comma-separated integers, got {text!r}")
-
-
-def _parse_comp(text: str, parts: int, what: str) -> tuple:
-    values = _parse_ints(text, what)
-    if len(values) != parts:
-        raise DomainError(f"{what} needs exactly {parts} parts, got {len(values)}")
-    if any(v < 0 for v in values):
-        raise DomainError(f"{what} parts must be nonnegative")
-    return values
-
-
-def _parse_labels(text: str, width: int, n: int, what: str) -> tuple:
-    values = () if text == "" else _parse_ints(text, what)
-    if len(values) != width:
-        raise DomainError(f"{what} needs exactly {width} labels, got {len(values)}")
-    if any(not 1 <= v <= n for v in values):
-        raise DomainError(f"{what} labels must lie in [1,{n}]")
-    return values
-
-
-def _parse_nu(text: str, d: int, n: int) -> tuple:
-    if text == "":
-        return ()
-    rows = text.split(";")
-    return tuple(_parse_labels(row, d - 1, n, "nu row") for row in rows)
-
-
-def _parse_beta(args) -> tuple | None:
-    return None if args.beta is None else _parse_labels(args.beta, args.d - 1, args.n, "beta")
 
 
 def _check_sweep_flags(args, names) -> None:
@@ -208,7 +184,7 @@ def _run_gens(args) -> tuple:
 
 
 def _run_z(args) -> tuple:
-    nu = _parse_nu(args.nu, args.d, args.n)
+    nu = tuple(_parse_ints(row, "nu row") for row in args.nu.split(";")) if args.nu else ()
     fl = FernLabeling(args.d, args.n, len(nu), args.u0, args.uk, nu)
     text = format_poly(z_fern(fl))
     body = {"d": args.d, "n": args.n, "u0": args.u0, "uk": args.uk,
@@ -226,16 +202,16 @@ def _run_identity(args) -> tuple:
         raise DomainError(f"--numeric-trials must be at least 0, got {trials}")
     if trials > 0 and d != 1:
         raise DomainError("--numeric-trials applies at d=1 only")
-    beta = _parse_beta(args) if which == "identity2" else None
     if args.sweep_all:
         sweep = identity1_instances if which == "identity1" else identity2_instances
         instances = sweep(d, n)
     else:
         if args.alpha is None or args.u0 is None or args.un is None:
             raise DomainError("need --alpha, --u0 and --un (or --all)")
+        beta = _parse_ints(getattr(args, "beta", None), "beta")  # identity1 has no --beta
         if which == "identity2" and beta is None:
             raise DomainError("identity2 needs --beta (or --all)")
-        alpha = _parse_comp(args.alpha, n, "alpha")
+        alpha = _parse_ints(args.alpha, "alpha")
         instances = [IdentityInstance(which, d, n, alpha, args.u0, args.un, beta)]
     generator_set(DLinearSpec(d, n))  # warm the shared cache once
     results = _pmap(_identity_worker, instances, args.workers)
@@ -276,8 +252,8 @@ def _run_relation(args) -> tuple:
     elif args.alpha1 is None or args.alpha2 is None or args.u is None:
         raise DomainError("need --alpha1, --alpha2 and --u (or --all)")
     else:
-        instances = [(_parse_comp(args.alpha1, 2, "alpha1"),
-                      _parse_comp(args.alpha2, 2, "alpha2"), args.u)]
+        instances = [(_parse_ints(args.alpha1, "alpha1"), _parse_ints(args.alpha2, "alpha2"),
+                      args.u)]
     rep = relation_report(d, instances)
     entries = []
     lines = []
@@ -329,8 +305,8 @@ def _pairs_json(rep) -> list:
 
 def _run_involution(args) -> tuple:
     d, n, u0, un, variant = args.d, args.n, args.u0, args.un, args.variant
-    alpha = _parse_comp(args.alpha, n, "alpha")
-    beta = _parse_beta(args)
+    alpha = _parse_ints(args.alpha, "alpha")
+    beta = _parse_ints(args.beta, "beta")
     rep = verify_involution(d, n, alpha, u0, un, variant, beta)
     desc = (f"involution d={d} n={n} alpha=({_tuple_text(alpha)}) "
             f"u0={u0} un={un} variant={variant}")

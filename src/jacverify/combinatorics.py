@@ -1,6 +1,7 @@
 """Compositions, level labelings and their content rows, label paths,
-subset permutations, last-rep indices, and ``level_exponents``, the one
-a-factor rule of fern weights, generator terms, states and tree weights.
+subset permutations, last-rep indices, ``level_exponents``, the one
+a-factor rule of fern weights, generator terms, states and tree weights,
+and the shape rules of their inputs, each written once (``check_*``).
 
 All enumerations return tuples in a fixed deterministic order so that any
 output derived from them is reproducible run to run.
@@ -46,6 +47,41 @@ def composition_sub_or_none(alpha: Composition, alpha1: Composition):
         return None
     diff = tuple(a - b for a, b in zip(alpha, alpha1))
     return None if any(p < 0 for p in diff) else diff
+
+
+def check_parts(name: str, parts, n: int, weight: int | None = None) -> None:
+    """A DomainError unless ``parts`` has n nonnegative parts, of sum ``weight`` if given."""
+    if len(parts) != n:
+        raise DomainError(f"{name} {tuple(parts)} has {len(parts)} parts, not n = {n}")
+    if min(parts, default=0) < 0:
+        raise DomainError(f"{name} {tuple(parts)} has a negative part")
+    if weight is not None and sum(parts) != weight:
+        raise DomainError(f"{name} {tuple(parts)} has weight {sum(parts)}, not {weight}")
+
+
+def check_labels(n: int, **labels) -> None:
+    for name, label in labels.items():
+        if not 1 <= label <= n:
+            raise DomainError(f"{name} = {label} lies outside [1,{n}]")
+
+
+def check_row(name: str, row, d: int, n: int) -> None:
+    """A DomainError unless ``row`` is a level row: d-1 labels in [1,n]."""
+    if len(row) != d - 1:
+        raise DomainError(f"{name} {tuple(row)} has {len(row)} labels, not d - 1 = {d - 1}")
+    if not all(1 <= label <= n for label in row):
+        raise DomainError(f"{name} {tuple(row)} has a label outside [1,{n}]")
+
+
+def check_instance(d: int, n: int, alpha, u0: int, un: int, beta=None) -> None:
+    """An index (alpha, u0, un) of identity 1, or with the pinned first row
+    ``beta`` of identity 2 and of the restricted pairing, which needs u0 != un."""
+    check_parts("alpha", alpha, n, n * (d - 1))
+    check_labels(n, u0=u0, un=un)
+    if beta is not None:
+        check_row("beta", beta, d, n)
+        if u0 == un:
+            raise DomainError(f"beta needs u0 != un, got u0 = un = {u0}")
 
 
 def labeling_content(nu: LevelLabeling, n: int) -> Composition:

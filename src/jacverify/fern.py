@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from functools import cache
 
-from .combinatorics import content_row, label_paths, level_exponents
+from .combinatorics import check_labels, check_row, content_row, label_paths, level_exponents
 from .poly import DomainError, Poly
 
 
@@ -43,15 +43,11 @@ class FernLabeling(namedtuple("FernLabeling", "d n k u0 uk nu")):
         self = super().__new__(cls, *args, **kwargs)
         if self.d < 1 or self.n < 1 or self.k < 0:
             raise DomainError("need d, n >= 1 and k >= 0")
-        if not (1 <= self.u0 <= self.n and 1 <= self.uk <= self.n):
-            raise DomainError("root and leaf labels must lie in [1,n]")
+        check_labels(self.n, u0=self.u0, uk=self.uk)
         if len(self.nu) != self.k:
             raise DomainError(f"labeling has {len(self.nu)} rows, expected {self.k}")
         for row in self.nu:
-            if len(row) != self.d - 1:
-                raise DomainError("every level must have width d-1")
-            if any(not 1 <= e <= self.n for e in row):
-                raise DomainError("labels must lie in [1,n]")
+            check_row("nu row", row, self.d, self.n)
         return self
 
 

@@ -57,8 +57,8 @@ from math import comb
 from operator import mul
 
 from .combinatorics import (
-    composition_sub_or_none, content_row, count_level_labelings, enumerate_compositions,
-    labeling_content, level_exponents,
+    check_instance, check_labels, check_parts, composition_sub_or_none, content_row,
+    count_level_labelings, enumerate_compositions, labeling_content, level_exponents,
 )
 from .fern import _path_sum, _row_matrix
 from .generators import DLinearSpec, JKey, extract_generators
@@ -86,21 +86,11 @@ class IdentityInstance(namedtuple("IdentityInstance", "which d n alpha u0 un bet
         self = super().__new__(cls, *args, **kwargs)
         if self.which not in ("identity1", "identity2"):
             raise DomainError(f"unknown identity {self.which!r}")
-        if sum(self.alpha) != self.n * (self.d - 1) or len(self.alpha) != self.n:
-            raise DomainError("alpha must be a composition of n(d-1) into n parts")
-        if not (1 <= self.u0 <= self.n and 1 <= self.un <= self.n):
-            raise DomainError("u0, un must lie in [1,n]")
-        if self.which == "identity2":
-            if self.n < 2:
-                raise DomainError("identity 2 needs n >= 2")
-            if self.u0 == self.un:
-                raise DomainError("identity 2 needs u0 != un")
-            if self.beta is None or len(self.beta) != self.d - 1:
-                raise DomainError("identity 2 needs a (d-1)-tuple beta")
-            if any(not 1 <= b <= self.n for b in self.beta):
-                raise DomainError("beta labels must lie in [1,n]")
-        elif self.beta is not None:
+        if self.which == "identity2" and self.beta is None:
+            raise DomainError("identity 2 needs a beta")
+        if self.which == "identity1" and self.beta is not None:
             raise DomainError("identity 1 takes no beta")
+        check_instance(self.d, self.n, self.alpha, self.u0, self.un, self.beta)
         return self
 
 
@@ -193,12 +183,11 @@ def check_relation_2_1s(d: int, alpha1: tuple, alpha2: tuple, u: int, v_candidat
     polynomial means the relation holds for that choice.
     """
     n = 2
-    if sum(alpha1) != d - 1 or sum(alpha2) != d - 1:
-        raise DomainError("alpha1 and alpha2 must be compositions of d-1")
+    check_parts("alpha1", alpha1, n, d - 1)
+    check_parts("alpha2", alpha2, n, d - 1)
     if alpha1[0] < 1:
         raise DomainError("alpha1(1) must be at least 1")
-    if u not in (1, 2) or v_candidate not in (1, 2):
-        raise DomainError("labels must be 1 or 2")
+    check_labels(n, u=u, v=v_candidate)
 
     gens = generator_set(DLinearSpec(d, n))
     du2 = 1 if u == 2 else 0

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .combinatorics import enumerate_compositions, labeling_content, level_exponents
+from .combinatorics import check_parts, enumerate_compositions, labeling_content, level_exponents
 from .generators import DLinearSpec, map_components
 from .poly import (
     DomainError, Poly, a_, monomial_key, poly_sum, split_xt, sum_of_products,
@@ -168,8 +168,7 @@ def _check_component(n: int, i: int) -> None:
 
 def _check_coefficient(spec: DLinearSpec, i: int, alpha: tuple, N: int) -> None:
     """A DomainError unless t^N x^alpha in component i names a coefficient."""
-    if len(alpha) != spec.n or any(p < 0 for p in alpha):
-        raise DomainError("alpha must have n nonnegative parts")
+    check_parts("alpha", alpha, spec.n)
     if N < 0:
         raise DomainError("N must be nonnegative")
     _check_component(spec.n, i)

@@ -8,7 +8,8 @@ after the dict that brings it to BATCH chunks or to BOUND characters of
 strings and tuple texts (64 KiB), so a report made of a few long strings,
 such as the polynomials of ``gens``, is written in pieces too.  An
 iterator is written as a list, item by item, so a report whose items are
-made only as they are written is never whole in memory either.
+made only as they are written is never whole in memory either.  Each value
+goes through one ``emit`` path; only a repeated tuple of ints reuses a text.
 """
 
 from collections.abc import Iterator
@@ -79,15 +80,8 @@ def write_json(obj, write) -> None:
                         keys[k] = (open_dict + name, sep + name)
                     append(keys[k][lead])
                     lead = 1
-                    kind = type(v)
-                    if kind is str:
-                        v = _string(v)
-                        append(v)
-                        pending += len(v)
-                    elif kind is int:
-                        append(int.__repr__(v))
-                    elif kind is tuple and (_only_ints(map(type, v)) or _only_tuples(map(type, v))
-                                            and _only_ints(map(type, _flatten(v)))):
+                    if type(v) is tuple and (_only_ints(map(type, v)) or _only_tuples(map(type, v))
+                                             and _only_ints(map(type, _flatten(v)))):
                         text = texts.get(v)
                         if text is None:  # written once through emit, which flushes no tuple
                             start = len(chunks)
@@ -103,10 +97,6 @@ def write_json(obj, write) -> None:
                     write("".join(chunks))
                     chunks.clear()
                     pending = 0
-            elif kind is not Iterator and _only_ints(map(type, o)):
-                append(open_list)
-                append(sep.join(map(int.__repr__, o)))
-                append(close_list)
             else:
                 lead = open_list
                 for v in o:

@@ -290,8 +290,6 @@ def verify_fern_lemmas(d: int) -> FernMembershipReport:
     One representative labeling per within-row content class suffices,
     since the weight depends on each row only through its content.
     """
-    if d < 1:
-        raise DomainError("d must be positive")
     n = 2
     spec = DLinearSpec(d, n)
     targets = []

@@ -354,6 +354,57 @@ def test_involution_with_no_state_or_labels_out_of_range_exits_two(
     assert len(calls) == (2 if enumerated else 0)
 
 
+@pytest.mark.parametrize("argv,message", [
+    ("identity1 --d 2 --n 2 --alpha 3,-1 --u0 1 --un 1", "alpha (3, -1) has a negative part"),
+    ("identity1 --d 2 --n 3 --alpha 1,2 --u0 1 --un 2", "alpha (1, 2) has 2 parts, not n = 3"),
+    ("identity1 --d 2 --n 2 --alpha 2,1 --u0 1 --un 2", "alpha (2, 1) has weight 3, not 2"),
+    ("identity1 --d 2 --n 2 --alpha '' --u0 1 --un 2", "alpha () has 0 parts, not n = 2"),
+    ("identity1 --d 2 --n 2 --alpha 1,1 --u0 0 --un 2", "u0 = 0 lies outside [1,2]"),
+    ("identity2 --d 2 --n 2 --alpha 1,1 --u0 1 --un 1 --beta 1",
+     "beta needs u0 != un, got u0 = un = 1"),
+    ("identity2 --d 3 --n 2 --alpha 2,2 --u0 1 --un 2 --beta 1",
+     "beta (1,) has 1 labels, not d - 1 = 2"),
+    ("identity2 --d 2 --n 2 --alpha 1,1 --u0 1 --un 2 --beta ''",
+     "beta () has 0 labels, not d - 1 = 1"),
+    ("identity2 --d 2 --n 2 --alpha 1,1 --u0 1 --un 2 --beta 3",
+     "beta (3,) has a label outside [1,2]"),
+    ("identity2 --d 2 --n 2 --alpha 1,1 --u0 1 --un 3 --beta 1", "un = 3 lies outside [1,2]"),
+    ("involution --d 2 --n 2 --alpha 3,-1 --u0 1 --un 2 --variant 1",
+     "alpha (3, -1) has a negative part"),
+    ("involution --d 2 --n 2 --alpha 1,1,0 --u0 1 --un 2 --variant 1",
+     "alpha (1, 1, 0) has 3 parts, not n = 2"),
+    ("involution --d 2 --n 2 --alpha 2,1 --u0 1 --un 2 --variant 1",
+     "alpha (2, 1) has weight 3, not 2"),
+    ("involution --d 2 --n 2 --alpha 1,1 --u0 1 --un 1 --variant 2 --beta 1",
+     "beta needs u0 != un, got u0 = un = 1"),
+    ("relation --d 3 --alpha1 3,-1 --alpha2 1,1 --u 1", "alpha1 (3, -1) has a negative part"),
+    ("relation --d 3 --alpha1 1,1 --alpha2 1,0,1 --u 1",
+     "alpha2 (1, 0, 1) has 3 parts, not n = 2"),
+    ("relation --d 3 --alpha1 2 --alpha2 1,1 --u 2", "alpha1 (2,) has 1 parts, not n = 2"),
+    ("relation --d 3 --alpha1 1,0 --alpha2 1,1 --u 1", "alpha1 (1, 0) has weight 1, not 2"),
+    ("z --d 2 --n 2 --u0 1 --uk 3 --nu 1", "uk = 3 lies outside [1,2]"),
+    ("z --d 2 --n 2 --u0 0 --uk 1 --nu 1", "u0 = 0 lies outside [1,2]"),
+    ("z --d 2 --n 2 --u0 1 --uk 2 --nu '1,2;1'", "nu row (1, 2) has 2 labels, not d - 1 = 1"),
+    ("z --d 2 --n 2 --u0 1 --uk 2 --nu '1;3'", "nu row (3,) has a label outside [1,2]"),
+])
+def test_bad_shapes_exit_two_with_the_librarys_message(capsys, monkeypatch, argv, message):
+    """The CLI only parses integers, so a bad shape reaches the library, which
+    refuses it before any work starts: exit 2, no report, one error line."""
+    identities = importlib.import_module("jacverify.identities")
+
+    def never(*args):
+        raise AssertionError("work started before the inputs were checked")
+
+    for owner, name in [(cli, "generator_set"), (identities, "generator_set"),
+                        (involution, "enumerate_states"), (cli, "z_fern")]:
+        monkeypatch.setattr(owner, name, never)
+    for fmt in ("text", "json"):
+        assert main([*shlex.split(argv), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def _assert_verification_error(capsys, argv):
     """A failed exact check exits 1 with one error line and prints no report."""
     assert main(argv) == 1

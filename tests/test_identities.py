@@ -226,6 +226,72 @@ def test_relation_rejects_bad_inputs():
         check_relation_2_1s(2, (1, 0), (2, 0), 1, 1)
 
 
+@pytest.mark.parametrize("which,u0,un,beta", [
+    ("identity1", 1, 1, None), ("identity1", 1, 2, None),
+    ("identity2", 1, 1, (1,)), ("identity2", 1, 2, (1,)),
+], ids=["identity1-u0=un", "identity1-u0!=un", "identity2-u0=un", "identity2-u0!=un"])
+def test_identity_instance_rejects_a_negative_part(which, u0, un, beta):
+    """(3, -1) has weight n(d-1) = 2 but is no composition, so it makes no
+    instance: its sum would be a vacuous 0, or at u0 = un read the missing
+    generator (1, (3, -1))."""
+    with pytest.raises(DomainError, match=r"^alpha \(3, -1\) has a negative part$"):
+        IdentityInstance(which, 2, 2, (3, -1), u0, un, beta)
+
+
+@pytest.mark.parametrize("alpha,message", [
+    ((3, -1), r"\(3, -1\) has a negative part"),
+    ((1, 0, 1), r"\(1, 0, 1\) has 3 parts, not n = 2"),
+    ((2,), r"\(2,\) has 1 parts, not n = 2"),
+], ids=["negative-part", "three-parts", "one-part"])
+def test_relation_rejects_alphas_of_the_wrong_shape(monkeypatch, alpha, message):
+    """Each raises a DomainError that names it, before any generator is built,
+    in place of a KeyError, a StructuralError or an IndexError."""
+    monkeypatch.setattr(identities, "generator_set", _never)
+    with pytest.raises(DomainError, match=f"^alpha1 {message}$"):
+        check_relation_2_1s(3, alpha, (1, 1), 1, 1)
+    with pytest.raises(DomainError, match=f"^alpha2 {message}$"):
+        check_relation_2_1s(3, (1, 1), alpha, 1, 1)
+
+
+def _never(*args):
+    raise AssertionError("work started before the inputs were checked")
+
+
+# (d, n, alpha, u0, un, beta): one bad index per shape rule of an instance.
+_BAD_INDICES = {
+    "long-alpha": (2, 3, (1, 1, 1, 0), 1, 2, None),
+    "short-alpha": (2, 3, (1, 2), 1, 2, None),
+    "empty-alpha": (2, 2, (), 1, 2, None),
+    "negative-part": (2, 2, (3, -1), 1, 2, None),
+    "heavy-alpha": (2, 2, (2, 1), 1, 2, None),
+    "light-alpha": (3, 2, (1, 1), 1, 1, None),
+    "u0-below-1": (2, 3, (1, 1, 1), 0, 2, None),
+    "un-above-n": (2, 3, (1, 1, 1), 1, 4, None),
+    "long-beta": (2, 3, (1, 1, 1), 1, 2, (1, 2)),
+    "empty-beta": (2, 3, (1, 1, 1), 1, 2, ()),
+    "beta-above-n": (2, 3, (1, 1, 1), 1, 2, (5,)),
+    "beta-below-1": (2, 3, (1, 1, 1), 1, 2, (0,)),
+    "beta-at-u0=un": (2, 3, (1, 1, 1), 2, 2, (1,)),
+    "beta-at-n=1": (2, 1, (1,), 1, 1, (1,)),
+}
+
+
+@pytest.mark.parametrize("index", _BAD_INDICES.values(), ids=_BAD_INDICES)
+def test_instance_and_involution_share_one_rule_set(monkeypatch, index):
+    """An index that makes no instance makes no pairing either, with the same
+    message, and the pairing builds no state before it says so."""
+    import jacverify.involution as involution
+
+    d, n, alpha, u0, un, beta = index
+    which, variant = ("identity1", 1) if beta is None else ("identity2", 2)
+    with pytest.raises(DomainError) as instance:
+        IdentityInstance(which, d, n, alpha, u0, un, beta)
+    monkeypatch.setattr(involution, "enumerate_states", _never)
+    with pytest.raises(DomainError) as pairing:
+        involution.verify_involution(d, n, alpha, u0, un, variant, beta)
+    assert str(pairing.value) == str(instance.value)
+
+
 def test_cayley_hamilton_hand_matrix():
     # A = [[1,2],[3,4]]: A^2 - 5A - 2I = 0 since tr = 5 and det = -2
     A = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]

@@ -137,9 +137,9 @@ def test_tree_oracle_rejects_non_multiples():
     (-1, (0, 1), 0, "component -1 outside [1,2]"),
     (3, (0, 1), 0, "component 3 outside [1,2]"),
     (0, (1, 1), 2, "component 0 outside [1,2]"),
-    (1, (1,), 0, "alpha must have n nonnegative parts"),
-    (1, (1, 0, 0), 0, "alpha must have n nonnegative parts"),
-    (1, (2, -1), 2, "alpha must have n nonnegative parts"),
+    (1, (1,), 0, "alpha (1,) has 1 parts, not n = 2"),
+    (1, (1, 0, 0), 0, "alpha (1, 0, 0) has 3 parts, not n = 2"),
+    (1, (2, -1), 2, "alpha (2, -1) has a negative part"),
     (1, (1, 0), -2, "N must be nonnegative"),
 ])
 def test_tree_oracle_and_coefficient_c_reject_the_same_inputs(i, alpha, N, message):
